@@ -21,7 +21,6 @@ import numpy as np
 DEFAULT_ENUM_CAP = 20
 PRUNE_TOL = 1e-14
 CUBE_TOL = 1e-12
-DEDUP_TOL = 1e-12
 
 
 class DimensionMismatch(ValueError):
@@ -165,9 +164,6 @@ def add_linear(f: FourierExpansion, theta: np.ndarray, const: float = 0.0) -> Fo
     if const != 0.0:
         terms.append((0, const))
     return FourierExpansion.from_terms(f.n, terms)
-
-
-CubePoint = np.ndarray
 
 
 def as_cube_point(x, n: int | None = None) -> np.ndarray:

@@ -17,7 +17,8 @@ Hamiltonian spec JSON schema (one object, dispatch on "type"):
     {"type": "triangle_count", "beta": 1.0, "num_vertices": 5}
     {"type": "sparse_fourier", "n": 6, "terms": [{"subset": [0, 2], "coeff": 1.5}]}
     {"type": "smoothed_cutoff", "inner": {...}, "t": 0.5, "delta": 0.05}
-Matrices are row-major nested arrays; subsets are sorted index lists.
+Matrices are row-major nested arrays; subsets are sorted index lists;
+n, num_vertices and subset indices are integers (6.0 reads as 6, 6.9 is refused).
 
 Every flag can be defaulted through an environment variable with the MFGL_
 prefix (e.g. MFGL_SEED, MFGL_SAMPLES, MFGL_MAX_N); explicit flags win.
@@ -52,19 +53,16 @@ from .hamiltonians import (
     CurieWeissSpec,
     HamiltonianSpec,
     InvalidSpec,
-    IsingSpec,
-    LinearSpec,
-    SmoothedCutoffSpec,
-    SparseFourierSpec,
-    TriangleCountSpec,
     build_hamiltonian,
     ising_complexity_bounds,
     CutoffShape,
     smoothed_cutoff_weights,
+    spec_from_dict,
 )
 from .meanfield import (
     FixedPointSolution,
     curie_weiss_roots,
+    default_lambda_grid,
     lambda_scan,
     solve_multistart,
     structural_set_test,
@@ -81,7 +79,6 @@ from .verify import (
     tightness_demo,
 )
 
-ENV_PREFIX = "MFGL_"
 SUITES = ("appendix", "proximity", "main", "ld", "tightness", "all")
 
 EXIT_OK = 0
@@ -137,8 +134,7 @@ class RunConfig:
             raise InputError(f"bad lambda grid {self.lambda_grid!r}, want LO:HI:COUNT") from exc
         if not (0 < lo < hi) or count < 1:
             raise InputError("lambda grid needs 0 < LO < HI and COUNT >= 1")
-        pos = np.geomspace(lo, hi, count)
-        return np.unique(np.concatenate([-pos[::-1], [0.0], pos]))
+        return default_lambda_grid(count, lo, hi)
 
 
 _ENV_FIELDS = {
@@ -202,54 +198,6 @@ def build_config(argv: Sequence[str], env: dict | None = None) -> RunConfig:
         config.timings = ns.timings
     config.validate()
     return config
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian spec wire format
-# ---------------------------------------------------------------------------
-
-
-def spec_from_dict(data: dict) -> HamiltonianSpec:
-    if not isinstance(data, dict) or "type" not in data:
-        raise InputError("Hamiltonian spec must be an object with a 'type' key")
-    kind = data["type"]
-    try:
-        if kind == "linear":
-            return LinearSpec(tuple(data["theta"]))
-        if kind == "ising":
-            return IsingSpec(tuple(map(tuple, data["coupling"])), tuple(data["field"]))
-        if kind == "curie_weiss":
-            return CurieWeissSpec(float(data["beta"]), int(data["n"]))
-        if kind == "triangle_count":
-            return TriangleCountSpec(float(data["beta"]), int(data["num_vertices"]))
-        if kind == "sparse_fourier":
-            terms = tuple((tuple(t["subset"]), float(t["coeff"])) for t in data["terms"])
-            return SparseFourierSpec(int(data["n"]), terms)
-        if kind == "smoothed_cutoff":
-            return SmoothedCutoffSpec(spec_from_dict(data["inner"]),
-                                      float(data["t"]), float(data["delta"]))
-    except (KeyError, TypeError, InvalidSpec) as exc:
-        raise InputError(f"malformed {kind!r} spec: {exc}") from exc
-    raise InputError(f"unknown Hamiltonian type {kind!r}")
-
-
-def spec_to_dict(spec: HamiltonianSpec) -> dict:
-    if isinstance(spec, LinearSpec):
-        return {"type": "linear", "theta": list(spec.theta)}
-    if isinstance(spec, IsingSpec):
-        return {"type": "ising", "coupling": [list(r) for r in spec.coupling],
-                "field": list(spec.field)}
-    if isinstance(spec, CurieWeissSpec):
-        return {"type": "curie_weiss", "beta": spec.beta, "n": spec.n}
-    if isinstance(spec, TriangleCountSpec):
-        return {"type": "triangle_count", "beta": spec.beta, "num_vertices": spec.num_vertices}
-    if isinstance(spec, SparseFourierSpec):
-        return {"type": "sparse_fourier", "n": spec.n,
-                "terms": [{"subset": list(s), "coeff": c} for s, c in spec.terms]}
-    if isinstance(spec, SmoothedCutoffSpec):
-        return {"type": "smoothed_cutoff", "inner": spec_to_dict(spec.inner),
-                "t": spec.t, "delta": spec.delta}
-    raise InputError(f"unknown spec type {type(spec).__name__}")
 
 
 def load_spec(path: str) -> HamiltonianSpec:
@@ -368,10 +316,6 @@ def write_atomic(path: str, data: bytes) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _round_trip_float(x: float) -> float:
-    return x if x is None or not math.isfinite(x) else float(format(x, ".17g"))
-
-
 def _solution_dict(sol: FixedPointSolution, xf=None) -> dict:
     out = {
         "start_id": sol.start_id,
@@ -429,18 +373,15 @@ def _require_spec(config: RunConfig) -> tuple[HamiltonianSpec, BuiltHamiltonian]
 
 def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
     spec, built = _require_spec(config)
-    report = _new_report(config, spec_to_dict(spec))
+    report = _new_report(config, spec.to_dict())
     timer = _Timer(report, config.timings)
     with timer.stage("complexity"):
         params = complexity_params(built.expansion, samples=config.samples,
                                    seed=config.seed, max_n=config.max_n)
     report["params"] = _params_dict(params)
-    if isinstance(spec, IsingSpec):
-        bounds = ising_complexity_bounds(*spec.matrices())
-        report["closed_form_bounds"] = _params_dict(bounds)
-    elif isinstance(spec, CurieWeissSpec):
-        a = 2.0 * spec.beta / spec.n * (np.ones((spec.n, spec.n)) - np.eye(spec.n))
-        report["closed_form_bounds"] = _params_dict(ising_complexity_bounds(a, np.zeros(spec.n)))
+    if hasattr(spec, "matrices"):
+        report["closed_form_bounds"] = _params_dict(ising_complexity_bounds(*spec.matrices()))
+    if isinstance(spec, CurieWeissSpec):
         report["scalar_roots"] = [float(r) for r in curie_weiss_roots(spec.beta)]
     with timer.stage("fixed_points"):
         field = built.gradient if built.gradient is not None else built.expansion
@@ -455,7 +396,7 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
 
 def _cmd_fixed_points(config: RunConfig) -> tuple[int, dict]:
     spec, built = _require_spec(config)
-    report = _new_report(config, spec_to_dict(spec))
+    report = _new_report(config, spec.to_dict())
     field = built.gradient if built.gradient is not None else built.expansion
     sols = solve_multistart(field, built.expansion.n, lam=1.0, seed=config.seed,
                             damping=config.damping, tol=config.tol)
@@ -468,7 +409,7 @@ def _cmd_ld_scan(config: RunConfig) -> tuple[int, dict]:
     if config.t is None or config.delta is None:
         raise InputError("ld-scan requires --t and --delta")
     f = built.expansion
-    report = _new_report(config, spec_to_dict(spec))
+    report = _new_report(config, spec.to_dict())
     fvals = vertex_values(f, config.max_n)
     rows = audit_large_deviations(f, config.t, config.delta, max_n=config.max_n,
                                   instance={"spec": config.spec_path})
@@ -515,12 +456,8 @@ def _default_random_instances(seed: int, count: int, n_range=(4, 8), degree=3):
 
 
 def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
-    spec_dict = None
-    built = None
-    if config.spec_path:
-        spec, built = _require_spec(config)
-        spec_dict = spec_to_dict(spec)
-    report = _new_report(config, spec_dict)
+    built = _require_spec(config)[1] if config.spec_path else None
+    report = _new_report(config, built.spec.to_dict() if built else None)
     rows: list[AuditRow] = []
     suites = SUITES[:-1] if config.suite == "all" else (config.suite,)
     timer = _Timer(report, config.timings)

@@ -104,9 +104,6 @@ class ProductMeasure:
         return self.mean.size
 
 
-TiltVector = np.ndarray
-
-
 def theta_in_tilt_support(theta: np.ndarray, eps: float) -> bool:
     """Whether theta lies in the ball of radius eps*sqrt(n) meeting [-1/4,1/4]^n."""
     theta = np.asarray(theta, dtype=np.float64)

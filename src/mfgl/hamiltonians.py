@@ -13,8 +13,8 @@ i.e. pair coefficient 2*beta/n; the two conventions differ by that factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, fields
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -266,29 +266,65 @@ def composition_params(b1: float, b2: float, base: ComplexityParams, n: int) -> 
 # ---------------------------------------------------------------------------
 
 
+def _integer(value) -> int:
+    """``value`` as an int; a fractional or non-finite number is refused, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InvalidSpec(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+class HamiltonianSpec:
+    """Base of the spec types; ``SPEC_TYPES`` maps each ``type`` tag to its class.
+
+    A spec's JSON object is its ``type`` tag followed by its dataclass fields,
+    in field order; ``__post_init__`` coerces and validates those fields, so
+    every route into a spec (JSON or Python) is checked the same way.  Each
+    type's ``build(max_n)`` realizes it for ``build_hamiltonian``.
+    """
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def to_dict(self) -> dict:
+        return {"type": self.type, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "HamiltonianSpec":
+        return cls(*(data[f.name] for f in fields(cls)))
+
+
 @dataclass(frozen=True)
-class LinearSpec:
+class LinearSpec(HamiltonianSpec):
+    type = "linear"
     theta: tuple
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=np.float64)
         if theta.ndim != 1 or theta.size == 0 or not np.all(np.isfinite(theta)):
             raise InvalidSpec("linear field must be a finite nonempty vector")
-        object.__setattr__(self, "theta", tuple(theta.tolist()))
+        self._set(theta=tuple(theta.tolist()))
 
     @property
     def n(self) -> int:
         return len(self.theta)
 
+    def build(self, max_n=None):
+        theta = np.array(self.theta)
+        exp = FourierExpansion.from_terms(self.n, [((i,), theta[i]) for i in range(self.n)])
+        return BuiltHamiltonian(self, exp, lambda x: np.broadcast_to(
+            theta, np.asarray(x, dtype=np.float64).shape).copy())
+
 
 @dataclass(frozen=True)
-class IsingSpec:
+class IsingSpec(HamiltonianSpec):
     """Pairwise couplings A (symmetric, zero diagonal) plus external field mu.
 
     The built expansion is sum_{i<j} A_ij x_i x_j + <mu, x>, whose gradient
     field is exactly A x + mu.
     """
 
+    type = "ising"
     coupling: tuple
     field: tuple
 
@@ -305,35 +341,64 @@ class IsingSpec:
             raise InvalidSpec("coupling must have a zero diagonal")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(mu))):
             raise InvalidSpec("non-finite entries")
-        object.__setattr__(self, "coupling", tuple(map(tuple, a.tolist())))
-        object.__setattr__(self, "field", tuple(mu.tolist()))
+        self._set(coupling=tuple(map(tuple, a.tolist())), field=tuple(mu.tolist()))
 
     @property
     def n(self) -> int:
         return len(self.field)
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, mu): the built function's gradient field is A x + mu."""
         return np.array(self.coupling), np.array(self.field)
+
+    def build(self, max_n=None):
+        a, mu = self.matrices()
+        n = self.n
+        terms = [((i, j), a[i, j]) for i in range(n) for j in range(i + 1, n) if a[i, j] != 0.0]
+        terms += [((i,), mu[i]) for i in range(n) if mu[i] != 0.0]
+        exp = FourierExpansion.from_terms(n, terms)
+        return BuiltHamiltonian(self, exp, lambda x: np.asarray(x, dtype=np.float64) @ a + mu)
 
 
 @dataclass(frozen=True)
-class CurieWeissSpec:
+class CurieWeissSpec(HamiltonianSpec):
+    type = "curie_weiss"
     beta: float
     n: int
 
     def __post_init__(self):
+        self._set(beta=float(self.beta), n=_integer(self.n))
         if self.beta <= 0:
             raise InvalidSpec("beta must be positive")
         if self.n < 2:
             raise InvalidSpec("need at least two sites")
 
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, mu) = (2 x the interaction matrix, 0), the pairwise form of this Hamiltonian."""
+        return 2.0 * curie_weiss_interaction_matrix(self.beta, self.n), np.zeros(self.n)
+
+    def build(self, max_n=None):
+        beta, n = self.beta, self.n
+        c = 2.0 * beta / n  # ordered double sum counts each pair twice
+        exp = FourierExpansion.from_terms(
+            n, [((i, j), c) for i in range(n) for j in range(i + 1, n)])
+
+        def cw_gradient(x):
+            x = np.asarray(x, dtype=np.float64)
+            s = x.sum(axis=-1, keepdims=True)
+            return c * (s - x)
+
+        return BuiltHamiltonian(self, exp, cw_gradient)
+
 
 @dataclass(frozen=True)
-class TriangleCountSpec:
+class TriangleCountSpec(HamiltonianSpec):
+    type = "triangle_count"
     beta: float
     num_vertices: int
 
     def __post_init__(self):
+        self._set(beta=float(self.beta), num_vertices=_integer(self.num_vertices))
         if self.num_vertices < 3:
             raise InvalidSpec("need at least three graph vertices")
 
@@ -341,38 +406,90 @@ class TriangleCountSpec:
     def n(self) -> int:
         return self.num_vertices * (self.num_vertices - 1) // 2
 
+    def build(self, max_n=None):
+        nv = self.num_vertices
+        edges = edge_index_map(nv)
+        coeff = 6.0 * self.beta / nv  # pairwise-distinct ordered triples: 3! per triangle
+        terms = []
+        for i in range(nv):
+            for j in range(i + 1, nv):
+                for k in range(j + 1, nv):
+                    terms.append(((edges[(i, j)], edges[(j, k)], edges[(i, k)]), coeff))
+        return BuiltHamiltonian(self, FourierExpansion.from_terms(self.n, terms))
+
 
 @dataclass(frozen=True)
-class SparseFourierSpec:
+class SparseFourierSpec(HamiltonianSpec):
+    type = "sparse_fourier"
     n: int
     terms: tuple  # ((sorted index tuple, coeff), ...)
 
     def __post_init__(self):
         norm = []
+        n = _integer(self.n)
         for subset, coeff in self.terms:
-            subset = tuple(sorted(int(i) for i in subset))
+            subset = tuple(sorted(_integer(i) for i in subset))
             if len(set(subset)) != len(subset):
                 raise InvalidSpec("repeated index in subset")
-            if subset and (subset[0] < 0 or subset[-1] >= self.n):
+            if subset and (subset[0] < 0 or subset[-1] >= n):
                 raise InvalidSpec("subset index out of range")
             norm.append((subset, float(coeff)))
-        object.__setattr__(self, "terms", tuple(norm))
+        self._set(n=n, terms=tuple(norm))
+
+    def to_dict(self) -> dict:
+        return {"type": self.type, "n": self.n,
+                "terms": [{"subset": s, "coeff": c} for s, c in self.terms]}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SparseFourierSpec":
+        return cls(data["n"], tuple((t["subset"], t["coeff"]) for t in data["terms"]))
+
+    def build(self, max_n=None):
+        return BuiltHamiltonian(self, FourierExpansion.from_terms(self.n, self.terms))
 
 
 @dataclass(frozen=True)
-class SmoothedCutoffSpec:
-    inner: "HamiltonianSpec"
+class SmoothedCutoffSpec(HamiltonianSpec):
+    type = "smoothed_cutoff"
+    inner: HamiltonianSpec
     t: float
     delta: float
 
     def __post_init__(self):
+        self._set(t=float(self.t), delta=float(self.delta))
         if self.delta <= 0:
             raise InvalidSpec("delta must be positive")
 
+    def to_dict(self) -> dict:
+        return {"type": self.type, "inner": self.inner.to_dict(), "t": self.t, "delta": self.delta}
 
-HamiltonianSpec = Union[
-    LinearSpec, IsingSpec, CurieWeissSpec, TriangleCountSpec, SparseFourierSpec, SmoothedCutoffSpec
-]
+    @classmethod
+    def from_dict(cls, data: dict) -> "SmoothedCutoffSpec":
+        return cls(spec_from_dict(data["inner"]), data["t"], data["delta"])
+
+    def build(self, max_n=None):
+        inner = build_hamiltonian(self.inner, max_n)
+        n = inner.expansion.n
+        _check_cap(n, max_n, "smoothed cutoff")
+        psi = ScaledCutoffShape(n, self.t, self.delta)
+        return BuiltHamiltonian(self, compose(inner.expansion, psi, max_n))
+
+
+SPEC_TYPES = {cls.type: cls for cls in (LinearSpec, IsingSpec, CurieWeissSpec, TriangleCountSpec,
+                                        SparseFourierSpec, SmoothedCutoffSpec)}
+
+
+def spec_from_dict(data) -> HamiltonianSpec:
+    """Parse a spec's JSON object; anything malformed raises ``InvalidSpec``."""
+    if not isinstance(data, dict) or "type" not in data:
+        raise InvalidSpec("Hamiltonian spec must be an object with a 'type' key")
+    kind = data["type"]
+    if not isinstance(kind, str) or kind not in SPEC_TYPES:
+        raise InvalidSpec(f"unknown Hamiltonian type {kind!r}")
+    try:
+        return SPEC_TYPES[kind].from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidSpec(f"malformed {kind!r} spec: {exc}") from exc
 
 
 def edge_index_map(num_vertices: int) -> dict[tuple[int, int], int]:
@@ -404,55 +521,9 @@ class BuiltHamiltonian:
 
 def build_hamiltonian(spec: HamiltonianSpec, max_n: int | None = None) -> BuiltHamiltonian:
     """Realize a spec as a sparse expansion plus an optional closed-form gradient."""
-    if isinstance(spec, LinearSpec):
-        theta = np.array(spec.theta)
-        exp = FourierExpansion.from_terms(spec.n, [((i,), theta[i]) for i in range(spec.n)])
-        return BuiltHamiltonian(spec, exp, lambda x: np.broadcast_to(
-            theta, np.asarray(x, dtype=np.float64).shape).copy())
-
-    if isinstance(spec, IsingSpec):
-        a, mu = spec.matrices()
-        n = spec.n
-        terms = [((i, j), a[i, j]) for i in range(n) for j in range(i + 1, n) if a[i, j] != 0.0]
-        terms += [((i,), mu[i]) for i in range(n) if mu[i] != 0.0]
-        exp = FourierExpansion.from_terms(n, terms)
-        return BuiltHamiltonian(spec, exp, lambda x: np.asarray(x, dtype=np.float64) @ a + mu)
-
-    if isinstance(spec, CurieWeissSpec):
-        beta, n = spec.beta, spec.n
-        c = 2.0 * beta / n  # ordered double sum counts each pair twice
-        exp = FourierExpansion.from_terms(
-            n, [((i, j), c) for i in range(n) for j in range(i + 1, n)])
-
-        def cw_gradient(x):
-            x = np.asarray(x, dtype=np.float64)
-            s = x.sum(axis=-1, keepdims=True)
-            return c * (s - x)
-
-        return BuiltHamiltonian(spec, exp, cw_gradient)
-
-    if isinstance(spec, TriangleCountSpec):
-        nv = spec.num_vertices
-        edges = edge_index_map(nv)
-        coeff = 6.0 * spec.beta / nv  # pairwise-distinct ordered triples: 3! per triangle
-        terms = []
-        for i in range(nv):
-            for j in range(i + 1, nv):
-                for k in range(j + 1, nv):
-                    terms.append(((edges[(i, j)], edges[(j, k)], edges[(i, k)]), coeff))
-        return BuiltHamiltonian(spec, FourierExpansion.from_terms(spec.n, terms))
-
-    if isinstance(spec, SparseFourierSpec):
-        return BuiltHamiltonian(spec, FourierExpansion.from_terms(spec.n, spec.terms))
-
-    if isinstance(spec, SmoothedCutoffSpec):
-        inner = build_hamiltonian(spec.inner, max_n)
-        n = inner.expansion.n
-        _check_cap(n, max_n, "smoothed cutoff")
-        psi = ScaledCutoffShape(n, spec.t, spec.delta)
-        return BuiltHamiltonian(spec, compose(inner.expansion, psi, max_n))
-
-    raise InvalidSpec(f"unknown Hamiltonian spec {type(spec).__name__}")
+    if not isinstance(spec, HamiltonianSpec):
+        raise InvalidSpec(f"unknown Hamiltonian spec {type(spec).__name__}")
+    return spec.build(max_n)
 
 
 def ising_complexity_bounds(a: np.ndarray, mu: np.ndarray) -> ComplexityParams:
@@ -461,10 +532,8 @@ def ising_complexity_bounds(a: np.ndarray, mu: np.ndarray) -> ComplexityParams:
     D <= sqrt(n tr A^2) + sqrt(n) mu_max, L1 <= mu_max + max_i sum_j |A_ij|,
     L2 <= max_i sum_j |A_ij|, with the unit floors applied.
     """
-    spec = IsingSpec(tuple(map(tuple, np.asarray(a, dtype=np.float64).tolist())),
-                     tuple(np.asarray(mu, dtype=np.float64).tolist()))
-    a, mu = spec.matrices()
-    n = spec.n
+    a, mu = IsingSpec(a, mu).matrices()
+    n = len(mu)
     mu_max = float(np.abs(mu).max()) if n else 0.0
     row_sum = float(np.abs(a).sum(axis=1).max())
     d = math.sqrt(n * float((a * a).sum())) + math.sqrt(n) * mu_max

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .boolfn import (
     FourierExpansion,
@@ -378,7 +377,8 @@ def counting_composition_gradient_norm(n: int, shape: ScalarShape | None = None)
     shape = shape or CubicQuinticShape()
     ks = np.arange(n)
     s = 2.0 * ks - (n - 1)
-    pmf = stats.binom.pmf(ks, n - 1, 0.5)
+    # int / int true division is correctly rounded, so each Binomial(n-1, 1/2) mass is exact
+    pmf = np.array([math.comb(n - 1, k) / 2 ** (n - 1) for k in range(n)])
     halves = 0.5 * (np.asarray(shape.value(s + 1.0)) - np.asarray(shape.value(s - 1.0)))
     return n * abs(float(pmf @ halves))
 

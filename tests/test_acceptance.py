@@ -5,13 +5,11 @@ or in the captured output); a failure raises with the measured numbers.
 Criteria with stated runtime budgets assert those budgets too.
 """
 
-import json
 import math
 import time
 
 import numpy as np
 
-from mfgl import cli
 from mfgl.boolfn import (
     compose,
     eval_extension,
@@ -47,6 +45,7 @@ from mfgl.verify import (
 )
 
 from conftest import random_expansion
+from test_goldens import GOLDEN_DIR, run_golden
 
 
 def _report(criterion, detail):
@@ -252,14 +251,10 @@ def test_criterion_12_gradient_ratio_oracle_equivalence():
 
 
 def test_criterion_13_deterministic_reports(tmp_path):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"type": "curie_weiss", "beta": 2.0, "n": 6}))
-    out = tmp_path / "report.json"
-    args = ["analyze", "--spec", str(spec), "--out", str(out),
-            "--seed", "113", "--samples", "5000"]
-    assert cli.main(args) == 0
-    first = out.read_bytes()
-    assert cli.main(args) == 0
-    second = out.read_bytes()
+    # curie_weiss(2.0, 6), seed 113, 5000 samples, from a scratch directory
+    name = "analyze_curie_weiss.json"
+    first = run_golden(name, tmp_path)
+    second = run_golden(name, tmp_path)
     assert first == second, "identical runs produced different report bytes"
-    _report("13 determinism", f"{len(first)} bytes, identical across runs")
+    assert first == (GOLDEN_DIR / name).read_bytes(), "report differs from the committed golden"
+    _report("13 determinism", f"{len(first)} bytes, identical across runs and to the golden")

@@ -1,12 +1,27 @@
 """CLI: config resolution, spec wire format, serialization, commands, exit codes."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mfgl import cli
-from mfgl.hamiltonians import CurieWeissSpec, IsingSpec, LinearSpec, SmoothedCutoffSpec
+from mfgl.hamiltonians import (
+    SPEC_TYPES,
+    CurieWeissSpec,
+    InvalidSpec,
+    IsingSpec,
+    LinearSpec,
+    SmoothedCutoffSpec,
+    SparseFourierSpec,
+    TriangleCountSpec,
+    spec_from_dict,
+)
 from mfgl.verify import make_row
 
 
@@ -50,28 +65,70 @@ def test_lambda_grid_parsing():
 # ---------------------------------------------------------------------------
 
 
+# One example per registered type: a type added to the registry without an
+# example here fails the round trip.
+SPEC_EXAMPLES = {
+    "linear": LinearSpec((0.1, -0.2)),
+    "ising": IsingSpec(((0.0, 0.5), (0.5, 0.0)), (0.1, -0.1)),
+    "curie_weiss": CurieWeissSpec(1.5, 6),
+    "triangle_count": TriangleCountSpec(0.8, 5),
+    "sparse_fourier": SparseFourierSpec(4, (((0, 2), 1.5), ((1,), -0.5))),
+    "smoothed_cutoff": SmoothedCutoffSpec(CurieWeissSpec(1.2, 5), 0.4, 0.05),
+}
+
+MALFORMED_SPECS = [
+    {"no_type": 1},
+    {"type": "weird"},
+    {"type": ["linear"]},
+    {"type": "linear"},
+    {"type": "ising", "coupling": [[0, 1], [2, 0]], "field": [0, 0]},
+    {"type": "ising", "coupling": [[0, 1], [1]], "field": [0, 0]},
+    {"type": "curie_weiss", "beta": 1.5, "n": 6.9},
+    {"type": "curie_weiss", "beta": 1.5, "n": None},
+    {"type": "triangle_count", "beta": 1.0, "num_vertices": 4.5},
+    {"type": "sparse_fourier", "n": 3, "terms": [{"subset": [0, 1.7], "coeff": 1.0}]},
+    {"type": "sparse_fourier", "n": 3, "terms": [[0, 1]]},
+    {"type": "smoothed_cutoff", "inner": {"type": "curie_weiss", "beta": 1.5, "n": 4.5},
+     "t": 0.4, "delta": 0.05},
+]
+
+
 def test_spec_round_trip_all_types():
-    from mfgl.hamiltonians import SparseFourierSpec, TriangleCountSpec
-
-    specs = [
-        LinearSpec((0.1, -0.2)),
-        IsingSpec(((0.0, 0.5), (0.5, 0.0)), (0.1, -0.1)),
-        CurieWeissSpec(1.5, 6),
-        TriangleCountSpec(0.8, 5),
-        SparseFourierSpec(4, (((0, 2), 1.5), ((1,), -0.5))),
-        SmoothedCutoffSpec(CurieWeissSpec(1.2, 5), 0.4, 0.05),
-    ]
-    for spec in specs:
-        assert cli.spec_from_dict(cli.spec_to_dict(spec)) == spec
+    for kind, cls in SPEC_TYPES.items():
+        spec = SPEC_EXAMPLES[kind]
+        assert type(spec) is cls and spec.to_dict()["type"] == kind
+        assert spec_from_dict(spec.to_dict()) == spec
 
 
-def test_spec_from_dict_rejects_malformed():
-    with pytest.raises(cli.InputError):
-        cli.spec_from_dict({"no_type": 1})
-    with pytest.raises(cli.InputError):
-        cli.spec_from_dict({"type": "weird"})
-    with pytest.raises(cli.InputError):
-        cli.spec_from_dict({"type": "ising", "coupling": [[0, 1], [2, 0]], "field": [0, 0]})
+def test_spec_from_dict_rejects_malformed(tmp_path, capsys):
+    for k, data in enumerate(MALFORMED_SPECS):
+        with pytest.raises(InvalidSpec):
+            spec_from_dict(data)
+        spec = _write_spec(tmp_path, data, f"bad{k}.json")
+        assert cli.main(["fixed-points", "--spec", spec]) == 1, data
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_spec_schema_docs_match_registry():
+    # the README's spec block parses and the --help text lists the same types
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split('dispatched on `"type"`:\n\n```json\n', 1)[1].split("```", 1)[0].strip()
+    kinds = []
+    while block:
+        data, end = json.JSONDecoder().raw_decode(block)
+        kinds.append(spec_from_dict(data).type)
+        block = block[end:].strip()
+    assert kinds == list(SPEC_TYPES)
+    assert re.findall(r'^ +\{"type": "(\w+)"', cli.__doc__, re.M) == list(SPEC_TYPES)
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, mfgl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Hamiltonian catalog, scalar shapes, closed-form bounds, composition parameters."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfgl.boolfn import (
     eval_extension,
@@ -15,7 +17,9 @@ from mfgl.boolfn import (
 )
 from mfgl.complexity import gaussian_width_mc, gradient_cloud
 from mfgl.hamiltonians import (
+    SPEC_TYPES,
     ComplexityParams,
+    HamiltonianSpec,
     CurieWeissSpec,
     CustomShape,
     CutoffShape,
@@ -34,6 +38,7 @@ from mfgl.hamiltonians import (
     edge_index_map,
     ising_complexity_bounds,
     smoothed_cutoff_weights,
+    spec_from_dict,
 )
 
 from conftest import all_vertices, random_expansion
@@ -146,6 +151,68 @@ def test_spec_validation_errors():
         SmoothedCutoffSpec(CurieWeissSpec(1.0, 4), 0.5, 0.0)
     with pytest.raises(InvalidSpec):
         SparseFourierSpec(3, (((0, 5), 1.0),))
+    # integer fields take integral numbers; fractions are refused, not truncated
+    assert CurieWeissSpec(1.5, 6.0).n == 6
+    with pytest.raises(InvalidSpec):
+        CurieWeissSpec(1.5, 6.9)
+    with pytest.raises(InvalidSpec):
+        TriangleCountSpec(1.0, float("inf"))
+    with pytest.raises(InvalidSpec):
+        SparseFourierSpec(3, (((0, 1.7), 1.0),))
+
+
+_reals = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+def _ising(n: int, upper: list, field: list) -> IsingSpec:
+    a = np.zeros((n, n))
+    a[np.triu_indices(n, 1)] = upper
+    return IsingSpec((a + a.T).tolist(), field)
+
+
+def _sparse_fourier(n: int):
+    terms = st.lists(st.tuples(st.sets(st.integers(0, n - 1), max_size=3), _reals), max_size=8)
+    return st.builds(SparseFourierSpec, st.just(n), terms.map(tuple))
+
+
+_linear = st.lists(_reals, min_size=1, max_size=6).map(LinearSpec)
+_curie_weiss = st.builds(CurieWeissSpec, st.floats(0.01, 4.0), st.integers(2, 8))
+_sparse = st.integers(1, 6).flatmap(_sparse_fourier)
+
+# Spec type tag -> strategy; the property test runs once per registered tag.
+SPEC_STRATEGIES = {
+    "linear": _linear,
+    "ising": st.integers(1, 5).flatmap(lambda n: st.builds(
+        _ising, st.just(n), st.lists(_reals, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+        st.lists(_reals, min_size=n, max_size=n))),
+    "curie_weiss": _curie_weiss,
+    "triangle_count": st.builds(TriangleCountSpec, _reals, st.integers(3, 5)),
+    "sparse_fourier": _sparse,
+    "smoothed_cutoff": st.builds(SmoothedCutoffSpec, st.one_of(_linear, _curie_weiss, _sparse),
+                                 st.floats(-1.0, 1.0), st.floats(0.01, 1.0)),
+}
+
+
+@pytest.mark.parametrize("kind", list(SPEC_TYPES))
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_spec_json_round_trip_and_build(kind, data):
+    spec = data.draw(SPEC_STRATEGIES[kind])
+    assert spec_from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+    assert build_hamiltonian(spec).spec is spec
+
+
+def test_every_spec_type_is_registered():
+    assert set(HamiltonianSpec.__subclasses__()) == set(SPEC_TYPES.values())
+    assert all(cls.type == kind for kind, cls in SPEC_TYPES.items())
+
+
+def test_curie_weiss_matrices_match_literal_pair_coefficient():
+    # twice the interaction matrix is bit-identical to 2 beta / n off the diagonal
+    for beta, n in [(1.5, 10), (2.0, 6), (0.3, 7), (1.0 / 3.0, 13)]:
+        a, mu = CurieWeissSpec(beta, n).matrices()
+        assert np.array_equal(a, 2.0 * beta / n * (np.ones((n, n)) - np.eye(n)))
+        assert np.array_equal(mu, np.zeros(n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Audit rows, tilt sampling, and the per-inequality audit functions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,6 +243,24 @@ def test_counting_composition_matches_bruteforce_gradient():
     g0 = grad(hf, np.zeros(n))
     assert np.allclose(g0, g0[0])  # permutation symmetry
     assert n * abs(g0[0]) == pytest.approx(counting_composition_gradient_norm(n, shape), abs=1e-9)
+
+
+def test_counting_composition_pmf_matches_scipy_binomial():
+    # the integer pmf agrees with scipy's binomial pmf to rounding
+    from scipy import stats
+
+    shape = CubicQuinticShape()
+    for n in (2, 16, 64, 256, 1024, 4096):
+        ks = np.arange(n)
+        s = 2.0 * ks - (n - 1)
+        halves = 0.5 * (shape.value(s + 1.0) - shape.value(s - 1.0))
+        norm = counting_composition_gradient_norm(n, shape)
+        assert norm == pytest.approx(n * abs(float(stats.binom.pmf(ks, n - 1, 0.5) @ halves)),
+                                     rel=1e-15)
+        if n == 16:  # every product and partial sum is dyadic, so the norm is exact
+            exact = n * abs(sum(Fraction(math.comb(n - 1, k), 2 ** (n - 1)) * Fraction(h)
+                                for k, h in enumerate(halves)))
+            assert norm == exact == 50.2734375
 
 
 def test_counting_composition_comparison_term_vanishes():
