@@ -77,9 +77,8 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     while h < m:
         a = a.reshape(-1, 2, h)
         x = a[:, 0, :].copy()
-        y = a[:, 1, :].copy()
-        a[:, 0, :] = x + y
-        a[:, 1, :] = x - y
+        a[:, 0, :] += a[:, 1, :]
+        np.subtract(x, a[:, 1, :], out=a[:, 1, :])
         h *= 2
     return a.reshape(m)
 
@@ -274,26 +273,23 @@ def from_vertex_values(n: int, values: np.ndarray, prune: float = PRUNE_TOL) -> 
 
 
 def gradient_tables(f: FourierExpansion, max_n: int | None = None) -> np.ndarray:
-    """All discrete partial derivatives over all vertices, shape (n, 2^n)."""
+    """All discrete partial derivatives over all vertices, shape (n, 2^n).
+
+    Read off the one vertex table F: the flip pair v, v ^ 2^i shares
+    d_i f = (F[bit i set] - F[bit i clear]) / 2, and viewing F as blocks
+    of 2^i indices, shape (-1, 2, 2^i), lines up every such pair.
+    """
     _check_cap(f.n, max_n, "gradient tables")
-    size = 1 << f.n
-    signs = parity_signs(f.n)
-    out = np.empty((f.n, size))
+    values = vertex_values(f, max_n)
+    out = np.empty((f.n, values.size))
     for i in range(f.n):
-        bit = 1 << i
-        sel = (f.masks & bit) != 0
-        dmasks = f.masks[sel] & ~bit
-        tab = np.zeros(size)
-        if dmasks.size:
-            tab[dmasks] = f.coeffs[sel] * signs[dmasks]
-        out[i] = walsh_hadamard(tab)
+        pairs = values.reshape(-1, 2, 1 << i)
+        out[i].reshape(pairs.shape)[:] = (0.5 * (pairs[:, 1] - pairs[:, 0]))[:, None]
     return out
 
 
 def lipschitz_l1(f: FourierExpansion, max_n: int | None = None) -> float:
     """max over coordinates and vertices of |partial_i f|, by exact enumeration."""
-    if f.masks.size == 0:
-        return 0.0
     return float(np.abs(gradient_tables(f, max_n)).max())
 
 
@@ -307,17 +303,18 @@ def lipschitz_l2(f: FourierExpansion, max_n: int | None = None) -> float:
     O(n^2 2^n) instead of O(4^n); the small-n all-pairs oracle in the test
     suite guards the reduction.
     """
-    if f.masks.size == 0:
-        return 0.0
-    tables = gradient_tables(f, max_n)
-    size = 1 << f.n
-    idx = np.arange(size)
+    return flip_lipschitz(gradient_tables(f, max_n))
+
+
+def flip_lipschitz(tables: np.ndarray) -> float:
+    """The distance-1 ratio of ``lipschitz_l2``, from gradient tables (n, 2^n)."""
+    n = tables.shape[0]
     best = 0.0
-    for i in range(f.n):
-        perm = idx ^ (1 << i)
-        acc = np.zeros(size)
-        for j in range(f.n):
-            acc += np.abs(tables[j, perm] - tables[j])
+    for i in range(n):
+        pairs = tables.reshape(n, -1, 2, 1 << i)
+        acc = np.zeros(pairs[0, :, 0].shape)
+        for j in range(n):
+            acc += np.abs(pairs[j, :, 1] - pairs[j, :, 0])
         best = max(best, float(acc.max()) / 2.0)
     return best
 

@@ -373,10 +373,11 @@ def _require_spec(config: RunConfig) -> tuple[HamiltonianSpec, BuiltHamiltonian]
 
 def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
     spec, built = _require_spec(config)
+    f = built.expansion
     report = _new_report(config, spec.to_dict())
     timer = _Timer(report, config.timings)
     with timer.stage("complexity"):
-        params = complexity_params(built.expansion, samples=config.samples,
+        params = complexity_params(f, samples=config.samples,
                                    seed=config.seed, max_n=config.max_n)
     report["params"] = _params_dict(params)
     if hasattr(spec, "matrices"):
@@ -384,11 +385,10 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
     if isinstance(spec, CurieWeissSpec):
         report["scalar_roots"] = [float(r) for r in curie_weiss_roots(spec.beta)]
     with timer.stage("fixed_points"):
-        field = built.gradient if built.gradient is not None else built.expansion
-        sols = solve_multistart(field, built.expansion.n, lam=1.0, seed=config.seed,
+        sols = solve_multistart(f, f.n, lam=1.0, seed=config.seed,
                                 damping=config.damping, tol=config.tol)
     report["solutions"] = [
-        _solution_dict(s, structural_set_test(field, s.point, params, n=built.expansion.n) if s.converged else None)
+        _solution_dict(s, structural_set_test(f, s.point, params) if s.converged else None)
         for s in sols
     ]
     return EXIT_OK, report
@@ -397,8 +397,7 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
 def _cmd_fixed_points(config: RunConfig) -> tuple[int, dict]:
     spec, built = _require_spec(config)
     report = _new_report(config, spec.to_dict())
-    field = built.gradient if built.gradient is not None else built.expansion
-    sols = solve_multistart(field, built.expansion.n, lam=1.0, seed=config.seed,
+    sols = solve_multistart(built.expansion, built.expansion.n, lam=1.0, seed=config.seed,
                             damping=config.damping, tol=config.tol)
     report["solutions"] = [_solution_dict(s) for s in sols]
     return EXIT_OK, report

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import FourierExpansion, gradient_tables
+from .boolfn import FourierExpansion, flip_lipschitz, gradient_tables
 from .hamiltonians import ComplexityParams
-from . import boolfn
 
 DEDUP_TOL = 1e-12
 DEFAULT_SAMPLES = 100_000
@@ -73,10 +72,7 @@ def gradient_cloud(f: FourierExpansion, max_n: int | None = None) -> GradientClo
     Integer-coefficient Hamiltonians collide heavily here, which is what
     keeps the per-draw sup loop cheap.
     """
-    if f.masks.size == 0:
-        return GradientCloud(np.zeros((1, f.n)))
-    tables = gradient_tables(f, max_n)
-    return cloud_from_points(tables.T)
+    return cloud_from_points(gradient_tables(f, max_n).T)
 
 
 def width_samples(cloud: GradientCloud, samples: int, seed: int | None = 0) -> np.ndarray:
@@ -120,13 +116,13 @@ def gaussian_width_mc(cloud: GradientCloud, samples: int = DEFAULT_SAMPLES,
 
 def complexity_params(f: FourierExpansion, samples: int = DEFAULT_SAMPLES,
                       seed: int | None = 0, max_n: int | None = None) -> ComplexityParams:
-    """Monte-Carlo D plus exact floored Lipschitz parameters for f."""
-    cloud = gradient_cloud(f, max_n)
-    d, d_se = gaussian_width_mc(cloud, samples=samples, seed=seed)
+    """Monte-Carlo D plus exact floored Lipschitz parameters for f, from one table set."""
+    tables = gradient_tables(f, max_n)
+    d, d_se = gaussian_width_mc(cloud_from_points(tables.T), samples=samples, seed=seed)
     return ComplexityParams.from_raw(
         max(d, 0.0),
-        boolfn.lipschitz_l1(f, max_n),
-        boolfn.lipschitz_l2(f, max_n),
+        float(np.abs(tables).max()),
+        flip_lipschitz(tables),
         d_stderr=d_se,
         d_provenance="monte_carlo",
     )

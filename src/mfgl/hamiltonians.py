@@ -310,10 +310,8 @@ class LinearSpec(HamiltonianSpec):
         return len(self.theta)
 
     def build(self, max_n=None):
-        theta = np.array(self.theta)
-        exp = FourierExpansion.from_terms(self.n, [((i,), theta[i]) for i in range(self.n)])
-        return BuiltHamiltonian(self, exp, lambda x: np.broadcast_to(
-            theta, np.asarray(x, dtype=np.float64).shape).copy())
+        return BuiltHamiltonian(self, FourierExpansion.from_terms(
+            self.n, [((i,), c) for i, c in enumerate(self.theta)]))
 
 
 @dataclass(frozen=True)
@@ -356,8 +354,7 @@ class IsingSpec(HamiltonianSpec):
         n = self.n
         terms = [((i, j), a[i, j]) for i in range(n) for j in range(i + 1, n) if a[i, j] != 0.0]
         terms += [((i,), mu[i]) for i in range(n) if mu[i] != 0.0]
-        exp = FourierExpansion.from_terms(n, terms)
-        return BuiltHamiltonian(self, exp, lambda x: np.asarray(x, dtype=np.float64) @ a + mu)
+        return BuiltHamiltonian(self, FourierExpansion.from_terms(n, terms))
 
 
 @dataclass(frozen=True)
@@ -380,15 +377,8 @@ class CurieWeissSpec(HamiltonianSpec):
     def build(self, max_n=None):
         beta, n = self.beta, self.n
         c = 2.0 * beta / n  # ordered double sum counts each pair twice
-        exp = FourierExpansion.from_terms(
-            n, [((i, j), c) for i in range(n) for j in range(i + 1, n)])
-
-        def cw_gradient(x):
-            x = np.asarray(x, dtype=np.float64)
-            s = x.sum(axis=-1, keepdims=True)
-            return c * (s - x)
-
-        return BuiltHamiltonian(self, exp, cw_gradient)
+        return BuiltHamiltonian(self, FourierExpansion.from_terms(
+            n, [((i, j), c) for i in range(n) for j in range(i + 1, n)]))
 
 
 @dataclass(frozen=True)
@@ -516,11 +506,14 @@ def curie_weiss_interaction_matrix(beta: float, n: int) -> np.ndarray:
 class BuiltHamiltonian:
     spec: HamiltonianSpec
     expansion: FourierExpansion
-    gradient: Optional[Callable] = None  # batched closed form, X (..., n) -> (..., n)
 
 
 def build_hamiltonian(spec: HamiltonianSpec, max_n: int | None = None) -> BuiltHamiltonian:
-    """Realize a spec as a sparse expansion plus an optional closed-form gradient."""
+    """Realize a spec as a sparse expansion.
+
+    Its gradient field is ``meanfield.as_gradient_field(built.expansion)``,
+    which compiles degree <= 2 expansions to the matrix form x @ A + mu.
+    """
     if not isinstance(spec, HamiltonianSpec):
         raise InvalidSpec(f"unknown Hamiltonian spec {type(spec).__name__}")
     return spec.build(max_n)

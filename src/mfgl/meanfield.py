@@ -83,27 +83,15 @@ def mf_iterate(f: FourierExpansion | GradientField, x0, *, lam: float = 1.0,
 
     Iterates stay inside [-1,1]^n (tanh range plus convex combination);
     damping below 1 avoids the two-cycles the undamped map develops near
-    critical coupling.
+    critical coupling.  This is the one-start battery of ``_iterate_batch``.
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError("damping must lie in (0, 1]")
-    field = as_gradient_field(f)
-    x = np.asarray(x0, dtype=np.float64).copy()
+    x = np.asarray(x0, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("start point must be a vector")
-    iterations = 0
-    while True:
-        g = field(x)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient during iteration")
-        target = np.tanh(lam * g)
-        resid = float(np.abs(x - target).sum())
-        if resid <= tol:
-            return FixedPointSolution(x, lam, resid, iterations, True, start_id)
-        if iterations >= max_iter:
-            return FixedPointSolution(x, lam, resid, iterations, False, start_id)
-        x = (1.0 - damping) * x + damping * target
-        iterations += 1
+    return _iterate_batch(as_gradient_field(f), x[None, :], [start_id], lam=lam,
+                          damping=damping, tol=tol, max_iter=max_iter)[0]
 
 
 def _iterate_batch(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
@@ -272,26 +260,21 @@ def default_lambda_grid(count: int = 64, lo: float = 1e-2, hi: float = 1e2) -> n
 
 
 def lambda_scan(f: FourierExpansion, t: float, delta: float, *,
-                lambda_grid: np.ndarray | None = None,
-                starts: Sequence[tuple[str, np.ndarray]] | None = None,
-                field: GradientField | None = None,
-                seed: int = 0, tol: float = 1e-8, damping: float = DEFAULT_DAMPING,
-                max_iter: int = DEFAULT_MAX_ITER) -> list[FixedPointSolution]:
+                lambda_grid: np.ndarray | None = None, seed: int = 0, tol: float = 1e-8,
+                damping: float = DEFAULT_DAMPING, max_iter: int = DEFAULT_MAX_ITER) -> list[FixedPointSolution]:
     """Scan scales lambda for fixed points with f(X) in [(t - 6 delta) n, t n].
 
-    For each lambda every start (plus warm starts carried over from the
-    previous lambda) is iterated; converged solutions are kept only when the
-    extension value lands in the window.  ``field`` overrides the gradient
-    used for iteration (e.g. a closed form) while the window is always
-    evaluated on the expansion itself.  Output is ordered by (lambda, start)
-    and deterministic for a fixed seed.
+    For each lambda every start of the seeded battery (plus warm starts
+    carried over from the previous lambda) is iterated on the gradient field
+    of f; converged solutions are kept only when the extension value lands
+    in the window.  Output is ordered by (lambda, start) and deterministic
+    for a fixed seed.
     """
     grid = default_lambda_grid() if lambda_grid is None else np.asarray(lambda_grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
-    if starts is None:
-        starts = multistart_points(f.n, seed)
-    grad = as_gradient_field(f if field is None else field)
+    starts = multistart_points(f.n, seed)
+    grad = as_gradient_field(f)
     n = f.n
     lo_val, hi_val = (t - 6.0 * delta) * n, t * n
     kept: list[FixedPointSolution] = []

@@ -26,7 +26,6 @@ from .boolfn import (
     eval_extension,
     gradient_extension,
     gradient_tables,
-    lipschitz_l1,
     vertex_values,
 )
 from .gibbs import (
@@ -284,11 +283,11 @@ def audit_chain_rule_and_moments(f: FourierExpansion, h: ScalarShape,
         raise ValueError("shape must carry a second-derivative bound")
     n = f.n
     base = dict(instance or {}, shape=h.name, seed=seed)
-    lip = lipschitz_l1(f, max_n)
+    grad_f = gradient_tables(f, max_n)
+    lip = float(np.abs(grad_f).max())
     b2 = float(h.d2_bound)
     hf = compose(f, h, max_n)
     fvals = vertex_values(f, max_n)
-    grad_f = gradient_tables(f, max_n)
     grad_hf = gradient_tables(hf, max_n)
     defect = grad_hf - np.asarray(h.deriv1(fvals)) * grad_f
     rows = [

@@ -138,7 +138,7 @@ def test_criterion_05_scalar_roots_and_subcritical_collapse():
     worst = 0.0
     for _ in range(100):
         x0 = rng.uniform(-1.0, 1.0, 12)
-        for fld in (built.gradient, all_ones_map):
+        for fld in (built.expansion, all_ones_map):
             sol = mf_iterate(fld, x0, tol=1e-12)
             assert sol.converged
             worst = max(worst, float(np.abs(sol.point).sum()))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfgl.boolfn import (
     CapExceeded,
@@ -110,6 +111,32 @@ def test_walsh_hadamard_self_inverse():
     rng = np.random.default_rng(13)
     a = rng.normal(size=16)
     assert walsh_hadamard(walsh_hadamard(a)) / 16 == pytest.approx(a, abs=1e-12)
+
+
+@st.composite
+def expansions(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    terms = draw(st.lists(st.tuples(st.integers(0, (1 << n) - 1),
+                                    st.floats(-10.0, 10.0, allow_nan=False)), max_size=12))
+    return FourierExpansion.from_terms(n, terms)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(f=expansions())
+def test_gradient_tables_match_flip_definition(f):
+    tables = gradient_tables(f)
+    tol = 1e-12 * (1.0 + float(np.abs(vertex_values(f)).max()))
+    for v, coords in enumerate(all_vertices(f.n)):
+        assert np.abs(tables[:, v] - gradient_direct(f, coords)).max() <= tol
+
+
+def test_walsh_hadamard_matches_definition_and_keeps_input():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=32)
+    before = a.copy()
+    signs = np.array([[(-1.0) ** bin(s & v).count("1") for v in range(32)] for s in range(32)])
+    assert walsh_hadamard(a) == pytest.approx(signs @ a, abs=1e-12)
+    assert np.array_equal(a, before)
 
 
 def test_lipschitz_l1_linear():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mfgl.boolfn import FourierExpansion
+from mfgl.boolfn import FourierExpansion, gradient_tables, lipschitz_l1, lipschitz_l2
 from mfgl.complexity import (
     GradientCloud,
     cloud_from_points,
@@ -15,12 +15,14 @@ from mfgl.complexity import (
     width_samples,
 )
 from mfgl.hamiltonians import (
+    ComplexityParams,
     CurieWeissSpec,
     TriangleCountSpec,
     build_hamiltonian,
     curie_weiss_interaction_matrix,
     IsingSpec,
 )
+from mfgl.meanfield import as_gradient_field
 
 from conftest import random_expansion
 
@@ -50,8 +52,9 @@ def test_cloud_requires_origin():
 def test_curie_weiss_cloud_size_bound():
     built = build_hamiltonian(CurieWeissSpec(1.0, 4))
     cloud = gradient_cloud(built.expansion)
+    field = as_gradient_field(built.expansion)
     # gradients depend only on the per-coordinate leave-one-out sums
-    patterns = {tuple(np.round(built.gradient(v), 12))
+    patterns = {tuple(np.round(field(v), 12))
                 for v in (np.array([1.0 if (k >> i) & 1 else -1.0 for i in range(4)])
                           for k in range(16))}
     assert cloud.size <= len(patterns) + 1
@@ -129,6 +132,26 @@ def test_complexity_params_random_instance():
     p = complexity_params(f, samples=2000, seed=10)
     assert p.d > 0 and p.d_stderr > 0
     assert p.l1 >= 1.0 and p.l2 >= 1.0
+
+
+def test_complexity_params_builds_tables_once(monkeypatch):
+    import mfgl.complexity as complexity
+
+    calls = []
+
+    def counted(f, max_n=None):
+        calls.append(f)
+        return gradient_tables(f, max_n)
+
+    monkeypatch.setattr(complexity, "gradient_tables", counted)
+    f = random_expansion(np.random.default_rng(12), 6, degree=3)
+    p = complexity_params(f, samples=500, seed=4)
+    assert len(calls) == 1
+    # the one table set gives the numbers the standalone functions give
+    monkeypatch.undo()
+    d, d_se = gaussian_width_mc(gradient_cloud(f), samples=500, seed=4)
+    assert p == ComplexityParams.from_raw(max(d, 0.0), lipschitz_l1(f), lipschitz_l2(f),
+                                          d_stderr=d_se, d_provenance="monte_carlo")
 
 
 def test_triangle_count_parameters_bounded():

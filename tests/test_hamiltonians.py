@@ -40,6 +40,7 @@ from mfgl.hamiltonians import (
     smoothed_cutoff_weights,
     spec_from_dict,
 )
+from mfgl.meanfield import as_gradient_field
 
 from conftest import all_vertices, random_expansion
 
@@ -73,10 +74,11 @@ def test_curie_weiss_pair_coefficient_and_n3_oracle():
 
 def test_curie_weiss_closed_form_gradient_matches_expansion():
     built = build_hamiltonian(CurieWeissSpec(0.8, 5))
+    field = as_gradient_field(built.expansion)
     rng = np.random.default_rng(1)
     for _ in range(4):
         x = rng.uniform(-1, 1, 5)
-        assert built.gradient(x) == pytest.approx(gradient_extension(built.expansion, x), abs=1e-12)
+        assert field(x) == pytest.approx(gradient_extension(built.expansion, x), abs=1e-12)
 
 
 def test_triangle_count_all_ones_value():
@@ -114,8 +116,9 @@ def test_ising_gradient_closed_form_equals_generic_at_every_vertex():
     np.fill_diagonal(a, 0.0)
     mu = rng.normal(size=n)
     built = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(mu.tolist())))
+    field = as_gradient_field(built.expansion)
     for coords in all_vertices(n):
-        closed = built.gradient(coords)
+        closed = field(coords)
         assert np.array_equal(closed, coords @ a + mu)
         assert closed == pytest.approx(gradient_extension(built.expansion, coords), abs=1e-12)
 

@@ -33,7 +33,7 @@ def test_subcritical_curie_weiss_reaches_zero():
     built = build_hamiltonian(CurieWeissSpec(0.5, 8))
     rng = np.random.default_rng(0)
     for _ in range(5):
-        sol = mf_iterate(built.gradient, rng.uniform(-1, 1, 8), tol=1e-12)
+        sol = mf_iterate(built.expansion, rng.uniform(-1, 1, 8), tol=1e-12)
         assert sol.converged
         assert np.abs(sol.point).sum() < 1e-10
 
@@ -83,7 +83,7 @@ def test_structural_set_subcritical_norm_bound():
     # threshold satisfies |X|_1 <= 5001 (1+beta)^2/(1-beta) n^(7/8)
     beta, n = 0.5, 8
     built = build_hamiltonian(CurieWeissSpec(beta, n))
-    sols = solve_multistart(built.gradient, n, seed=3)
+    sols = solve_multistart(built.expansion, n, seed=3)
     cap = 5001.0 * (1 + beta) ** 2 / (1 - beta) * n ** 0.875
     for sol in sols:
         if sol.converged:
@@ -111,7 +111,7 @@ def test_functional_gradient_matches_central_differences():
 
 def test_functional_gradient_vanishes_at_fixed_points():
     built = build_hamiltonian(CurieWeissSpec(2.0, 10))
-    sols = solve_multistart(built.gradient, 10, seed=5, tol=1e-13)
+    sols = solve_multistart(built.expansion, 10, seed=5, tol=1e-13)
     checked = 0
     for sol in sols:
         if sol.converged and np.abs(sol.point).max() < 1.0:
@@ -151,8 +151,8 @@ def test_curie_weiss_field_contracts_below_critical():
 
 def test_multistart_deterministic_and_deduped():
     built = build_hamiltonian(CurieWeissSpec(2.0, 6))
-    a = solve_multistart(built.gradient, 6, seed=7)
-    b = solve_multistart(built.gradient, 6, seed=7)
+    a = solve_multistart(built.expansion, 6, seed=7)
+    b = solve_multistart(built.expansion, 6, seed=7)
     assert [s.start_id for s in a] == [s.start_id for s in b]
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.point, sb.point)
