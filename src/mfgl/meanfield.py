@@ -8,6 +8,7 @@ the lambda scan used for smoothed-cutoff conditioning all live here.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -22,6 +23,12 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 DEDUP_SOLUTION_TOL = 1e-6
 
+logger = logging.getLogger(__name__)
+
+# A batched gradient: rows of the input are points, rows of the output their
+# gradients.  It must be deterministic and row-wise, so that an output row's
+# bits depend only on that input row's bits (for a fixed batch shape); the
+# iteration relies on this to fast-forward rows that cycle.
 GradientField = Callable[[np.ndarray], np.ndarray]
 
 
@@ -81,12 +88,12 @@ def mf_iterate(f: FourierExpansion | GradientField, x0, *, lam: float = 1.0,
                max_iter: int = DEFAULT_MAX_ITER, start_id: str = "start-0") -> FixedPointSolution:
     """Damped iteration X <- (1-gamma) X + gamma tanh(lambda grad f(X)).
 
-    Iterates stay inside [-1,1]^n (tanh range plus convex combination);
-    damping below 1 avoids the two-cycles the undamped map develops near
-    critical coupling.  This is the one-start battery of ``_iterate_batch``.
+    Iterates stay inside [-1,1]^n (tanh range plus convex combination).
+    Damping does not rule out cycles: with gamma = 0.5 the stuck starts of a
+    Curie-Weiss scan at negative lambda settle into exact period-2 cycles,
+    which ``_iterate_batch`` fast-forwards to ``max_iter``.  This is the
+    one-start battery of ``_iterate_batch``.
     """
-    if not (0.0 < damping <= 1.0):
-        raise ValueError("damping must lie in (0, 1]")
     x = np.asarray(x0, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("start point must be a vector")
@@ -101,12 +108,27 @@ def _iterate_batch(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
 
     Rows freeze at their first convergence, so each row reproduces the
     single-start iteration exactly while the gradient work is batched.
+
+    A row whose state repeats bit for bit is periodic from then on, because
+    the field is deterministic and row-wise and the battery keeps its shape.
+    Such a row never converges, and its state at ``max_iter`` is the one at
+    the first later step in phase with the cap, so it ends there with
+    ``iterations = max_iter``.  Repeats are found Brent style, against one
+    copy of the battery saved at the steps that are powers of two.
     """
+    if not (0.0 < damping <= 1.0):
+        raise ValueError("damping must lie in (0, 1]")
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     x = np.array(x0, dtype=np.float64)
     m = x.shape[0]
+    live = np.ones(m, dtype=bool)
     done = np.zeros(m, dtype=bool)
     iters = np.zeros(m, dtype=np.int64)
     resid = np.full(m, np.inf)
+    period = np.zeros(m, dtype=np.int64)
+    end = np.full(m, max_iter, dtype=np.int64)
+    saved, saved_step = x.view(np.int64).copy(), 0
     step = 0
     while True:
         g = field(x)
@@ -114,17 +136,27 @@ def _iterate_batch(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
             raise ValueError("non-finite gradient during iteration")
         target = np.tanh(lam * g)
         r = np.abs(x - target).sum(axis=1)
-        newly = ~done & (r <= tol)
-        resid[newly] = r[newly]
-        iters[newly] = step
-        done |= newly
-        if done.all() or step >= max_iter:
-            resid[~done] = r[~done]
-            iters[~done] = step
+        done |= live & (r <= tol)
+        stop = live & (done | (end == step))
+        resid[stop] = r[stop]
+        iters[stop] = np.where(done[stop], step, max_iter)
+        live &= ~stop
+        if not live.any():
             break
-        active = ~done
-        x[active] = (1.0 - damping) * x[active] + damping * target[active]
+        x[live] = (1.0 - damping) * x[live] + damping * target[live]
         step += 1
+        bits = x.view(np.int64)
+        repeat = live & (period == 0) & np.all(bits == saved, axis=1)
+        period[repeat] = step - saved_step
+        end[repeat] = step + (max_iter - step) % period[repeat]
+        if step & (step - 1) == 0:
+            saved, saved_step = bits.copy(), step
+    if logger.isEnabledFor(logging.DEBUG):
+        cycles = np.unique(period[period > 0], return_counts=True)
+        logger.debug("%d rows in %d steps: %d converged, %d frozen in exact cycles "
+                     "(period: rows %s), %d at the cap", m, step, int(done.sum()),
+                     int((period > 0).sum()), dict(zip(*(c.tolist() for c in cycles))),
+                     int((~done & (period == 0)).sum()))
     return [FixedPointSolution(x[k], lam, float(resid[k]), int(iters[k]),
                                bool(done[k]), ids[k]) for k in range(m)]
 

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from mfgl.boolfn import FourierExpansion
+from mfgl.meanfield import FixedPointSolution
 
 
 def random_expansion(rng, n, degree=3, num_terms=None, scale=1.0):
@@ -66,3 +67,32 @@ def product_weights_direct(z):
             w *= (1.0 + z[i]) / 2.0 if b else (1.0 - z[i]) / 2.0
         weights[v] = w
     return weights
+
+
+def iterate_plain(field, x0, ids, *, lam, damping, tol, max_iter):
+    """The damped battery iteration run step by step to the cap, with no cycle test."""
+    x = np.array(x0, dtype=np.float64)
+    m = x.shape[0]
+    done = np.zeros(m, dtype=bool)
+    iters = np.zeros(m, dtype=np.int64)
+    resid = np.full(m, np.inf)
+    step = 0
+    while True:
+        g = field(x)
+        if not np.all(np.isfinite(g)):
+            raise ValueError("non-finite gradient during iteration")
+        target = np.tanh(lam * g)
+        r = np.abs(x - target).sum(axis=1)
+        newly = ~done & (r <= tol)
+        resid[newly] = r[newly]
+        iters[newly] = step
+        done |= newly
+        if done.all() or step >= max_iter:
+            resid[~done] = r[~done]
+            iters[~done] = step
+            break
+        active = ~done
+        x[active] = (1.0 - damping) * x[active] + damping * target[active]
+        step += 1
+    return [FixedPointSolution(x[k], lam, float(resid[k]), int(iters[k]),
+                               bool(done[k]), ids[k]) for k in range(m)]

@@ -10,9 +10,14 @@ re-running the same argv list, and states the largest deviation in
 CHANGES.md:
 
     PYTHONPATH=src python tests/test_goldens.py
+
+Naming goldens writes only those, so adding one leaves the rest as they are:
+
+    PYTHONPATH=src python tests/test_goldens.py fixed_points_cutoff6.json
 """
 
 import json
+import logging
 import os
 import shutil
 import sys
@@ -42,6 +47,9 @@ SPECS = {
                              "inner": {"type": "curie_weiss", "beta": 1.5, "n": 4},
                              "t": 0.4, "delta": 0.05},
     "ld.json": {"type": "curie_weiss", "beta": 1.5, "n": 6},
+    "cutoff6.json": {"type": "smoothed_cutoff",
+                     "inner": {"type": "curie_weiss", "beta": 1.5, "n": 6},
+                     "t": 0.4, "delta": 0.05},
 }
 
 # Golden file name -> argv (its ``--out`` is the file name).  ``report``
@@ -60,6 +68,13 @@ GOLDENS = {
                                           "--seed", "4"],
     "ld_scan.json": ["ld-scan", "--spec", "specs/ld.json", "--t", "0.5", "--delta", "0.05",
                      "--lambda-grid", "0.44:0.5:2", "--seed", "2"],
+    # 8 of the 17 starts cycle with exact periods 8, 32 and 128.
+    "fixed_points_cutoff6.json": ["fixed-points", "--spec", "specs/cutoff6.json",
+                                  "--seed", "501"],
+    # At lambda = -5 and -2.32 the starts sit in period-2 cycles; two
+    # solutions are kept at lambda = 0.5.
+    "ld_scan_cycles.json": ["ld-scan", "--spec", "specs/ld.json", "--t", "0.675",
+                            "--delta", "0.05", "--lambda-grid", "0.5:5:4", "--seed", "2"],
     "audit_all.json": ["audit", "--suite", "all", "--seed", "0"],
     "audit_all.csv": ["report", "--spec", "audit_all.json", "--format", "csv"],
 }
@@ -87,9 +102,20 @@ def test_report_matches_golden(name, tmp_path):
     assert run_golden(name, tmp_path) == (GOLDEN_DIR / name).read_bytes()
 
 
+def test_reports_unchanged_with_debug_logging(tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="mfgl.meanfield")
+    name = "ld_scan_cycles.json"
+    assert run_golden(name, tmp_path) == (GOLDEN_DIR / name).read_bytes()
+    assert any("frozen in exact cycles" in r.getMessage() for r in caplog.records)
+
+
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(GOLDENS)
+    unknown = sorted(set(names) - set(GOLDENS))
+    if unknown:
+        sys.exit(f"unknown golden(s): {', '.join(unknown)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for golden in GOLDENS:
+    for golden in names:
         with tempfile.TemporaryDirectory() as scratch:
             (GOLDEN_DIR / golden).write_bytes(run_golden(golden, Path(scratch)))
         print(golden, file=sys.stderr)

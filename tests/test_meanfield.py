@@ -1,11 +1,23 @@
 """Fixed-point iteration, structural-set test, functional, scalar roots, lambda scan."""
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st, target
 
 from mfgl.boolfn import FourierExpansion, eval_extension
-from mfgl.hamiltonians import ComplexityParams, CurieWeissSpec, TriangleCountSpec, build_hamiltonian
+from mfgl.hamiltonians import (
+    ComplexityParams,
+    CurieWeissSpec,
+    SmoothedCutoffSpec,
+    SparseFourierSpec,
+    TriangleCountSpec,
+    build_hamiltonian,
+)
 from mfgl.meanfield import (
+    _iterate_batch,
+    as_gradient_field,
     curie_weiss_field,
     curie_weiss_roots,
     default_lambda_grid,
@@ -20,7 +32,9 @@ from mfgl.meanfield import (
     structural_set_test,
 )
 
-from conftest import random_expansion
+from conftest import iterate_plain, random_expansion
+
+CUTOFF6 = SmoothedCutoffSpec(CurieWeissSpec(1.5, 6), 0.4, 0.05)
 
 
 def test_zero_function_converges_in_one_step():
@@ -63,6 +77,105 @@ def test_residual_recomputable_from_point():
 def test_mf_iterate_validates_damping():
     with pytest.raises(ValueError):
         mf_iterate(FourierExpansion(3), np.zeros(3), damping=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"damping": 0.0}, {"damping": 1.7},
+                                    {"damping": float("nan")}, {"max_iter": -3}])
+def test_iteration_inputs_validated_at_every_entry_point(kwargs):
+    f = build_hamiltonian(CurieWeissSpec(1.5, 4)).expansion
+    calls = [lambda: mf_iterate(f, np.zeros(4), **kwargs),
+             lambda: solve_multistart(f, 4, **kwargs),
+             lambda: lambda_scan(f, 0.5, 0.05, lambda_grid=np.array([1.0]), **kwargs)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def _battery(n, seed):
+    starts = multistart_points(n, seed)
+    return np.stack([x for _, x in starts]), [sid for sid, _ in starts]
+
+
+def _assert_same_as_plain(field, x0, ids, **kwargs):
+    fast = _iterate_batch(field, x0, ids, **kwargs)
+    plain = iterate_plain(field, x0, ids, **kwargs)
+    for a, b in zip(fast, plain, strict=True):
+        assert a.point.tobytes() == b.point.tobytes()
+        assert (a.residual_l1, a.iterations, a.converged, a.start_id) == \
+            (b.residual_l1, b.iterations, b.converged, b.start_id)
+    return fast
+
+
+def test_cycling_curie_weiss_battery_matches_plain_iteration():
+    # at lambda = -5 the stuck starts sit in exact period-2 cycles
+    field = as_gradient_field(build_hamiltonian(CurieWeissSpec(1.5, 10)).expansion)
+    x0, ids = _battery(10, 501)
+    sols = _assert_same_as_plain(field, x0, ids, lam=-5.0, damping=0.5, tol=1e-10,
+                                 max_iter=10_000)
+    assert sum(not s.converged for s in sols) == 16
+
+
+@pytest.mark.parametrize("max_iter", [700, 701, 733, 1500])
+def test_cycling_cutoff_battery_matches_plain_iteration_at_every_phase(max_iter):
+    # the stuck starts cycle with periods 8, 32 and 128 by step 580
+    field = as_gradient_field(build_hamiltonian(CUTOFF6).expansion)
+    x0, ids = _battery(6, 501)
+    sols = _assert_same_as_plain(field, x0, ids, lam=1.0, damping=0.5, tol=1e-10,
+                                 max_iter=max_iter)
+    assert sum(not s.converged for s in sols) == 8
+
+
+def _counted(field):
+    calls = [0]
+
+    def counting(x):
+        calls[0] += 1
+        return field(x)
+
+    return counting, calls
+
+
+@st.composite
+def sparse_fourier_specs(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
+    subsets = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+    terms = draw(st.lists(st.tuples(subsets, st.floats(-2.0, 2.0, allow_nan=False)),
+                          min_size=1, max_size=2 * n))
+    return SparseFourierSpec(n, tuple(terms))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(spec=sparse_fourier_specs(), lam=st.floats(-20.0, 20.0), damping=st.sampled_from([0.5, 1.0]),
+       max_iter=st.integers(0, 300), seed=st.integers(0, 2**16))
+def test_iteration_matches_plain_iteration(spec, lam, damping, max_iter, seed):
+    field, calls = _counted(as_gradient_field(build_hamiltonian(spec).expansion))
+    x0, ids = _battery(spec.n, seed)
+    sols = _assert_same_as_plain(field, x0, ids, lam=lam, damping=damping, tol=1e-10,
+                                 max_iter=max_iter)
+    # steer the search toward batteries that end early in an exact cycle
+    plain_calls = max(s.iterations for s in sols) + 1
+    target(float(2 * plain_calls - calls[0]), label="field calls saved")
+
+
+def test_cycling_batteries_stop_early():
+    # the capped loop evaluates the field max_iter + 1 = 10,001 times on both
+    cutoff, calls = _counted(as_gradient_field(build_hamiltonian(CUTOFF6).expansion))
+    solve_multistart(cutoff, 6, seed=501)
+    assert calls[0] <= 1_300
+    cw, calls = _counted(as_gradient_field(build_hamiltonian(CurieWeissSpec(1.5, 10)).expansion))
+    solve_multistart(cw, 10, lam=-5.0, seed=501)
+    assert calls[0] <= 100
+
+
+def test_iteration_logs_one_debug_line(caplog):
+    solve_multistart(build_hamiltonian(CurieWeissSpec(1.5, 10)).expansion, 10, lam=-5.0)
+    assert not [r for r in caplog.records if r.name == "mfgl.meanfield"]
+    caplog.set_level(logging.DEBUG, logger="mfgl.meanfield")
+    solve_multistart(build_hamiltonian(CUTOFF6).expansion, 6, seed=501)
+    (record,) = [r for r in caplog.records if r.name == "mfgl.meanfield"]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == ("17 rows in 1072 steps: 9 converged, 8 frozen in exact "
+                                   "cycles (period: rows {8: 1, 32: 5, 128: 2}), 0 at the cap")
 
 
 def test_structural_set_exact_root_is_member():
