@@ -119,7 +119,7 @@ class RunConfig:
             raise InputError(f"unsupported format {self.fmt!r}")
         if self.max_n < 1 or self.transport_max_states < 1:
             raise InputError("caps must be at least 1")
-        if self.tol <= 0:
+        if not (self.tol > 0):
             raise InputError("tol must be positive")
         if not (0.0 < self.damping <= 1.0):
             raise InputError("damping must lie in (0, 1]")

@@ -120,6 +120,8 @@ def _iterate_batch(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
         raise ValueError("damping must lie in (0, 1]")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
+    if not (tol > 0.0):
+        raise ValueError("tol must be positive")
     x = np.array(x0, dtype=np.float64)
     m = x.shape[0]
     live = np.ones(m, dtype=bool)

@@ -290,6 +290,15 @@ def test_bad_usage_exits_one():
     assert cli.main(["not-a-command"]) == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1e-10", "0"])
+def test_non_positive_tol_exits_one(tmp_path, capsys, tol):
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 2.0, "n": 4})
+    out = tmp_path / "fp.json"
+    assert cli.main(["fixed-points", "--spec", spec, f"--tol={tol}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: tol must be positive\n"
+    assert not out.exists()
+
+
 def test_timings_off_by_default(tmp_path):
     spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 0.5, "n": 4})
     out = tmp_path / "r.json"

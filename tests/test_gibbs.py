@@ -1,7 +1,10 @@
 """Gibbs measures, tilts, covariance functional, product approximation, distances."""
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfgl.boolfn import CapExceeded, DimensionMismatch, FourierExpansion, add_linear
 from mfgl.gibbs import (
@@ -21,8 +24,9 @@ from mfgl.gibbs import (
     w1_upper_bound_greedy,
 )
 from mfgl.hamiltonians import LinearSpec, build_hamiltonian
+from mfgl.transport import MASS_SCALE, solve_w1
 
-from conftest import all_vertices, random_expansion
+from conftest import all_vertices, random_expansion, w1_ssp
 
 
 def _linear(theta):
@@ -241,6 +245,53 @@ def test_w1_certificate_and_error_bound():
     res = w1_result(nu1, nu2)
     assert res.certified and res.method == "min_cost_flow"
     assert res.mass_error_bound == pytest.approx(5 * 32 / 1e12)
+
+
+@st.composite
+def measure_pairs(draw, max_n=6):
+    """(p, q, n) with sparse supports, point masses among them, and p == q."""
+    n = draw(st.integers(1, max_n))
+    states = 1 << n
+
+    def measure():
+        support = draw(st.sampled_from(("point", "sparse", "full")))
+        probs = np.zeros(states)
+        if support == "point":
+            probs[draw(st.integers(0, states - 1))] = 1.0
+            return probs
+        low = 0 if support == "sparse" else 1
+        probs[:] = draw(st.lists(st.integers(low, 9), min_size=states, max_size=states))
+        if probs.sum() == 0.0:
+            probs[0] = 1.0
+        return probs / probs.sum()
+
+    p = measure()
+    q = p.copy() if draw(st.booleans()) and draw(st.booleans()) else measure()
+    return p, q, n
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(pair=measure_pairs())
+def test_w1_primal_dual_matches_successive_shortest_paths(pair):
+    p, q, n = pair
+    res = solve_w1(p, q, n)
+    cost_units, certified, _ = w1_ssp(p, q, n, MASS_SCALE)
+    assert res.cost_units == cost_units
+    assert res.certified and certified
+    assert res.phases <= n
+
+
+def test_w1_logs_one_debug_line(caplog):
+    p = DenseMeasure.point_mass(3, 0).probs
+    q = DenseMeasure.point_mass(3, 7).probs
+    solve_w1(p, q, 3)
+    assert not [r for r in caplog.records if r.name == "mfgl.transport"]
+    caplog.set_level(logging.DEBUG, logger="mfgl.transport")
+    res = solve_w1(p, q, 3)
+    (record,) = [r for r in caplog.records if r.name == "mfgl.transport"]
+    assert record.levelno == logging.DEBUG
+    assert (res.phases, res.iterations, res.value) == (1, 1, 3.0)
+    assert record.getMessage() == "8 states: 1 phases, 1 augmenting paths, certified True"
 
 
 def test_w1_cap_and_greedy_fallback():

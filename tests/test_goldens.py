@@ -103,10 +103,11 @@ def test_report_matches_golden(name, tmp_path):
 
 
 def test_reports_unchanged_with_debug_logging(tmp_path, caplog):
-    caplog.set_level(logging.DEBUG, logger="mfgl.meanfield")
-    name = "ld_scan_cycles.json"
-    assert run_golden(name, tmp_path) == (GOLDEN_DIR / name).read_bytes()
-    assert any("frozen in exact cycles" in r.getMessage() for r in caplog.records)
+    caplog.set_level(logging.DEBUG, logger="mfgl")
+    for name, line in (("ld_scan_cycles.json", "frozen in exact cycles"),
+                       ("audit_all.json", "augmenting paths")):
+        assert run_golden(name, tmp_path) == (GOLDEN_DIR / name).read_bytes()
+        assert any(line in r.getMessage() for r in caplog.records)
 
 
 if __name__ == "__main__":
