@@ -12,9 +12,9 @@ search, until no deficit is reachable on them.  The source-to-deficit
 distance under the original costs is an integer between 1 and n that rises
 every phase, so a solve takes at most n phases.
 
-Probabilities are scaled to integers (denominator 10^12) so every quantity
-in the solver is integer-valued and exact in float64, and optimality is
-certified by checking that all residual arcs have nonnegative reduced cost
+Probabilities are scaled to integers (denominator ``mass_scale(n)``) so
+every quantity in the solver is integer-valued and exact in float64, and
+optimality is certified by checking that all residual arcs have nonnegative reduced cost
 under the final potentials (which also forces complementary slackness on
 the flow-carrying arcs).
 """
@@ -31,7 +31,6 @@ from .boolfn import CapExceeded
 logger = logging.getLogger(__name__)
 
 DEFAULT_TRANSPORT_STATES = 256
-MASS_SCALE = 10**12
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,18 @@ class TransportResult:
     mass_error_bound: float
 
 
+def mass_scale(n: int) -> int:
+    """Integer units per unit of probability: 2^(52 - ceil(log2(n + 1))).
+
+    Each unit of mass travels at most n edges, so the flow over all arcs,
+    counted in both directions, sums to at most 2 n times the shipped mass,
+    which stays below (n + 1) * scale <= 2^52: every partial sum is an exact
+    float64 integer.  Rounding the supplies moves W1 by at most
+    ``n * 2^n / scale`` (the ``mass_error_bound``).
+    """
+    return 1 << (52 - n.bit_length())
+
+
 def _integer_supplies(p: np.ndarray, q: np.ndarray, scale: int) -> np.ndarray:
     supply = np.rint((p - q) * scale).astype(np.int64)
     residue = int(supply.sum())
@@ -55,7 +66,7 @@ def _integer_supplies(p: np.ndarray, q: np.ndarray, scale: int) -> np.ndarray:
 
 
 def solve_w1(p: np.ndarray, q: np.ndarray, n: int, *,
-             max_states: int | None = None, scale: int = MASS_SCALE) -> TransportResult:
+             max_states: int | None = None) -> TransportResult:
     """Exact optimal transport between two probability vectors over 2^n vertices."""
     states = 1 << n
     cap = DEFAULT_TRANSPORT_STATES if max_states is None else int(max_states)
@@ -66,6 +77,7 @@ def solve_w1(p: np.ndarray, q: np.ndarray, n: int, *,
     if p.shape != (states,) or q.shape != (states,):
         raise ValueError("probability vectors must have length 2^n")
 
+    scale = mass_scale(n)
     supply = _integer_supplies(p, q, scale)
     mass_error = n * states / scale
     excess = supply.astype(np.float64)  # integer-valued throughout
@@ -87,6 +99,7 @@ def solve_w1(p: np.ndarray, q: np.ndarray, n: int, *,
         paths += _augment_admissible(flow, potential, excess, xor_idx)
 
     cost_units = int(round(np.abs(flow).sum() / 2.0))
+    assert 2 * cost_units < 2**53, "flow sums left the exact float64 integers"
     certified = _certify(flow, potential, xor_idx)
     logger.debug("%d states: %d phases, %d augmenting paths, certified %s",
                  states, phases, paths, certified)

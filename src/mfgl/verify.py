@@ -40,7 +40,7 @@ from .gibbs import (
     theta_in_tilt_support,
     tilt,
     tv,
-    w1_exact,
+    w1_result,
 )
 from .hamiltonians import ComplexityParams, ScalarShape, smoothed_cutoff_weights
 from .boolfn import compose
@@ -158,11 +158,11 @@ def audit_product_proximity(f: FourierExpansion, theta_list: Sequence[np.ndarray
         field_tab = grad + theta
         _, trace = tanh_covariance(tilted, field_tab)
         xi = product_approx(tilted, field_tab)
-        measured = w1_exact(tilted, densify(xi), max_states=max_states)
+        w1 = w1_result(tilted, densify(xi), max_states=max_states)
         bound = math.sqrt(f.n * max(trace, 0.0))
         inst = dict(base_instance, tilt_index=k, theta_norm=float(np.linalg.norm(theta)),
-                    trace=trace)
-        rows.append(make_row("w1_vs_trace_bound", inst, measured, bound))
+                    trace=trace, mass_error_bound=w1.mass_error_bound)
+        rows.append(make_row("w1_vs_trace_bound", inst, w1.value, bound))
     return rows
 
 

@@ -24,7 +24,7 @@ from mfgl.gibbs import (
     w1_upper_bound_greedy,
 )
 from mfgl.hamiltonians import LinearSpec, build_hamiltonian
-from mfgl.transport import MASS_SCALE, solve_w1
+from mfgl.transport import mass_scale, solve_w1
 
 from conftest import all_vertices, random_expansion, w1_ssp
 
@@ -244,7 +244,15 @@ def test_w1_certificate_and_error_bound():
     nu2 = gibbs_measure(random_expansion(rng, 5, degree=3))
     res = w1_result(nu1, nu2)
     assert res.certified and res.method == "min_cost_flow"
-    assert res.mass_error_bound == pytest.approx(5 * 32 / 1e12)
+    assert res.mass_error_bound == 5 * 32 / 2**49
+
+
+def test_mass_scale_keeps_flow_sums_exact():
+    # at most 2 n (scale + 2^n) units cross arcs: rounding can add 2^n units
+    for n in range(1, 21):
+        scale = mass_scale(n)
+        assert 2 * n * (scale + (1 << n)) < 2**53 <= 4 * (n + 1) * scale
+    assert 10 * 1024 / mass_scale(10) < 4e-11
 
 
 @st.composite
@@ -275,7 +283,7 @@ def measure_pairs(draw, max_n=6):
 def test_w1_primal_dual_matches_successive_shortest_paths(pair):
     p, q, n = pair
     res = solve_w1(p, q, n)
-    cost_units, certified, _ = w1_ssp(p, q, n, MASS_SCALE)
+    cost_units, certified, _ = w1_ssp(p, q, n, mass_scale(n))
     assert res.cost_units == cost_units
     assert res.certified and certified
     assert res.phases <= n
