@@ -67,6 +67,7 @@ from .meanfield import (
     solve_multistart,
     structural_set_test,
 )
+from .transport import DEFAULT_TRANSPORT_STATES
 from .verify import (
     AuditRow,
     audit_chain_rule_and_moments,
@@ -109,7 +110,7 @@ class RunConfig:
     t: Optional[float] = None
     delta: Optional[float] = None
     max_n: int = 20
-    transport_max_states: int = 256
+    transport_max_states: int = DEFAULT_TRANSPORT_STATES
     suite: str = "all"
     lambda_grid: str = "1e-2:1e2:64"
     timings: bool = False

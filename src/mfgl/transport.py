@@ -30,7 +30,7 @@ from .boolfn import CapExceeded
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_TRANSPORT_STATES = 256
+DEFAULT_TRANSPORT_STATES = 1024
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,18 @@ def test_audit_appendix_suite_passes(tmp_path):
     assert report["summary"]["rows"] == len(report["audits"])
 
 
+def test_default_transport_cap_covers_1024_states(tmp_path):
+    # every solve is certified, or w1_result raises and the command fails
+    out = tmp_path / "audit.json"
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 10})
+    assert cli.main(["audit", "--suite", "proximity", "--spec", spec, "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["audits"]
+    assert [r["check_id"] for r in rows] == ["w1_vs_trace_bound"] * 5
+    assert all(r["pass"] and r["instance"]["mass_error_bound"] < 4e-11 for r in rows)
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 11}, "cw11.json")
+    assert cli.main(["audit", "--suite", "proximity", "--spec", spec]) == 1
+
+
 def test_audit_failure_exits_two(tmp_path, monkeypatch):
     bad = make_row("forced_failure", {}, 2.0, 1.0)
     monkeypatch.setattr(cli, "audit_tanh_mean_swap", lambda *a, **k: bad)
