@@ -14,9 +14,9 @@ every phase, so a solve takes at most n phases.
 
 Probabilities are scaled to integers (denominator ``mass_scale(n)``) so
 every quantity in the solver is integer-valued and exact in float64, and
-optimality is certified by checking that all residual arcs have nonnegative reduced cost
-under the final potentials (which also forces complementary slackness on
-the flow-carrying arcs).
+optimality is certified by checking that all residual arcs have
+nonnegative reduced cost under the final potentials (which also forces
+complementary slackness on the flow-carrying arcs).
 """
 
 from __future__ import annotations
