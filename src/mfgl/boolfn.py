@@ -20,7 +20,6 @@ import numpy as np
 
 DEFAULT_ENUM_CAP = 20
 PRUNE_TOL = 1e-14
-CUBE_TOL = 1e-12
 
 
 class DimensionMismatch(ValueError):
@@ -144,10 +143,6 @@ class FourierExpansion:
             return 0
         return int(np.bitwise_count(self.masks.astype(np.uint64)).max())
 
-    def constant_term(self) -> float:
-        hit = np.nonzero(self.masks == 0)[0]
-        return float(self.coeffs[hit[0]]) if hit.size else 0.0
-
     def shift(self, c: float) -> "FourierExpansion":
         """f + c as a new expansion."""
         return add_linear(self, np.zeros(self.n), c)
@@ -163,39 +158,6 @@ def add_linear(f: FourierExpansion, theta: np.ndarray, const: float = 0.0) -> Fo
     if const != 0.0:
         terms.append((0, const))
     return FourierExpansion.from_terms(f.n, terms)
-
-
-def as_cube_point(x, n: int | None = None) -> np.ndarray:
-    """Validate a point of the solid cube [-1,1]^n (tolerance 1e-12)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("cube point must be one-dimensional")
-    if n is not None and arr.size != n:
-        raise DimensionMismatch(f"point has length {arr.size}, expected {n}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite coordinate")
-    if np.any(np.abs(arr) > 1.0 + CUBE_TOL):
-        raise ValueError("coordinate outside [-1,1] beyond tolerance")
-    return arr
-
-
-def is_vertex(x) -> bool:
-    arr = np.asarray(x, dtype=np.float64)
-    return bool(np.all(np.abs(np.abs(arr) - 1.0) <= CUBE_TOL))
-
-
-def vertex_index(x) -> int:
-    """Index of a vertex under the bit-encoding (bit i set iff x_i = +1)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if not is_vertex(arr):
-        raise ValueError("not a vertex")
-    bits = (arr > 0).astype(np.int64)
-    return int((bits << np.arange(arr.size)).sum())
-
-
-def vertex_coords(n: int, v: int) -> np.ndarray:
-    bits = (np.asarray(v, dtype=np.int64) >> np.arange(n)) & 1
-    return 2.0 * bits - 1.0
 
 
 def _check_dims(f: FourierExpansion, x: np.ndarray) -> np.ndarray:

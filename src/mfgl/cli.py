@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .boolfn import CapExceeded, DimensionMismatch, FourierExpansion, vertex_values
+from .boolfn import CapExceeded, DimensionMismatch, FourierExpansion
 from .complexity import complexity_params
 from .hamiltonians import (
     BuiltHamiltonian,
@@ -410,15 +410,13 @@ def _cmd_ld_scan(config: RunConfig) -> tuple[int, dict]:
         raise InputError("ld-scan requires --t and --delta")
     f = built.expansion
     report = _new_report(config, spec.to_dict())
-    fvals = vertex_values(f, config.max_n)
-    rows = audit_large_deviations(f, config.t, config.delta, max_n=config.max_n,
-                                  instance={"spec": config.spec_path})
+    cutoff = smoothed_cutoff_weights(f, config.t, config.delta, config.max_n)
+    rows = audit_large_deviations(cutoff, instance={"spec": config.spec_path})
     report["audits"] = _row_dicts(rows)
     if rows and rows[0].kind == "error":
         print(f"witness-missing: no vertex reaches f >= t*n = {config.t * f.n:.17g} "
-              f"(max f = {float(fvals.max()):.17g})", file=sys.stderr)
+              f"(max f = {float(cutoff.f_values.max()):.17g})", file=sys.stderr)
         return EXIT_INPUT_ERROR, report
-    cutoff = smoothed_cutoff_weights(f, config.t, config.delta, config.max_n)
     # The derived lower-cutoff width delta' sits below the looser 2*delta
     # description; report both so the gap stays visible.
     report["cutoff"] = {
@@ -436,7 +434,7 @@ def _cmd_ld_scan(config: RunConfig) -> tuple[int, dict]:
     with timer.stage("lambda_scan"):
         sols = lambda_scan(f, config.t, config.delta,
                            lambda_grid=config.parsed_lambda_grid(), seed=config.seed,
-                           tol=max(config.tol, 1e-10), damping=config.damping)
+                           tol=config.tol, damping=config.damping)
     report["solutions"] = [_solution_dict(s) for s in sols]
     return (EXIT_AUDIT_FAILED if failures(rows) else EXIT_OK), report
 
@@ -498,12 +496,12 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
     if "ld" in suites:
         with timer.stage("ld"):
             if built is not None and config.t is not None and config.delta is not None:
-                f, t, delta = built.expansion, config.t, config.delta
+                f, t, delta, spec_path = built.expansion, config.t, config.delta, config.spec_path
             else:
                 f = build_hamiltonian(CurieWeissSpec(1.5, 10)).expansion
-                t, delta = 0.675, 0.05
-            rows.extend(audit_large_deviations(f, t, delta, max_n=config.max_n,
-                                               instance={"spec": config.spec_path}))
+                t, delta, spec_path = 0.675, 0.05, None
+            rows.extend(audit_large_deviations(smoothed_cutoff_weights(f, t, delta, config.max_n),
+                                               instance={"spec": spec_path}))
 
     if "tightness" in suites:
         with timer.stage("tightness"):

@@ -8,7 +8,7 @@ vertex encoding (bit i set iff coordinate i equals +1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,8 +213,7 @@ def w1_exact(nu1: DenseMeasure, nu2: DenseMeasure,
     """Exact Wasserstein-1 distance, ground cost half the coordinate one-norm.
 
     Solved as a certified min-cost flow; see ``w1_result`` for the full
-    solver output and ``w1_upper_bound_greedy`` for the flagged fallback
-    above the state cap.
+    solver output.  Above the state cap the solver raises ``CapExceeded``.
     """
     return w1_result(nu1, nu2, max_states=max_states).value
 
@@ -226,12 +225,6 @@ def w1_result(nu1: DenseMeasure, nu2: DenseMeasure,
     if not result.certified:
         raise RuntimeError("transport dual certificate failed")
     return result
-
-
-def w1_upper_bound_greedy(nu1: DenseMeasure, nu2: DenseMeasure) -> transport.TransportResult:
-    """Greedy feasible transport: a flagged upper bound, usable above the cap."""
-    _check_pair(nu1, nu2)
-    return transport.w1_greedy_upper_bound(nu1.probs, nu2.probs, nu1.n)
 
 
 def tv(nu1: DenseMeasure, nu2: DenseMeasure) -> float:

@@ -545,20 +545,20 @@ def ising_complexity_bounds(a: np.ndarray, mu: np.ndarray) -> ComplexityParams:
 
 @dataclass(frozen=True)
 class SmoothedCutoff:
-    """Smoothed-cutoff Hamiltonian g = psi∘f together with its weight table.
+    """Vertex tables of the smoothed cutoff g = psi∘f and its weight table phi.
 
-    ``phi`` is 0 strictly below the (t - delta_prime) n level, exp(g) on the
-    middle band, and exactly 1 at or above t n; ``log_phi`` carries the same
-    table in log space (-inf where phi = 0) since g can reach hundreds of
-    negative e-folds.
+    ``psi`` is the scaled ramp, so it carries n, t and delta.  ``f_values``
+    and ``g_values`` tabulate f and g over the 2^n vertices.  phi is 0
+    strictly below the (t - delta_prime) n level, exp(g) on the middle band
+    and exactly 1 at or above t n; ``log_phi`` holds it in log space (-inf
+    where phi = 0), since g can reach hundreds of negative e-folds.  The
+    three masks mark those bands.
     """
 
-    g: FourierExpansion
     psi: ScaledCutoffShape
     delta_prime: float
     f_values: np.ndarray
     g_values: np.ndarray
-    phi: np.ndarray
     log_phi: np.ndarray
     zero_mask: np.ndarray
     mid_mask: np.ndarray
@@ -570,11 +570,13 @@ DELTA_PRIME_FACTOR = (math.log(4.0) + 1.0) / 2.0
 
 def smoothed_cutoff_weights(f: FourierExpansion, t: float, delta: float,
                             max_n: int | None = None) -> SmoothedCutoff:
-    """Build (g, phi, delta') for threshold level t and smoothing width delta.
+    """Tabulate g = psi∘f, log phi and delta' for level t and smoothing width delta.
 
-    Weights are relative to the uniform base measure.  A biased coin base
-    would add a per-coordinate log-weight sum to g; that is a deliberate
-    extension point, not implemented here.
+    One vertex table of f gives every field; no expansion of g is built
+    (``SmoothedCutoffSpec`` builds one).  Weights are relative to the
+    uniform base measure.  A biased coin base would add a per-coordinate
+    log-weight sum to g; that is a deliberate extension point, not
+    implemented here.
     """
     if delta <= 0:
         raise InvalidSpec("delta must be positive")
@@ -588,9 +590,5 @@ def smoothed_cutoff_weights(f: FourierExpansion, t: float, delta: float,
     top = fvals >= t * n
     mid = ~zero & ~top
     log_phi = np.where(zero, -np.inf, gvals)
-    with np.errstate(under="ignore"):
-        phi = np.where(zero, 0.0, np.exp(gvals))
-    g = compose(f, psi, max_n)
-    return SmoothedCutoff(g=g, psi=psi, delta_prime=delta_prime,
-                          f_values=fvals, g_values=gvals, phi=phi, log_phi=log_phi,
-                          zero_mask=zero, mid_mask=mid, top_mask=top)
+    return SmoothedCutoff(psi=psi, delta_prime=delta_prime, f_values=fvals, g_values=gvals,
+                          log_phi=log_phi, zero_mask=zero, mid_mask=mid, top_mask=top)

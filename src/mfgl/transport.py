@@ -41,7 +41,6 @@ class TransportResult:
     iterations: int
     phases: int
     certified: bool
-    method: str
     mass_error_bound: float
 
 
@@ -110,7 +109,6 @@ def solve_w1(p: np.ndarray, q: np.ndarray, n: int, *,
         iterations=paths,
         phases=phases,
         certified=certified,
-        method="min_cost_flow",
         mass_error_bound=mass_error,
     )
 
@@ -208,54 +206,5 @@ def _certify(flow: np.ndarray, potential: np.ndarray, xor_idx: list) -> bool:
     across every flow-carrying edge to exactly one unit (complementary
     slackness).
     """
-    n = flow.shape[0]
-    for i in range(n):
-        cost = np.where(flow[i] < 0, -1.0, 1.0)
-        rc = cost + potential - potential[xor_idx[i]]
-        if rc.min() < 0.0:
-            return False
-    return True
-
-
-def w1_greedy_upper_bound(p: np.ndarray, q: np.ndarray, n: int) -> TransportResult:
-    """Feasible (hence upper-bounding) transport built greedily on the supports.
-
-    Largest remaining surplus atom ships to its Hamming-nearest remaining
-    deficit atoms.  Intended as the explicitly requested fallback above the
-    exact-solver cap; never certified.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    diff = p - q
-    pos_idx = np.nonzero(diff > 0)[0]
-    neg_idx = np.nonzero(diff < 0)[0]
-    surplus = diff[pos_idx].copy()
-    deficit = -diff[neg_idx].copy()
-    total = 0.0
-    order = np.argsort(-surplus, kind="stable")
-    for k in order:
-        u = int(pos_idx[k])
-        remaining = surplus[k]
-        if remaining <= 0:
-            continue
-        dists = np.bitwise_count((neg_idx ^ u).astype(np.uint64)).astype(np.float64)
-        for j in np.lexsort((neg_idx, dists)):
-            if remaining <= 0:
-                break
-            take = min(remaining, deficit[j])
-            if take <= 0:
-                continue
-            total += take * dists[j]
-            deficit[j] -= take
-            remaining -= take
-        surplus[k] = remaining
-    return TransportResult(
-        value=float(total),
-        cost_units=0,
-        potentials=np.zeros(0),
-        iterations=0,
-        phases=0,
-        certified=False,
-        method="greedy_upper_bound",
-        mass_error_bound=0.0,
-    )
+    return all(_reduced_costs(flow, potential, xor_idx, i).min() >= 0.0
+               for i in range(flow.shape[0]))

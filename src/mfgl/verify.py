@@ -42,7 +42,7 @@ from .gibbs import (
     tv,
     w1_result,
 )
-from .hamiltonians import ComplexityParams, ScalarShape, smoothed_cutoff_weights
+from .hamiltonians import ComplexityParams, ScalarShape, SmoothedCutoff
 from .boolfn import compose
 
 PASS_SLACK = 1e-9
@@ -321,19 +321,19 @@ def audit_chain_rule_and_moments(f: FourierExpansion, h: ScalarShape,
 # ---------------------------------------------------------------------------
 
 
-def audit_large_deviations(f: FourierExpansion, t: float, delta: float, *,
-                           max_n: int | None = None,
+def audit_large_deviations(cutoff: SmoothedCutoff, *,
                            instance: dict | None = None,
                            strict: bool = False) -> list[AuditRow]:
     """Tail mass, total variation, and coupling cost of the smoothed cutoff.
 
-    Requires a witness vertex with f >= t n; without one the tail bound's
-    hypothesis fails and a single error row is returned (or WitnessMissing
-    is raised under ``strict``) instead of a silently skipped audit.
+    ``cutoff`` comes from ``smoothed_cutoff_weights``; its ``psi`` carries
+    n, t and delta.  Requires a witness vertex with f >= t n; without one
+    the tail bound's hypothesis fails and a single error row is returned
+    (or WitnessMissing is raised under ``strict``) instead of a silently
+    skipped audit.
     """
+    n, t, delta = cutoff.psi.n, cutoff.psi.t, cutoff.psi.delta
     base = dict(instance or {}, t=t, delta=delta)
-    cutoff = smoothed_cutoff_weights(f, t, delta, max_n)
-    n = f.n
     witness_gap = float(cutoff.f_values.max()) - t * n
     if witness_gap < 0:
         if strict:

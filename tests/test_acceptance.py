@@ -28,6 +28,7 @@ from mfgl.hamiltonians import (
     LinearSpec,
     build_hamiltonian,
     curie_weiss_interaction_matrix,
+    smoothed_cutoff_weights,
 )
 from mfgl.meanfield import (
     curie_weiss_field,
@@ -165,7 +166,8 @@ def test_criterion_07_large_deviation_tail_and_tv():
     built = build_hamiltonian(CurieWeissSpec(1.5, 10))
     f_top = float(vertex_values(built.expansion).max())
     t = 0.5 * f_top / 10
-    rows = {r.check_id: r for r in audit_large_deviations(built.expansion, t, 0.05)}
+    cutoff = smoothed_cutoff_weights(built.expansion, t, 0.05)
+    rows = {r.check_id: r for r in audit_large_deviations(cutoff)}
     elapsed = time.perf_counter() - start
     tail = rows["cutoff_tail_mass"]
     dist = rows["cutoff_total_variation"]

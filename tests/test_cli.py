@@ -251,6 +251,50 @@ def test_ld_scan_requires_t_and_delta(tmp_path):
     assert cli.main(["ld-scan", "--spec", spec]) == 1
 
 
+def test_ld_scan_keeps_the_requested_tol(tmp_path):
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 10})
+    out = tmp_path / "ld.json"
+    assert cli.main(["ld-scan", "--spec", spec, "--out", str(out), "--t", "0.675",
+                     "--delta", "0.05", "--tol", "1e-13", "--lambda-grid", "0.44:0.5:2"]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["tol"] == 1e-13
+    converged = [s for s in report["solutions"] if s["converged"]]
+    assert len(converged) == 2
+    assert all(s["residual_l1"] <= report["config"]["tol"] for s in converged)
+
+
+def test_ld_scan_builds_its_cutoff_once(tmp_path, monkeypatch):
+    import mfgl.boolfn as boolfn
+
+    sizes = []
+    transform = boolfn.walsh_hadamard
+
+    def counted(values):
+        sizes.append(np.size(values))
+        return transform(values)
+
+    monkeypatch.setattr(boolfn, "walsh_hadamard", counted)
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 10})
+    assert cli.main(["ld-scan", "--spec", spec, "--out", str(tmp_path / "ld.json"),
+                     "--t", "0.675", "--delta", "0.05", "--lambda-grid", "0.44:0.5:2"]) == 0
+    assert sizes == [1 << 10]
+
+
+def test_audit_ld_labels_only_the_instance_it_audits(tmp_path):
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 8}, "cw8.json")
+    out = tmp_path / "audit.json"
+    # without --t and --delta the suite audits its default curie_weiss(1.5, 10)
+    assert cli.main(["audit", "--suite", "ld", "--spec", spec, "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["audits"]
+    assert [r["instance"]["spec"] for r in rows] == [None] * 3
+    assert rows[0]["instance"]["tail_size"] > 1 << 8
+    assert cli.main(["audit", "--suite", "ld", "--spec", spec, "--out", str(out),
+                     "--t", "0.5", "--delta", "0.05"]) == 0
+    rows = json.loads(out.read_text())["audits"]
+    assert [r["instance"]["spec"] for r in rows] == [spec] * 3
+    assert rows[0]["instance"]["tail_size"] <= 1 << 8
+
+
 def test_audit_appendix_suite_passes(tmp_path):
     out = tmp_path / "audit.json"
     code = cli.main(["audit", "--suite", "appendix", "--out", str(out), "--seed", "4"])

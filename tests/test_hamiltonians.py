@@ -326,16 +326,15 @@ def test_smoothed_cutoff_weight_bands():
     assert cut.delta_prime == pytest.approx((math.log(4.0) + 1.0) / 2.0 * 0.05)
     # top band: g = 0 exactly and phi = 1
     assert np.all(cut.g_values[cut.top_mask] == 0.0)
-    assert np.all(cut.phi[cut.top_mask] == 1.0)
+    assert np.all(cut.log_phi[cut.top_mask] == 0.0)
     # zero band: phi = 0 below (t - delta') n
-    assert np.all(cut.phi[cut.zero_mask] == 0.0)
     assert np.all(np.isneginf(cut.log_phi[cut.zero_mask]))
     # middle band: phi = exp(g) with g <= 0
     assert np.all(cut.g_values[cut.mid_mask] <= 0.0)
-    assert cut.phi[cut.mid_mask] == pytest.approx(np.exp(cut.g_values[cut.mid_mask]))
-    # g <= 0 at every vertex and the composed expansion reproduces psi∘f
+    assert np.array_equal(cut.log_phi[cut.mid_mask], cut.g_values[cut.mid_mask])
+    # g <= 0 at every vertex and tabulates psi∘f
     assert np.all(cut.g_values <= 1e-12)
-    assert vertex_values(cut.g) == pytest.approx(cut.g_values, abs=1e-9)
+    assert np.array_equal(cut.g_values, cut.psi.value(fvals))
 
 
 def test_smoothed_cutoff_spec_builds_composition():

@@ -15,6 +15,7 @@ from mfgl.hamiltonians import (
     LinearSpec,
     CubicQuinticShape,
     build_hamiltonian,
+    smoothed_cutoff_weights,
 )
 from mfgl.complexity import complexity_params
 from mfgl.verify import (
@@ -208,7 +209,8 @@ def test_chain_rule_block_requires_second_derivative_bound():
 def test_large_deviations_rows_pass_on_witnessed_instance():
     built = build_hamiltonian(CurieWeissSpec(1.5, 10))
     fmax = float(vertex_values(built.expansion).max())
-    rows = audit_large_deviations(built.expansion, 0.5 * fmax / 10, 0.05)
+    cutoff = smoothed_cutoff_weights(built.expansion, 0.5 * fmax / 10, 0.05)
+    rows = audit_large_deviations(cutoff)
     by_id = {r.check_id: r for r in rows}
     assert by_id["cutoff_tail_mass"].measured <= 2.0 ** -10 + 1e-9
     assert by_id["cutoff_total_variation"].measured <= 2.0 * 2.0 ** -10 + 1e-9
@@ -217,14 +219,14 @@ def test_large_deviations_rows_pass_on_witnessed_instance():
 
 def test_large_deviations_witness_missing_error_row():
     f = build_hamiltonian(LinearSpec((0.1, 0.2, -0.3, 0.1))).expansion
-    rows = audit_large_deviations(f, 5.0, 0.05)
+    rows = audit_large_deviations(smoothed_cutoff_weights(f, 5.0, 0.05))
     assert len(rows) == 1
     assert rows[0].check_id == "witness_missing"
     assert rows[0].kind == "error" and not rows[0].passed
     from mfgl.verify import WitnessMissing
 
     with pytest.raises(WitnessMissing):
-        audit_large_deviations(f, 5.0, 0.05, strict=True)
+        audit_large_deviations(smoothed_cutoff_weights(f, 5.0, 0.05), strict=True)
 
 
 # ---------------------------------------------------------------------------
