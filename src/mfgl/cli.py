@@ -126,6 +126,8 @@ class RunConfig:
             raise InputError("damping must lie in (0, 1]")
         if self.suite not in SUITES:
             raise InputError(f"unknown suite {self.suite!r}; choose from {SUITES}")
+        if (self.t is None) != (self.delta is None):
+            raise InputError("--t and --delta must be given together")
 
     def parsed_lambda_grid(self) -> np.ndarray:
         try:
@@ -347,8 +349,9 @@ def _row_dicts(rows: Sequence[AuditRow]) -> list[dict]:
 
 
 def _params_dict(p) -> dict:
+    levels = {} if p.d_levels is None else {"d_levels": p.d_levels}
     return {
-        "d": p.d, "d_stderr": p.d_stderr, "l1": p.l1, "l2": p.l2,
+        "d": p.d, "d_stderr": p.d_stderr, **levels, "l1": p.l1, "l2": p.l2,
         "d_provenance": p.d_provenance, "l1_provenance": p.l1_provenance,
         "l2_provenance": p.l2_provenance,
     }

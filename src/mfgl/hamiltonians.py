@@ -13,7 +13,7 @@ i.e. pair coefficient 2*beta/n; the two conventions differ by that factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -206,7 +206,9 @@ class ComplexityParams:
 
     L1 = max(1, sup |partial_i f|) and L2 = max(1, gradient one-norm
     Lipschitz ratio); D is the Gaussian width of the gradient cloud.  Each
-    field records how it was obtained.
+    field records how it was obtained; a Monte-Carlo D also carries how its
+    draws were split between the estimator's levels (``d_levels``, see
+    ``complexity.WidthEstimate``).
     """
 
     d: float
@@ -216,6 +218,7 @@ class ComplexityParams:
     d_provenance: str = "exact"
     l1_provenance: str = "exact"
     l2_provenance: str = "exact"
+    d_levels: Optional[dict] = field(default=None, hash=False)
 
     def __post_init__(self):
         if self.d < 0:

@@ -111,14 +111,16 @@ def test_criterion_04_gaussian_width():
         n = int(rng.integers(3, 9))
         mu = rng.normal(size=n) * rng.uniform(0.5, 2.0)
         cloud = cloud_from_points(np.vstack([mu, np.zeros(n)]))
-        est, se = gaussian_width_mc(cloud, samples=100_000, seed=int(rng.integers(1 << 30)))
+        width = gaussian_width_mc(cloud, samples=100_000, seed=int(rng.integers(1 << 30)))
+        est, se = width.estimate, width.stderr
         truth = float(np.linalg.norm(mu)) / math.sqrt(2.0 * math.pi)
         worst_sigma = max(worst_sigma, abs(est - truth) / se)
     assert worst_sigma <= 3.0, f"width estimate off by {worst_sigma:.2f} standard errors"
     beta, n = 1.5, 8
     a = curie_weiss_interaction_matrix(beta, n)
     built = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(np.zeros(n))))
-    est, se = gaussian_width_mc(gradient_cloud(built.expansion), samples=100_000, seed=105)
+    width = gaussian_width_mc(gradient_cloud(built.expansion), samples=100_000, seed=105)
+    est, se = width.estimate, width.stderr
     assert est <= beta * math.sqrt(n) + 3.0 * se, f"ferromagnet width {est:.3f}"
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

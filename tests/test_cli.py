@@ -197,6 +197,22 @@ def test_analyze_curie_weiss(tmp_path):
     assert report["config"]["hamiltonian"]["type"] == "curie_weiss"
 
 
+def test_analyze_reports_width_levels(tmp_path):
+    # a dyadic linear field has one gradient, bit for bit: the winners are its
+    # first row and the origin, and the level-1 correction is exactly zero
+    spec = _write_spec(tmp_path, {"type": "linear", "theta": [0.5, 0.25, -0.75]})
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--spec", spec, "--out", str(out), "--samples", "10000"]) == 0
+    params = json.loads(out.read_text())["params"]
+    assert list(params)[:3] == ["d", "d_stderr", "d_levels"]
+    assert params["d_levels"] == {
+        "pilot_draws": 4096, "winners": 2, "level0_draws": 10000,
+        "level0_stderr": params["d_stderr"], "level1_draws": 4096, "level1_stderr": 0.0,
+        "level1_nonzero": 0}
+    assert params["d"] == pytest.approx(np.linalg.norm([0.5, 0.25, -0.75]) / np.sqrt(2 * np.pi),
+                                        abs=4 * params["d_stderr"])
+
+
 def test_analyze_ising_reports_closed_form_bounds(tmp_path):
     a = [[0.0, 0.3, 0.0], [0.3, 0.0, -0.2], [0.0, -0.2, 0.0]]
     spec = _write_spec(tmp_path, {"type": "ising", "coupling": a, "field": [0.1, 0.0, -0.1]})
@@ -293,6 +309,15 @@ def test_audit_ld_labels_only_the_instance_it_audits(tmp_path):
     rows = json.loads(out.read_text())["audits"]
     assert [r["instance"]["spec"] for r in rows] == [spec] * 3
     assert rows[0]["instance"]["tail_size"] <= 1 << 8
+
+
+@pytest.mark.parametrize("flag", [["--t", "0.5"], ["--delta", "0.05"]])
+def test_ld_flags_only_in_pairs(tmp_path, capsys, flag):
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 8}, "cw8.json")
+    out = tmp_path / "audit.json"
+    assert cli.main(["audit", "--suite", "ld", "--spec", spec, "--out", str(out), *flag]) == 1
+    assert capsys.readouterr().err == "error: --t and --delta must be given together\n"
+    assert not out.exists()
 
 
 def test_audit_appendix_suite_passes(tmp_path):

@@ -1,12 +1,16 @@
 """Gradient clouds and Monte-Carlo Gaussian width."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfgl.boolfn import FourierExpansion, gradient_tables, lipschitz_l1, lipschitz_l2
 from mfgl.complexity import (
+    LEVEL1_DRAWS,
+    PILOT_DRAWS,
     GradientCloud,
     cloud_from_points,
     complexity_params,
@@ -62,7 +66,8 @@ def test_curie_weiss_cloud_size_bound():
 
 def test_width_of_origin_cloud():
     cloud = GradientCloud(np.zeros((1, 6)))
-    est, se = gaussian_width_mc(cloud, samples=100, seed=0)
+    width = gaussian_width_mc(cloud, samples=100, seed=0)
+    est, se = width.estimate, width.stderr
     assert est == 0.0 and se == 0.0
 
 
@@ -71,7 +76,8 @@ def test_width_two_point_cloud_analytic():
     rng = np.random.default_rng(1)
     mu = rng.normal(size=7)
     cloud = cloud_from_points(np.vstack([mu, np.zeros(7)]))
-    est, se = gaussian_width_mc(cloud, samples=100_000, seed=2)
+    width = gaussian_width_mc(cloud, samples=100_000, seed=2)
+    est, se = width.estimate, width.stderr
     truth = np.linalg.norm(mu) / math.sqrt(2 * math.pi)
     assert abs(est - truth) <= 3 * se
 
@@ -80,7 +86,8 @@ def test_width_curie_weiss_within_closed_form():
     beta, n = 1.2, 8
     a = curie_weiss_interaction_matrix(beta, n)
     built = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(np.zeros(n))))
-    est, se = gaussian_width_mc(gradient_cloud(built.expansion), samples=50_000, seed=3)
+    width = gaussian_width_mc(gradient_cloud(built.expansion), samples=50_000, seed=3)
+    est, se = width.estimate, width.stderr
     assert est <= beta * math.sqrt(n) + 3 * se
 
 
@@ -111,6 +118,48 @@ def test_width_reproducibility_bit_identical():
     a = gaussian_width_mc(cloud, samples=5000, seed=42)
     b = gaussian_width_mc(cloud, samples=5000, seed=42)
     assert a == b
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(k=st.integers(0, 12), n=st.integers(1, 6), samples=st.integers(2, PILOT_DRAWS + LEVEL1_DRAWS),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_width_is_plain_monte_carlo_up_to_pilot_plus_level1(k, n, samples, seed, data):
+    values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=k * n, max_size=k * n))
+    cloud = GradientCloud(np.vstack([np.reshape(values, (k, n)), np.zeros((1, n))]))
+    width = gaussian_width_mc(cloud, samples=samples, seed=seed)
+    sups = width_samples(cloud, samples, seed=seed)
+    assert width.estimate == float(sups.mean())
+    assert width.stderr == float(sups.std(ddof=1) / np.sqrt(samples))
+    assert (width.pilot_draws, width.winners, width.level0_draws) == (0, cloud.size, samples)
+    assert (width.level1_draws, width.level1_stderr, width.level1_nonzero) == (0, 0.0, 0)
+
+
+def test_two_level_width_agrees_with_plain_where_winners_are_missed():
+    # 4000 points on the unit sphere in R^16: the pilot finds ~2500 of the
+    # winners, and the level-1 correction is ~8 combined standard errors
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(4000, 16))
+    cloud = GradientCloud(np.vstack([x / np.linalg.norm(x, axis=1, keepdims=True), np.zeros(16)]))
+    width = gaussian_width_mc(cloud, samples=20_000, seed=1)
+    assert (width.pilot_draws, width.level0_draws, width.level1_draws) == (
+        PILOT_DRAWS, 20_000, LEVEL1_DRAWS)
+    assert width.winners < cloud.size and width.level1_nonzero > 0
+    assert width.stderr == pytest.approx(math.hypot(width.level0_stderr, width.level1_stderr))
+    plain = width_samples(cloud, 8192, seed=2)
+    plain_se = plain.std(ddof=1) / math.sqrt(plain.size)
+    assert abs(width.estimate - plain.mean()) <= 4 * math.hypot(width.stderr, plain_se)
+
+
+def test_width_logs_one_debug_line(caplog):
+    cloud = cloud_from_points(np.eye(3))
+    gaussian_width_mc(cloud, samples=100, seed=0)
+    assert not [r for r in caplog.records if r.name == "mfgl.complexity"]
+    caplog.set_level(logging.DEBUG, logger="mfgl.complexity")
+    gaussian_width_mc(cloud, samples=10_000, seed=0)
+    (record,) = [r for r in caplog.records if r.name == "mfgl.complexity"]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == ("width over 4 points: 4 winners from 4096 pilot draws; "
+                                   "level 0 10000 draws, level 1 4096 draws with 0 nonzero")
 
 
 def test_width_input_validation():
@@ -149,9 +198,11 @@ def test_complexity_params_builds_tables_once(monkeypatch):
     assert len(calls) == 1
     # the one table set gives the numbers the standalone functions give
     monkeypatch.undo()
-    d, d_se = gaussian_width_mc(gradient_cloud(f), samples=500, seed=4)
+    width = gaussian_width_mc(gradient_cloud(f), samples=500, seed=4)
+    d, d_se = width.estimate, width.stderr
     assert p == ComplexityParams.from_raw(max(d, 0.0), lipschitz_l1(f), lipschitz_l2(f),
-                                          d_stderr=d_se, d_provenance="monte_carlo")
+                                          d_stderr=d_se, d_provenance="monte_carlo",
+                                          d_levels=width.levels())
 
 
 def test_triangle_count_parameters_bounded():

@@ -247,7 +247,8 @@ def test_mc_width_within_closed_form_bound():
     mu = rng.normal(size=n) * 0.2
     built = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(mu.tolist())))
     bound = ising_complexity_bounds(a, mu)
-    est, se = gaussian_width_mc(gradient_cloud(built.expansion), samples=20_000, seed=9)
+    width = gaussian_width_mc(gradient_cloud(built.expansion), samples=20_000, seed=9)
+    est, se = width.estimate, width.stderr
     assert est <= bound.d + 3.0 * se
 
 
