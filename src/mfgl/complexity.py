@@ -11,11 +11,11 @@ sense of multilevel Monte Carlo (Giles, Acta Numerica 2015):
 
 where the winner set A, a subset of K, holds the rows that attain the
 supremum on a seeded pilot of ``PILOT_DRAWS`` draws over K, plus the origin.
-Level 0 takes every requested draw on A alone, from
-``numpy.random.default_rng(seed)`` as ``width_samples`` does.  Level 1
-takes ``LEVEL1_DRAWS`` independent draws on all of K; its samples are >= 0
-draw by draw, and zero unless a draw's maximiser lies outside A.  The pilot
-and level 1 draw from the two children spawned by ``SeedSequence(seed)``.
+Level 0 is ``width_samples(A, samples, seed)``: every requested draw, on
+A alone.  Level 1 takes ``LEVEL1_DRAWS`` independent draws on all of K;
+its samples are >= 0 draw by draw, and zero unless a draw's maximiser lies
+outside A.  The pilot and level 1 draw from the two children spawned by
+``SeedSequence(seed)``.
 Few rows of a gradient cloud ever attain a supremum, so level 0 is cheap
 and level 1 is mostly zeros.  When the pilot and level 1 together would
 take at least as many draws as requested, A = K and the estimate is plain
@@ -130,17 +130,6 @@ def _sups(points: np.ndarray, draws: np.ndarray,
     return best, where
 
 
-def _draw_sups(points: np.ndarray, rng: np.random.Generator, samples: int) -> np.ndarray:
-    """Per-draw sups for ``samples`` draws taken from ``rng`` in row-major order."""
-    n = points.shape[1]
-    chunk = max(1, _BLOCK_ENTRIES // max(n, 1))
-    sups = np.empty(samples)
-    for done in range(0, samples, chunk):
-        g = rng.standard_normal((min(chunk, samples - done), n))
-        sups[done:done + g.shape[0]] = _sups(points, g)[0]
-    return sups
-
-
 def width_samples(cloud: GradientCloud, samples: int, seed: int | None = 0) -> np.ndarray:
     """Per-draw suprema sup_{x in cloud} <x, G_k> for seeded Gaussian draws G_k.
 
@@ -154,7 +143,13 @@ def width_samples(cloud: GradientCloud, samples: int, seed: int | None = 0) -> n
         raise ValueError("empty cloud")
     if samples < 1:
         raise ValueError("need at least one sample")
-    return _draw_sups(cloud.points, np.random.default_rng(seed), int(samples))
+    rng = np.random.default_rng(seed)
+    chunk = max(1, _BLOCK_ENTRIES // max(cloud.n, 1))
+    sups = np.empty(samples)
+    for done in range(0, samples, chunk):
+        g = rng.standard_normal((min(chunk, samples - done), cloud.n))
+        sups[done:done + g.shape[0]] = _sups(cloud.points, g)[0]
+    return sups
 
 
 @dataclass(frozen=True)
@@ -207,15 +202,15 @@ def gaussian_width_mc(cloud: GradientCloud, samples: int = DEFAULT_SAMPLES,
         pilot_rng, level1_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
         _, won = _sups(points, pilot_rng.standard_normal((PILOT_DRAWS, n)), winners=True)
         origin = np.flatnonzero(_origin_rows(points))[:1]
-        subset = points[np.union1d(won, origin)]
-        level0 = _draw_sups(subset, np.random.default_rng(seed), samples)
+        subset = GradientCloud(points[np.union1d(won, origin)])
+        level0 = width_samples(subset, samples, seed)
         g = level1_rng.standard_normal((LEVEL1_DRAWS, n))
-        level1 = _sups(points, g)[0] - _sups(subset, g)[0]
+        level1 = _sups(points, g)[0] - _sups(subset.points, g)[0]
         sq0 = level0.var(ddof=1) / samples  # squared standard error of each level
         sq1 = level1.var(ddof=1) / LEVEL1_DRAWS
         width = WidthEstimate(estimate=float(level0.mean() + level1.mean()),
                               stderr=float(np.sqrt(sq0 + sq1)),
-                              pilot_draws=PILOT_DRAWS, winners=subset.shape[0],
+                              pilot_draws=PILOT_DRAWS, winners=subset.size,
                               level0_draws=samples, level0_stderr=float(np.sqrt(sq0)),
                               level1_draws=LEVEL1_DRAWS, level1_stderr=float(np.sqrt(sq1)),
                               level1_nonzero=int(np.count_nonzero(level1)))
