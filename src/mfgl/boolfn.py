@@ -235,16 +235,20 @@ def from_vertex_values(n: int, values: np.ndarray, prune: float = PRUNE_TOL) -> 
 
 
 def gradient_tables(f: FourierExpansion, max_n: int | None = None) -> np.ndarray:
-    """All discrete partial derivatives over all vertices, shape (n, 2^n).
+    """All discrete partial derivatives over all vertices, shape (n, 2^n)."""
+    return flip_differences(vertex_values(f, max_n))
 
-    Read off the one vertex table F: the flip pair v, v ^ 2^i shares
-    d_i f = (F[bit i set] - F[bit i clear]) / 2, and viewing F as blocks
-    of 2^i indices, shape (-1, 2, 2^i), lines up every such pair.
+
+def flip_differences(values: np.ndarray) -> np.ndarray:
+    """Discrete partial derivatives read off one vertex table F, shape (n, 2^n).
+
+    The flip pair v, v ^ 2^i shares d_i f = (F[bit i set] - F[bit i clear]) / 2,
+    and viewing F as blocks of 2^i indices, shape (-1, 2, 2^i), lines up
+    every such pair.
     """
-    _check_cap(f.n, max_n, "gradient tables")
-    values = vertex_values(f, max_n)
-    out = np.empty((f.n, values.size))
-    for i in range(f.n):
+    n = values.size.bit_length() - 1
+    out = np.empty((n, values.size))
+    for i in range(n):
         pairs = values.reshape(-1, 2, 1 << i)
         out[i].reshape(pairs.shape)[:] = (0.5 * (pairs[:, 1] - pairs[:, 0]))[:, None]
     return out
@@ -288,7 +292,6 @@ def compose(f: FourierExpansion, h, max_n: int | None = None) -> FourierExpansio
     plain callable.  Exact at every vertex up to the 1e-14 coefficient
     pruning applied after the transform.
     """
-    _check_cap(f.n, max_n, "composition")
     values = vertex_values(f, max_n)
     fn: Callable = h.value if hasattr(h, "value") else h
     hv = np.asarray(fn(values), dtype=np.float64)

@@ -16,7 +16,6 @@ from .boolfn import (
     DimensionMismatch,
     FourierExpansion,
     _check_cap,
-    gradient_tables,
     vertex_values,
 )
 from . import transport
@@ -116,10 +115,14 @@ def theta_in_tilt_support(theta: np.ndarray, eps: float) -> bool:
 
 def gibbs_measure(f: FourierExpansion, max_n: int | None = None) -> DenseMeasure:
     """Measure with probabilities proportional to exp(f(v))."""
-    values = vertex_values(f, max_n)
+    return gibbs_from_values(f.n, vertex_values(f, max_n))
+
+
+def gibbs_from_values(n: int, values: np.ndarray) -> DenseMeasure:
+    """Measure proportional to exp(F(v)) for a vertex table F of a Hamiltonian."""
     if not np.all(np.isfinite(values)):
         raise ValueError("Hamiltonian evaluates to non-finite values")
-    return DenseMeasure.from_log_weights(f.n, values)
+    return DenseMeasure.from_log_weights(n, values)
 
 
 def densify(pm: ProductMeasure) -> DenseMeasure:
@@ -156,27 +159,13 @@ def mean(measure: DenseMeasure | ProductMeasure) -> np.ndarray:
     return out
 
 
-def gradient_field(f: FourierExpansion, theta=None, max_n: int | None = None) -> np.ndarray:
-    """Per-vertex effective gradient table, shape (2^n, n).
-
-    Tilting a Gibbs law by theta shifts its gradient field additively, so the
-    effective field of tilt(gibbs(f), theta) is grad f + theta.
-    """
-    table = gradient_tables(f, max_n).T.copy()
-    if theta is not None:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (f.n,):
-            raise DimensionMismatch(f"theta has shape {theta.shape}, expected ({f.n},)")
-        table += theta
-    return table
-
-
 def tanh_covariance(nu: DenseMeasure, field: np.ndarray) -> tuple[np.ndarray, float]:
     """Covariance matrix of tanh(field(V)) under V ~ nu, plus its trace.
 
-    ``field`` is the per-vertex effective gradient table (2^n, n); the caller
-    supplies it because a tilted measure's field is the base field shifted
-    by theta, which the probability vector alone does not expose.
+    ``field`` is the per-vertex effective gradient table (2^n, n), for
+    tilt(gibbs(f), theta) the table ``gradient_tables(f).T + theta``; the
+    caller supplies it because the probability vector alone does not expose
+    the field.
     """
     field = np.asarray(field, dtype=np.float64)
     if field.shape != (1 << nu.n, nu.n):

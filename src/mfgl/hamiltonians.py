@@ -18,12 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .boolfn import (
-    FourierExpansion,
-    _check_cap,
-    compose,
-    vertex_values,
-)
+from .boolfn import FourierExpansion, compose, vertex_values
 
 
 class InvalidSpec(ValueError):
@@ -462,9 +457,7 @@ class SmoothedCutoffSpec(HamiltonianSpec):
 
     def build(self, max_n=None):
         inner = build_hamiltonian(self.inner, max_n)
-        n = inner.expansion.n
-        _check_cap(n, max_n, "smoothed cutoff")
-        psi = ScaledCutoffShape(n, self.t, self.delta)
+        psi = ScaledCutoffShape(inner.expansion.n, self.t, self.delta)
         return BuiltHamiltonian(self, compose(inner.expansion, psi, max_n))
 
 
@@ -583,7 +576,6 @@ def smoothed_cutoff_weights(f: FourierExpansion, t: float, delta: float,
     """
     if delta <= 0:
         raise InvalidSpec("delta must be positive")
-    _check_cap(f.n, max_n, "smoothed cutoff")
     n = f.n
     delta_prime = DELTA_PRIME_FACTOR * delta
     psi = ScaledCutoffShape(n, t, delta)

@@ -24,6 +24,7 @@ import numpy as np
 from .boolfn import (
     FourierExpansion,
     eval_extension,
+    flip_differences,
     gradient_extension,
     gradient_tables,
     vertex_values,
@@ -32,8 +33,7 @@ from .gibbs import (
     DenseMeasure,
     ProductMeasure,
     densify,
-    gibbs_measure,
-    gradient_field,
+    gibbs_from_values,
     tanh_covariance,
     mean,
     product_approx,
@@ -149,8 +149,8 @@ def audit_product_proximity(f: FourierExpansion, theta_list: Sequence[np.ndarray
     theta = 0 rows audit the base Gibbs measure itself.
     """
     base_instance = dict(instance or {})
-    nu = gibbs_measure(f, max_n)
-    grad = gradient_field(f, max_n=max_n)
+    values = vertex_values(f, max_n)
+    nu, grad = gibbs_from_values(f.n, values), flip_differences(values).T.copy()
     rows = []
     for k, theta in enumerate(theta_list):
         theta = np.asarray(theta, dtype=np.float64)
@@ -200,8 +200,9 @@ def audit_main_residuals(f: FourierExpansion, theta_list: Sequence[np.ndarray],
     if not (0.0 < eps < limit):
         raise ValueError(f"eps must lie in (0, {limit:.6g}) for D = {params.d:.6g}")
     base_instance = dict(instance or {}, eps=eps, d=params.d, l1=params.l1, l2=params.l2)
-    nu = gibbs_measure(f, max_n)
-    grad = gradient_field(f, max_n=max_n)
+    values = vertex_values(f, max_n)
+    nu, grad = gibbs_from_values(f.n, values), flip_differences(values).T.copy()
+    tanh_grad = np.tanh(grad)
     trace_cap = 256.0 * n ** (1.0 / 3.0) * params.d ** (2.0 / 3.0) / eps ** (2.0 / 3.0)
     scale = n ** (2.0 / 3.0) * params.d ** (1.0 / 3.0) / eps ** (1.0 / 3.0)
     bound8 = 41.0 * params.l1 * (112.0 * params.l2 * scale + eps * n)
@@ -215,7 +216,7 @@ def audit_main_residuals(f: FourierExpansion, theta_list: Sequence[np.ndarray],
         center = mean(tilted)
         resid = float(np.abs(center - np.tanh(gradient_extension(f, center))).sum())
         weights = densify(ProductMeasure(center)).probs
-        spread = float(weights @ np.abs(np.tanh(grad) - center).sum(axis=1))
+        spread = float(weights @ np.abs(tanh_grad - center).sum(axis=1))
         inst = dict(base_instance, tilt_index=k,
                     theta_norm=float(np.linalg.norm(theta)),
                     theta_in_support=theta_in_tilt_support(theta, eps),
@@ -283,11 +284,11 @@ def audit_chain_rule_and_moments(f: FourierExpansion, h: ScalarShape,
         raise ValueError("shape must carry a second-derivative bound")
     n = f.n
     base = dict(instance or {}, shape=h.name, seed=seed)
-    grad_f = gradient_tables(f, max_n)
+    fvals = vertex_values(f, max_n)
+    grad_f = flip_differences(fvals)
     lip = float(np.abs(grad_f).max())
     b2 = float(h.d2_bound)
     hf = compose(f, h, max_n)
-    fvals = vertex_values(f, max_n)
     grad_hf = gradient_tables(hf, max_n)
     defect = grad_hf - np.asarray(h.deriv1(fvals)) * grad_f
     rows = [

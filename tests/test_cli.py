@@ -296,6 +296,28 @@ def test_ld_scan_builds_its_cutoff_once(tmp_path, monkeypatch):
     assert sizes == [1 << 10]
 
 
+@pytest.mark.parametrize("suite, transforms", [
+    ("appendix", 12),   # per instance: f, f again inside compose, the inverse, h∘f
+    ("proximity", 4),   # one per default instance
+    ("main", 2),        # complexity_params and the audit
+    ("ld", 1),
+    ("all", 19),
+])
+def test_audit_suites_transform_each_expansion_once(tmp_path, monkeypatch, suite, transforms):
+    import mfgl.boolfn as boolfn
+
+    calls = []
+    transform = boolfn.walsh_hadamard
+
+    def counted(values):
+        calls.append(np.size(values))
+        return transform(values)
+
+    monkeypatch.setattr(boolfn, "walsh_hadamard", counted)
+    assert cli.main(["audit", "--suite", suite, "--out", str(tmp_path / "audit.json")]) == 0
+    assert len(calls) == transforms
+
+
 def test_audit_ld_labels_only_the_instance_it_audits(tmp_path):
     spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 8}, "cw8.json")
     out = tmp_path / "audit.json"

@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfgl.boolfn import CapExceeded, DimensionMismatch, FourierExpansion, add_linear
+from mfgl.boolfn import (
+    CapExceeded,
+    DimensionMismatch,
+    FourierExpansion,
+    add_linear,
+    gradient_tables,
+)
 from mfgl.gibbs import (
     DenseMeasure,
     ProductMeasure,
     densify,
     gibbs_measure,
-    gradient_field,
     tanh_covariance,
     mean,
     product_approx,
@@ -73,7 +78,7 @@ def test_tilt_shifts_the_gradient_field():
     f = random_expansion(rng, 6, degree=2)
     theta = rng.uniform(-0.25, 0.25, 6)
     tilted = tilt(gibbs_measure(f), theta)
-    field = gradient_field(f, theta)
+    field = gradient_tables(f).T.copy() + theta
     assert mean(tilted) == pytest.approx(tilted.probs @ np.tanh(field), abs=1e-12)
 
 
@@ -107,7 +112,7 @@ def test_h_matrix_zero_for_constant_field():
     theta = np.array([0.4, -0.2, 0.8, 0.1])
     f = _linear(theta)
     nu = gibbs_measure(f)
-    cov, trace = tanh_covariance(nu, gradient_field(f))
+    cov, trace = tanh_covariance(nu, gradient_tables(f).T)
     assert np.abs(cov).max() < 1e-15
     assert trace == pytest.approx(0.0, abs=1e-15)
 
@@ -117,7 +122,7 @@ def test_h_matrix_psd():
     for _ in range(5):
         f = random_expansion(rng, 5, degree=3)
         nu = gibbs_measure(f)
-        cov, trace = tanh_covariance(nu, gradient_field(f))
+        cov, trace = tanh_covariance(nu, gradient_tables(f).T)
         eig = np.linalg.eigvalsh(cov)
         assert eig.min() > -1e-10
         assert trace >= -1e-12
@@ -131,7 +136,7 @@ def test_h_matrix_tilt_sandwich():
     nu_tilt = tilt(gibbs_measure(f), rng.uniform(-0.2, 0.2, 5))
     for _ in range(5):
         theta = rng.uniform(-0.25, 0.25, 5)
-        base = gradient_field(f)
+        base = gradient_tables(f).T
         _, tr_a = tanh_covariance(nu_tilt, base)
         _, tr_b = tanh_covariance(nu_tilt, base + theta)
         factor = np.exp(4.0 * np.abs(theta).max())
@@ -143,7 +148,7 @@ def test_product_approx_exact_for_product_laws():
     theta = np.array([0.6, -0.3, 0.2, 0.9, -0.8])
     f = _linear(theta)
     nu = gibbs_measure(f)
-    approx = product_approx(nu, gradient_field(f))
+    approx = product_approx(nu, gradient_tables(f).T)
     assert approx.mean == pytest.approx(np.tanh(theta), abs=1e-14)
     assert np.abs(densify(approx).probs - nu.probs).max() < 1e-13
     assert np.all(np.abs(approx.mean) < 1.0)
@@ -153,7 +158,7 @@ def test_product_approx_idempotent_on_product_laws():
     z = np.array([0.5, -0.7, 0.1, 0.3])
     f = _linear(np.arctanh(z))
     nu = gibbs_measure(f)
-    again = product_approx(densify(ProductMeasure(z)), gradient_field(f))
+    again = product_approx(densify(ProductMeasure(z)), gradient_tables(f).T)
     assert again.mean == pytest.approx(z, abs=1e-10)
 
 
@@ -163,7 +168,7 @@ def test_product_approx_w1_within_trace_bound():
         n = int(rng.integers(4, 7))
         f = random_expansion(rng, n, degree=3)
         nu = gibbs_measure(f)
-        field = gradient_field(f)
+        field = gradient_tables(f).T
         _, trace = tanh_covariance(nu, field)
         xi = densify(product_approx(nu, field))
         assert w1_exact(nu, xi) <= np.sqrt(n * max(trace, 0.0)) + 1e-9
