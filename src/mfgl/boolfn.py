@@ -279,8 +279,10 @@ def flip_lipschitz(tables: np.ndarray) -> float:
     for i in range(n):
         pairs = tables.reshape(n, -1, 2, 1 << i)
         acc = np.zeros(pairs[0, :, 0].shape)
+        diff = np.empty_like(acc)
         for j in range(n):
-            acc += np.abs(pairs[j, :, 1] - pairs[j, :, 0])
+            np.subtract(pairs[j, :, 1], pairs[j, :, 0], out=diff)
+            acc += np.abs(diff, out=diff)
         best = max(best, float(acc.max()) / 2.0)
     return best
 

@@ -461,6 +461,8 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
     report = _new_report(config, built.spec.to_dict() if built else None)
     rows: list[AuditRow] = []
     suites = SUITES[:-1] if config.suite == "all" else (config.suite,)
+    if "ld" in suites and config.t is not None and built is None:
+        raise InputError("--t and --delta need --spec for the ld suite")
     timer = _Timer(report, config.timings)
 
     if "appendix" in suites:
@@ -498,7 +500,7 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
 
     if "ld" in suites:
         with timer.stage("ld"):
-            if built is not None and config.t is not None and config.delta is not None:
+            if config.t is not None:
                 f, t, delta, spec_path = built.expansion, config.t, config.delta, config.spec_path
             else:
                 f = build_hamiltonian(CurieWeissSpec(1.5, 10)).expansion

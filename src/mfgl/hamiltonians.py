@@ -127,6 +127,13 @@ class AffineShape(ScalarShape):
         return np.zeros_like(np.asarray(x, dtype=np.float64))
 
 
+def _check_level(t: float, delta: float) -> None:
+    if not math.isfinite(t):
+        raise InvalidSpec(f"t must be finite, got {t}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise InvalidSpec(f"delta must be finite and positive, got {delta}")
+
+
 class ScaledCutoffShape(ScalarShape):
     """psi(x) = n * h((x/n - t)/delta) for the cutoff ramp h.
 
@@ -137,8 +144,7 @@ class ScaledCutoffShape(ScalarShape):
     name = "scaled_cutoff"
 
     def __init__(self, n: int, t: float, delta: float):
-        if delta <= 0:
-            raise InvalidSpec("delta must be positive")
+        _check_level(t, delta)
         self.n = int(n)
         self.t = float(t)
         self.delta = float(delta)
@@ -445,8 +451,7 @@ class SmoothedCutoffSpec(HamiltonianSpec):
 
     def __post_init__(self):
         self._set(t=float(self.t), delta=float(self.delta))
-        if self.delta <= 0:
-            raise InvalidSpec("delta must be positive")
+        _check_level(self.t, self.delta)
 
     def to_dict(self) -> dict:
         return {"type": self.type, "inner": self.inner.to_dict(), "t": self.t, "delta": self.delta}
@@ -574,8 +579,6 @@ def smoothed_cutoff_weights(f: FourierExpansion, t: float, delta: float,
     log-weight sum to g; that is a deliberate extension point, not
     implemented here.
     """
-    if delta <= 0:
-        raise InvalidSpec("delta must be positive")
     n = f.n
     delta_prime = DELTA_PRIME_FACTOR * delta
     psi = ScaledCutoffShape(n, t, delta)

@@ -46,6 +46,7 @@ from .hamiltonians import ComplexityParams, ScalarShape, SmoothedCutoff
 from .boolfn import compose
 
 PASS_SLACK = 1e-9
+MAX_TILT_TRIES = 100_000
 
 
 class WitnessMissing(ValueError):
@@ -105,15 +106,15 @@ def failures(rows: Sequence[AuditRow]) -> list[AuditRow]:
     return [r for r in rows if r.kind == "bound" and r.hypothesis_met and not r.passed]
 
 
-def sample_tilts(n: int, eps: float, count: int, seed: int | None = 0,
-                 max_tries: int = 100_000) -> np.ndarray:
+def sample_tilts(n: int, eps: float, count: int, seed: int | None = 0) -> np.ndarray:
     """Tilts uniform on the box [-1/4,1/4]^n meeting the ball of radius eps*sqrt(n).
 
     Rejection from the box; when the ball lies inside the box the sample is
-    drawn directly in the ball.
+    drawn directly in the ball.  A rejection run that needs more than
+    ``MAX_TILT_TRIES`` candidates raises ``ValueError``.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     rng = np.random.default_rng(seed)
     radius = eps * math.sqrt(n)
     out = np.empty((count, n))
@@ -127,8 +128,9 @@ def sample_tilts(n: int, eps: float, count: int, seed: int | None = 0,
     tries = 0
     while k < count:
         tries += 1
-        if tries > max_tries:
-            raise RuntimeError("tilt sampler rejection stalled; shrink eps or the box")
+        if tries > MAX_TILT_TRIES:
+            raise ValueError(f"tilt sampler rejection stalled at eps = {eps}: the ball "
+                             "of radius eps*sqrt(n) covers too little of the box")
         cand = rng.uniform(-0.25, 0.25, n)
         if np.linalg.norm(cand) <= radius:
             out[k] = cand

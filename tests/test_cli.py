@@ -318,6 +318,54 @@ def test_audit_suites_transform_each_expansion_once(tmp_path, monkeypatch, suite
     assert len(calls) == transforms
 
 
+def _assert_refused(capsys, out):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--t", "nan", "--delta", "0.05"],
+                                  ["--t", "0.675", "--delta", "nan"],
+                                  ["--t", "inf", "--delta", "0.05"]])
+def test_ld_scan_refuses_a_non_finite_level(tmp_path, capsys, flag):
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 6})
+    out = tmp_path / "ld.json"
+    assert cli.main(["ld-scan", "--spec", spec, "--out", str(out), *flag]) == 1
+    _assert_refused(capsys, out)
+
+
+@pytest.mark.parametrize("level", [{"t": float("nan"), "delta": 0.05},
+                                   {"t": 0.4, "delta": float("nan")}])
+def test_smoothed_cutoff_spec_refuses_a_non_finite_level(tmp_path, capsys, level):
+    spec = _write_spec(tmp_path, {"type": "smoothed_cutoff",
+                                  "inner": {"type": "curie_weiss", "beta": 1.5, "n": 4},
+                                  **level})
+    out = tmp_path / "fp.json"
+    assert cli.main(["fixed-points", "--spec", spec, "--out", str(out)]) == 1
+    _assert_refused(capsys, out)
+
+
+@pytest.mark.parametrize("suite", ["ld", "all"])
+def test_audit_refuses_ld_flags_without_a_spec(tmp_path, capsys, suite):
+    out = tmp_path / "audit.json"
+    assert cli.main(["audit", "--suite", suite, "--out", str(out),
+                     "--t", "0.5", "--delta", "0.1"]) == 1
+    assert capsys.readouterr().err == "error: --t and --delta need --spec for the ld suite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, epsilon", [
+    ({"type": "curie_weiss", "beta": 1.5, "n": 16}, "0.063"),   # rejection stalls
+    ({"type": "curie_weiss", "beta": 1.5, "n": 6}, "nan"),
+])
+def test_audit_refuses_an_unsampleable_epsilon(tmp_path, capsys, spec, epsilon):
+    path = _write_spec(tmp_path, spec)
+    out = tmp_path / "audit.json"
+    assert cli.main(["audit", "--suite", "proximity", "--spec", path, "--out", str(out),
+                     "--epsilon", epsilon]) == 1
+    _assert_refused(capsys, out)
+
+
 def test_audit_ld_labels_only_the_instance_it_audits(tmp_path):
     spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 8}, "cw8.json")
     out = tmp_path / "audit.json"

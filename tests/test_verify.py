@@ -70,6 +70,18 @@ def test_sample_tilts_stay_in_support():
             assert theta_in_tilt_support(theta, eps)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
+def test_sample_tilts_refuses_a_bad_eps(eps):
+    with pytest.raises(ValueError, match="finite and positive"):
+        sample_tilts(6, eps, 3, seed=1)
+
+
+def test_sample_tilts_stall_is_a_value_error():
+    # the ball of radius 0.252 holds ~4e-6 of the box [-1/4, 1/4]^16
+    with pytest.raises(ValueError, match="stalled"):
+        sample_tilts(16, 0.063, 4, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Product-measure proximity
 # ---------------------------------------------------------------------------
