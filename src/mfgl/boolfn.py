@@ -20,6 +20,7 @@ import numpy as np
 
 DEFAULT_ENUM_CAP = 20
 PRUNE_TOL = 1e-14
+_BLOCK_ENTRIES = 1 << 18  # entries per (width x terms x batch) block of the term kernel: 2 MB
 
 
 class DimensionMismatch(ValueError):
@@ -38,18 +39,6 @@ def _check_cap(n: int, max_n: int | None, what: str) -> None:
     cap = _resolve_cap(max_n)
     if n > cap:
         raise CapExceeded(f"{what} needs 2^{n} states but the cap is n <= {cap}")
-
-
-def _mask_indices(mask: int) -> np.ndarray:
-    idx = []
-    i = 0
-    m = int(mask)
-    while m:
-        if m & 1:
-            idx.append(i)
-        m >>= 1
-        i += 1
-    return np.array(idx, dtype=np.int64)
 
 
 _PARITY_CACHE: dict[int, np.ndarray] = {}
@@ -160,11 +149,83 @@ def add_linear(f: FourierExpansion, theta: np.ndarray, const: float = 0.0) -> Fo
     return FourierExpansion.from_terms(f.n, terms)
 
 
-def _check_dims(f: FourierExpansion, x: np.ndarray) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape[-1] != f.n:
-        raise DimensionMismatch(f"point dimension {arr.shape[-1]} != f.n = {f.n}")
-    return arr
+@dataclass(frozen=True)
+class TermPlan:
+    """The terms of an expansion laid out for one batched kernel.
+
+    Column t of ``idx`` (degree x terms) holds term t's coordinates in
+    increasing order, padded to the degree with ``n``, the index of a row of
+    ones appended to the points; terms keep the expansion's mask order.
+    Points enter as columns, so each product and sum runs over whole
+    (terms x batch) slices.  Both methods walk the terms in blocks of about
+    ``_BLOCK_ENTRIES`` entries, the width being the degree for the value and
+    n + 1 for the gradient, whose shares are spread over every coordinate.
+    A running sum carries across blocks, adding the terms' shares one after
+    another in mask order from 0.0.  So each point's bits do not depend on
+    the batch around it, and they match a per-term loop that adds
+    ``coeff * prod`` (or, per coordinate, ``coeff * prefix * suffix``) into
+    a zero-initialised accumulator.
+    """
+
+    n: int
+    idx: np.ndarray
+    coeffs: np.ndarray
+
+    def _points(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """x as an array (..., n) and its points as columns (n + 1, B), the last row ones."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1] != self.n:
+            raise DimensionMismatch(f"point dimension {x.shape[-1]} != f.n = {self.n}")
+        pts = x.reshape(-1, self.n).T
+        return x, np.concatenate([pts, np.ones((1, pts.shape[1]))])
+
+    def _blocks(self, batch: int, width: int):
+        size = max(1, _BLOCK_ENTRIES // max(batch * width, 1))
+        for start in range(0, self.coeffs.size, size):
+            stop = start + size
+            yield self.idx[:, start:stop], self.coeffs[start:stop, None]
+
+    def value(self, x) -> np.ndarray:
+        """Extension values sum_S coeff(S) prod_{i in S} x_i of the points x (..., n)."""
+        x, pts = self._points(x)
+        acc = np.zeros((1, pts.shape[1]))
+        for idx, coeffs in self._blocks(pts.shape[1], self.idx.shape[0]):
+            terms = coeffs * np.multiply.accumulate(pts[idx], axis=0)[-1]
+            acc = np.add.accumulate(np.concatenate([acc, terms]), axis=0)[-1:]
+        return acc.reshape(x.shape[:-1])
+
+    def gradient(self, x) -> np.ndarray:
+        """Extension gradients of the points x (..., n): per term and coordinate
+        the exclusive prefix times the exclusive suffix product, division free."""
+        x, pts = self._points(x)
+        rows, batch = pts.shape
+        acc = np.zeros((rows, batch))
+        for idx, coeffs in self._blocks(batch, rows):
+            sub = pts[idx]
+            share = np.empty_like(sub)
+            share[0] = coeffs
+            np.multiply(coeffs, np.multiply.accumulate(sub[:-1], axis=0), out=share[1:])
+            share[:-1] *= np.multiply.accumulate(sub[:0:-1], axis=0)[::-1]
+            # Term t's shares land in layer t + 1 at its coordinates' rows (pads
+            # on row n, dropped at the end) and +0.0 everywhere else.  Adding
+            # +0.0 leaves the running sum as it is: it starts at +0.0, so it
+            # is never -0.0.
+            spread = np.zeros((idx.shape[1] + 1, rows, batch))
+            spread[0] = acc
+            spread[np.arange(1, idx.shape[1] + 1), idx] = share
+            acc = np.add.accumulate(spread, axis=0, out=spread)[-1].copy()
+        return acc[:-1].T.reshape(x.shape)
+
+
+def term_plan(f: FourierExpansion) -> TermPlan:
+    """The ``TermPlan`` of f; build it once to evaluate f at many batches."""
+    masks = f.masks.astype(np.uint64)
+    idx = np.full((max(f.degree(), 1), masks.size), f.n, dtype=np.intp)
+    for i in range(f.n):
+        has = np.nonzero((masks >> np.uint64(i)) & np.uint64(1))[0]
+        below = np.bitwise_count(masks[has] & np.uint64((1 << i) - 1)).astype(np.intp)
+        idx[below, has] = i
+    return TermPlan(f.n, idx, f.coeffs)
 
 
 def eval_extension(f: FourierExpansion, x) -> float | np.ndarray:
@@ -173,14 +234,7 @@ def eval_extension(f: FourierExpansion, x) -> float | np.ndarray:
     Accepts a single point (n,) or a batch (..., n); at vertices this equals
     the Boolean value of f.
     """
-    arr = _check_dims(f, x)
-    out = np.zeros(arr.shape[:-1], dtype=np.float64)
-    for mask, coeff in zip(f.masks.tolist(), f.coeffs.tolist()):
-        if mask == 0:
-            out += coeff
-        else:
-            idx = _mask_indices(mask)
-            out += coeff * np.prod(arr[..., idx], axis=-1)
+    out = term_plan(f).value(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -191,23 +245,7 @@ def gradient_extension(f: FourierExpansion, x) -> np.ndarray:
     coordinate flips; on the solid cube it agrees with the real partial
     derivatives of the extension.  Division-free (safe at zero coordinates).
     """
-    arr = _check_dims(f, x)
-    grad = np.zeros_like(arr)
-    for mask, coeff in zip(f.masks.tolist(), f.coeffs.tolist()):
-        if mask == 0:
-            continue
-        idx = _mask_indices(mask)
-        sub = arr[..., idx]
-        ones = np.ones_like(sub[..., :1])
-        pref = np.concatenate([ones, np.cumprod(sub[..., :-1], axis=-1)], axis=-1)
-        if sub.shape[-1] > 1:
-            suf = np.concatenate(
-                [np.cumprod(sub[..., :0:-1], axis=-1)[..., ::-1], ones], axis=-1
-            )
-        else:
-            suf = ones
-        grad[..., idx] += coeff * pref * suf
-    return grad
+    return term_plan(f).gradient(x)
 
 
 def vertex_values(f: FourierExpansion, max_n: int | None = None) -> np.ndarray:

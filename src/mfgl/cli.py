@@ -122,6 +122,8 @@ class RunConfig:
             raise InputError("caps must be at least 1")
         if not (self.tol > 0):
             raise InputError("tol must be positive")
+        if not math.isfinite(self.tol):
+            raise InputError("tol must be finite")
         if not (0.0 < self.damping <= 1.0):
             raise InputError("damping must lie in (0, 1]")
         if self.suite not in SUITES:
@@ -135,6 +137,8 @@ class RunConfig:
             lo, hi, count = float(lo), float(hi), int(count)
         except ValueError as exc:
             raise InputError(f"bad lambda grid {self.lambda_grid!r}, want LO:HI:COUNT") from exc
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InputError("lambda grid needs finite LO and HI")
         if not (0 < lo < hi) or count < 1:
             raise InputError("lambda grid needs 0 < LO < HI and COUNT >= 1")
         return default_lambda_grid(count, lo, hi)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .boolfn import FourierExpansion, eval_extension, gradient_extension
+from .boolfn import FourierExpansion, eval_extension, gradient_extension, term_plan
 from .hamiltonians import ComplexityParams
 
 DEFAULT_DAMPING = 0.5
@@ -35,8 +35,10 @@ GradientField = Callable[[np.ndarray], np.ndarray]
 def as_gradient_field(f: FourierExpansion | GradientField) -> GradientField:
     """Batched gradient callable for an expansion (or pass a callable through).
 
-    Expansions of degree at most two compile to a single matrix-vector form,
-    which is what keeps multi-start batteries and lambda scans cheap.
+    Expansions of degree at most two compile to a single matrix-vector form;
+    higher degrees build their ``TermPlan`` once and return its gradient.
+    Either way a battery step costs a few array operations, which is what
+    keeps multi-start batteries and lambda scans cheap.
     """
     if isinstance(f, FourierExpansion):
         if f.degree() <= 2:
@@ -50,7 +52,7 @@ def as_gradient_field(f: FourierExpansion | GradientField) -> GradientField:
                 elif len(idx) == 1:
                     mu[idx[0]] = coeff
             return lambda x: np.asarray(x, dtype=np.float64) @ a + mu
-        return lambda x: gradient_extension(f, x)
+        return term_plan(f).gradient
     if callable(f):
         return f
     raise TypeError("expected a FourierExpansion or a gradient field callable")
@@ -122,6 +124,8 @@ def _iterate_batch(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
         raise ValueError("max_iter must be nonnegative")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     x = np.array(x0, dtype=np.float64)
     m = x.shape[0]
     live = np.ones(m, dtype=bool)
@@ -318,14 +322,9 @@ def lambda_scan(f: FourierExpansion, t: float, delta: float, *,
         sols = _iterate_batch(grad, np.stack([x for _, x in batch]),
                               [sid for sid, _ in batch], lam=float(lam),
                               damping=damping, tol=tol, max_iter=max_iter)
-        found: list[FixedPointSolution] = []
-        for sol in sols:
-            if not sol.converged:
-                continue
-            value = float(eval_extension(f, sol.point))
-            if lo_val <= value <= hi_val:
-                found.append(sol)
-        found = dedupe_solutions(found)
+        conv = [s for s in sols if s.converged]
+        values = eval_extension(f, np.stack([s.point for s in conv])) if conv else []
+        found = dedupe_solutions([s for s, v in zip(conv, values) if lo_val <= v <= hi_val])
         kept.extend(found)
         warm = [s.point for s in found]
     return kept

@@ -299,17 +299,15 @@ def audit_chain_rule_and_moments(f: FourierExpansion, h: ScalarShape,
         make_row("chain_rule_vertex_defect_l2", dict(base),
                  float(np.sqrt((defect**2).sum(axis=0)).max()), b2 * lip**2 * math.sqrt(n)),
     ]
-    worst_ext = 0.0
-    for x in product_means:
-        x = np.asarray(x, dtype=np.float64)
-        d = gradient_extension(hf, x) - float(h.deriv1(eval_extension(f, x))) * gradient_extension(f, x)
-        worst_ext = max(worst_ext, float(np.abs(d).sum()))
+    means = np.array(product_means, dtype=np.float64) if len(product_means) else np.empty((0, n))
+    f_at_means = eval_extension(f, means)
+    d = gradient_extension(hf, means) - h.deriv1(f_at_means)[:, None] * gradient_extension(f, means)
+    worst_ext = float(np.abs(d).sum(axis=1).max(initial=0.0))
     rows.append(make_row("chain_rule_extension_defect_l1", dict(base, points=len(product_means)),
                          worst_ext, 2.0 * b2 * lip**2 * n**1.5))
-    for k, z in enumerate(product_means):
-        z = np.asarray(z, dtype=np.float64)
+    for k, z in enumerate(means):
         weights = densify(ProductMeasure(z)).probs
-        f_at_mean = float(eval_extension(f, z))
+        f_at_mean = float(f_at_means[k])
         inst = dict(base, mean_index=k)
         rows.append(make_row("product_law_concentration", inst,
                              float(weights @ np.abs(fvals - f_at_mean)),

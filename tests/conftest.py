@@ -57,6 +57,44 @@ def gradient_direct(f, coords):
     return out
 
 
+def _mask_indices(mask):
+    return np.array([i for i in range(mask.bit_length()) if (mask >> i) & 1], dtype=np.int64)
+
+
+def eval_extension_loop(f, x):
+    """The per-term extension loop the term-plan kernel replaced, kept as its oracle."""
+    arr = np.asarray(x, dtype=np.float64)
+    out = np.zeros(arr.shape[:-1], dtype=np.float64)
+    for mask, coeff in zip(f.masks.tolist(), f.coeffs.tolist()):
+        if mask == 0:
+            out += coeff
+        else:
+            idx = _mask_indices(mask)
+            out += coeff * np.prod(arr[..., idx], axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def gradient_extension_loop(f, x):
+    """The per-term gradient loop the term-plan kernel replaced, kept as its oracle."""
+    arr = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(arr)
+    for mask, coeff in zip(f.masks.tolist(), f.coeffs.tolist()):
+        if mask == 0:
+            continue
+        idx = _mask_indices(mask)
+        sub = arr[..., idx]
+        ones = np.ones_like(sub[..., :1])
+        pref = np.concatenate([ones, np.cumprod(sub[..., :-1], axis=-1)], axis=-1)
+        if sub.shape[-1] > 1:
+            suf = np.concatenate(
+                [np.cumprod(sub[..., :0:-1], axis=-1)[..., ::-1], ones], axis=-1
+            )
+        else:
+            suf = ones
+        grad[..., idx] += coeff * pref * suf
+    return grad
+
+
 def product_weights_direct(z):
     """Explicit product-law weights over all vertices via itertools enumeration."""
     n = len(z)

@@ -1,9 +1,14 @@
 """Fourier expansions: evaluation, gradients, Lipschitz constants, composition."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from mfgl import boolfn
 from mfgl.boolfn import (
     CapExceeded,
     DimensionMismatch,
@@ -19,9 +24,23 @@ from mfgl.boolfn import (
     vertex_values,
     walsh_hadamard,
 )
-from mfgl.hamiltonians import AffineShape, CutoffShape
+from mfgl.hamiltonians import (
+    AffineShape,
+    CurieWeissSpec,
+    CutoffShape,
+    SmoothedCutoffSpec,
+    build_hamiltonian,
+)
 
-from conftest import all_vertices, eval_direct, gradient_direct, product_weights_direct, random_expansion
+from conftest import (
+    all_vertices,
+    eval_direct,
+    eval_extension_loop,
+    gradient_direct,
+    gradient_extension_loop,
+    product_weights_direct,
+    random_expansion,
+)
 
 
 def test_monomial_at_vertices():
@@ -80,6 +99,68 @@ def test_gradient_safe_at_zero_coordinates():
     f = FourierExpansion.from_terms(3, [((0, 1, 2), 2.0)])
     g = gradient_extension(f, [0.0, 0.5, 0.5])
     assert g == pytest.approx([0.5, 0.0, 0.0])
+
+
+# Coordinate 0 lies in 16 terms whose shares sum to 1.0 one after another but
+# to 1.0000000000000002 in numpy's pairwise (8-accumulator) order.
+HUB = FourierExpansion(5, np.arange(1, 32, 2), np.array([1.0] + [1e-16] * 15))
+
+
+@st.composite
+def kernel_cases(draw):
+    """An expansion with n <= 10, points of shape (n,), (B, n) or (B1, B2, n)
+    with zero coordinates among them, and a block constant, often tiny."""
+    n = draw(st.integers(1, 10))
+    masks = sorted(draw(st.sets(st.integers(0, (1 << n) - 1), max_size=40)))
+    coeffs = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(masks), max_size=len(masks)))
+    batch = draw(st.sampled_from([(), (3,), (2, 3)]))
+    x = draw(arrays(np.float64, batch + (n,),
+                    elements=st.one_of(st.just(0.0), st.floats(-1.0, 1.0))))
+    block = draw(st.one_of(st.just(boolfn._BLOCK_ENTRIES), st.integers(1, 64)))
+    return FourierExpansion(n, np.array(masks, dtype=np.int64), np.array(coeffs)), x, block
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=kernel_cases())
+@example(case=(FourierExpansion(4), np.zeros((2, 4)), 1 << 18))
+@example(case=(FourierExpansion(3, np.array([0, 5, 7]), np.array([2.5, -1.0, 0.5])),
+               np.array([0.0, -0.5, 0.25]), 1))
+@example(case=(HUB, np.ones(5), 1 << 18))
+@example(case=(HUB, np.ones((2, 5)), 7))
+def test_term_plan_matches_the_per_term_loops_bit_for_bit(case):
+    f, x, block = case
+    with mock.patch.object(boolfn, "_BLOCK_ENTRIES", block):
+        value, grad = eval_extension(f, x), gradient_extension(f, x)
+    expected = eval_extension_loop(f, x)
+    assert type(value) is type(expected)
+    assert np.array_equal(_bits(value), _bits(expected))
+    assert grad.shape == x.shape
+    assert np.array_equal(_bits(grad), _bits(gradient_extension_loop(f, x)))
+
+
+def test_hub_example_separates_sequential_from_pairwise_sums():
+    shares = HUB.coeffs[HUB.masks & 1 == 1]
+    assert shares.size >= 9
+    assert gradient_extension_loop(HUB, np.ones(5))[0] == 1.0 != np.sum(shares)
+
+
+def test_gradient_memory_is_bounded_by_the_block():
+    # 8,192 terms of degree up to 14: unblocked, one call peaks near 47 MB
+    f = build_hamiltonian(SmoothedCutoffSpec(CurieWeissSpec(1.5, 14), 0.4, 0.05)).expansion
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (17, 14))
+    tracemalloc.start()
+    try:
+        gradient_extension(f, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the plan's index table plus about six block-sized float arrays at once
+    plan_bytes = f.masks.size * f.degree() * 8
+    assert peak < plan_bytes + 8 * 8 * boolfn._BLOCK_ENTRIES
 
 
 def test_vertex_values_match_direct_eval():

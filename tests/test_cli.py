@@ -450,6 +450,29 @@ def test_non_positive_tol_exits_one(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["inf", "1e400"])
+def test_non_finite_tol_exits_one(tmp_path, capsys, tol):
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 2.0, "n": 8})
+    out = tmp_path / "fp.json"
+    assert cli.main(["fixed-points", "--spec", spec, f"--tol={tol}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: tol must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["1e-2:inf:4", "-inf:1:4", "1e-2:1e400:4", "nan:1:4"])
+def test_ld_scan_refuses_non_finite_lambda_grid_ends(tmp_path, capsys, monkeypatch, grid):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("lambda_scan ran")
+
+    monkeypatch.setattr(cli, "lambda_scan", no_scan)
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 6})
+    out = tmp_path / "ld.json"
+    assert cli.main(["ld-scan", "--spec", spec, "--t", "0.675", "--delta", "0.05",
+                     f"--lambda-grid={grid}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: lambda grid needs finite LO and HI\n"
+    assert not out.exists()
+
+
 def test_timings_off_by_default(tmp_path):
     spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 0.5, "n": 4})
     out = tmp_path / "r.json"

@@ -81,7 +81,8 @@ def test_mf_iterate_validates_damping():
 
 @pytest.mark.parametrize("kwargs", [{"damping": 0.0}, {"damping": 1.7},
                                     {"damping": float("nan")}, {"max_iter": -3},
-                                    {"tol": 0.0}, {"tol": -1e-10}, {"tol": float("nan")}])
+                                    {"tol": 0.0}, {"tol": -1e-10}, {"tol": float("nan")},
+                                    {"tol": float("inf")}])
 def test_iteration_inputs_validated_at_every_entry_point(kwargs):
     f = build_hamiltonian(CurieWeissSpec(1.5, 4)).expansion
     calls = [lambda: mf_iterate(f, np.zeros(4), **kwargs),
