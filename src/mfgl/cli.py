@@ -26,6 +26,12 @@ Numbers in reports are emitted with 17 significant digits and reports are
 written atomically (temp file + rename), so identical configs and seeds
 produce byte-identical files.  Exit codes: 0 success, 1 input error,
 2 at least one proven-bound audit failed.
+
+``report``, ``--help`` and ``--version`` need no numpy: this front imports
+the standard library alone, and ``import mfgl`` is lazy.  Each compute
+command imports the layers it uses when it runs and calls them through
+their modules (``verify.audit_tanh_mean_swap``), so ``fixed-points`` never
+loads ``verify``, ``gibbs``, ``transport`` or ``complexity``.
 """
 
 from __future__ import annotations
@@ -35,50 +41,23 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+from . import DEFAULT_TRANSPORT_STATES, __version__
 
-from . import __version__
-from .boolfn import CapExceeded, DimensionMismatch, FourierExpansion
-from .complexity import complexity_params
-from .hamiltonians import (
-    BuiltHamiltonian,
-    CurieWeissSpec,
-    HamiltonianSpec,
-    InvalidSpec,
-    build_hamiltonian,
-    ising_complexity_bounds,
-    CutoffShape,
-    smoothed_cutoff_weights,
-    spec_from_dict,
-)
-from .meanfield import (
-    FixedPointSolution,
-    curie_weiss_roots,
-    default_lambda_grid,
-    lambda_scan,
-    solve_multistart,
-    structural_set_test,
-)
-from .transport import DEFAULT_TRANSPORT_STATES
-from .verify import (
-    AuditRow,
-    audit_chain_rule_and_moments,
-    audit_large_deviations,
-    audit_main_residuals,
-    audit_product_proximity,
-    audit_tanh_mean_swap,
-    failures,
-    sample_tilts,
-    tightness_demo,
-)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .hamiltonians import BuiltHamiltonian, HamiltonianSpec
+    from .meanfield import FixedPointSolution
+    from .verify import AuditRow
 
 SUITES = ("appendix", "proximity", "main", "ld", "tightness", "all")
 
@@ -141,7 +120,9 @@ class RunConfig:
             raise InputError("lambda grid needs finite LO and HI")
         if not (0 < lo < hi) or count < 1:
             raise InputError("lambda grid needs 0 < LO < HI and COUNT >= 1")
-        return default_lambda_grid(count, lo, hi)
+        from . import meanfield
+
+        return meanfield.default_lambda_grid(count, lo, hi)
 
 
 _ENV_FIELDS = {
@@ -208,13 +189,15 @@ def build_config(argv: Sequence[str], env: dict | None = None) -> RunConfig:
 
 
 def load_spec(path: str) -> HamiltonianSpec:
+    from . import hamiltonians
+
     try:
         data = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise InputError(f"spec file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"spec file is not valid JSON: {exc}") from exc
-    return spec_from_dict(data)
+    return hamiltonians.spec_from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +211,9 @@ def _emit_json(obj, out: list, indent: int) -> None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         x = float(obj)
         if not math.isfinite(x):
             out.append("null")
@@ -248,7 +231,7 @@ def _emit_json(obj, out: list, indent: int) -> None:
             _emit_json(v, out, indent + 2)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, (list, tuple)) or _is_ndarray(obj):
         seq = list(obj)
         if not seq:
             out.append("[]")
@@ -259,8 +242,19 @@ def _emit_json(obj, out: list, indent: int) -> None:
             _emit_json(v, out, indent + 2)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(pad + "]")
+    # numpy integer and float scalars, checked last: the checks are slow
+    elif isinstance(obj, numbers.Integral):
+        _emit_json(int(obj), out, indent)
+    elif isinstance(obj, numbers.Real):
+        _emit_json(float(obj), out, indent)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _is_ndarray(obj) -> bool:
+    # Without numpy loaded nothing can be an array, so the check never imports it.
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(obj, numpy.ndarray)
 
 
 CSV_COLUMNS = ("check_id", "measured", "bound", "ratio", "pass", "kind",
@@ -373,52 +367,62 @@ def _new_report(config: RunConfig, spec_dict: dict | None) -> dict:
 
 
 def _require_spec(config: RunConfig) -> tuple[HamiltonianSpec, BuiltHamiltonian]:
+    from . import hamiltonians
+
     if not config.spec_path:
         raise InputError(f"command {config.command!r} requires --spec")
     spec = load_spec(config.spec_path)
-    return spec, build_hamiltonian(spec, config.max_n)
+    return spec, hamiltonians.build_hamiltonian(spec, config.max_n)
 
 
 def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
+    from . import complexity, hamiltonians, meanfield
+
     spec, built = _require_spec(config)
     f = built.expansion
     report = _new_report(config, spec.to_dict())
     timer = _Timer(report, config.timings)
     with timer.stage("complexity"):
-        params = complexity_params(f, samples=config.samples,
-                                   seed=config.seed, max_n=config.max_n)
+        params = complexity.complexity_params(f, samples=config.samples,
+                                              seed=config.seed, max_n=config.max_n)
     report["params"] = _params_dict(params)
     if hasattr(spec, "matrices"):
-        report["closed_form_bounds"] = _params_dict(ising_complexity_bounds(*spec.matrices()))
-    if isinstance(spec, CurieWeissSpec):
-        report["scalar_roots"] = [float(r) for r in curie_weiss_roots(spec.beta)]
+        report["closed_form_bounds"] = _params_dict(
+            hamiltonians.ising_complexity_bounds(*spec.matrices()))
+    if isinstance(spec, hamiltonians.CurieWeissSpec):
+        report["scalar_roots"] = [float(r) for r in meanfield.curie_weiss_roots(spec.beta)]
     with timer.stage("fixed_points"):
-        sols = solve_multistart(f, f.n, lam=1.0, seed=config.seed,
-                                damping=config.damping, tol=config.tol)
+        sols = meanfield.solve_multistart(f, f.n, lam=1.0, seed=config.seed,
+                                          damping=config.damping, tol=config.tol)
     report["solutions"] = [
-        _solution_dict(s, structural_set_test(f, s.point, params) if s.converged else None)
+        _solution_dict(s, meanfield.structural_set_test(f, s.point, params)
+                       if s.converged else None)
         for s in sols
     ]
     return EXIT_OK, report
 
 
 def _cmd_fixed_points(config: RunConfig) -> tuple[int, dict]:
+    from . import meanfield
+
     spec, built = _require_spec(config)
     report = _new_report(config, spec.to_dict())
-    sols = solve_multistart(built.expansion, built.expansion.n, lam=1.0, seed=config.seed,
-                            damping=config.damping, tol=config.tol)
+    sols = meanfield.solve_multistart(built.expansion, built.expansion.n, lam=1.0,
+                                      seed=config.seed, damping=config.damping, tol=config.tol)
     report["solutions"] = [_solution_dict(s) for s in sols]
     return EXIT_OK, report
 
 
 def _cmd_ld_scan(config: RunConfig) -> tuple[int, dict]:
+    from . import hamiltonians, meanfield, verify
+
     spec, built = _require_spec(config)
     if config.t is None or config.delta is None:
         raise InputError("ld-scan requires --t and --delta")
     f = built.expansion
     report = _new_report(config, spec.to_dict())
-    cutoff = smoothed_cutoff_weights(f, config.t, config.delta, config.max_n)
-    rows = audit_large_deviations(cutoff, instance={"spec": config.spec_path})
+    cutoff = hamiltonians.smoothed_cutoff_weights(f, config.t, config.delta, config.max_n)
+    rows = verify.audit_large_deviations(cutoff, instance={"spec": config.spec_path})
     report["audits"] = _row_dicts(rows)
     if rows and rows[0].kind == "error":
         print(f"witness-missing: no vertex reaches f >= t*n = {config.t * f.n:.17g} "
@@ -439,14 +443,18 @@ def _cmd_ld_scan(config: RunConfig) -> tuple[int, dict]:
     }
     timer = _Timer(report, config.timings)
     with timer.stage("lambda_scan"):
-        sols = lambda_scan(f, config.t, config.delta,
-                           lambda_grid=config.parsed_lambda_grid(), seed=config.seed,
-                           tol=config.tol, damping=config.damping)
+        sols = meanfield.lambda_scan(f, config.t, config.delta,
+                                     lambda_grid=config.parsed_lambda_grid(), seed=config.seed,
+                                     tol=config.tol, damping=config.damping)
     report["solutions"] = [_solution_dict(s) for s in sols]
-    return (EXIT_AUDIT_FAILED if failures(rows) else EXIT_OK), report
+    return (EXIT_AUDIT_FAILED if verify.failures(rows) else EXIT_OK), report
 
 
 def _default_random_instances(seed: int, count: int, n_range=(4, 8), degree=3):
+    import numpy as np
+
+    from . import boolfn
+
     rng = np.random.default_rng(seed)
     out = []
     for k in range(count):
@@ -456,11 +464,15 @@ def _default_random_instances(seed: int, count: int, n_range=(4, 8), degree=3):
             size = int(rng.integers(1, degree + 1))
             subset = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
             terms.append((subset, float(rng.normal())))
-        out.append((k, FourierExpansion.from_terms(n, terms)))
+        out.append((k, boolfn.FourierExpansion.from_terms(n, terms)))
     return out
 
 
 def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
+    import numpy as np
+
+    from . import hamiltonians, verify
+
     built = _require_spec(config)[1] if config.spec_path else None
     report = _new_report(config, built.spec.to_dict() if built else None)
     rows: list[AuditRow] = []
@@ -471,14 +483,14 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
 
     if "appendix" in suites:
         with timer.stage("appendix"):
-            rows.append(audit_tanh_mean_swap(2000, (1.0, 5.0), seed=config.seed))
+            rows.append(verify.audit_tanh_mean_swap(2000, (1.0, 5.0), seed=config.seed))
             rng = np.random.default_rng(config.seed + 1)
             for k, f in _default_random_instances(config.seed + 2, 3, n_range=(6, 8), degree=2):
                 means = [rng.uniform(-0.9, 0.9, f.n) for _ in range(4)]
-                rows.extend(audit_chain_rule_and_moments(f, CutoffShape(), means, seed=config.seed,
-                                                max_n=config.max_n,
-                                                instance={"suite_instance": k}))
-            t_rows, _ = tightness_demo([16, 64, 256])
+                rows.extend(verify.audit_chain_rule_and_moments(
+                    f, hamiltonians.CutoffShape(), means, seed=config.seed, max_n=config.max_n,
+                    instance={"suite_instance": k}))
+            t_rows, _ = verify.tightness_demo([16, 64, 256])
             rows.extend(t_rows)
 
     if "proximity" in suites:
@@ -486,39 +498,43 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
             instances = ([(0, built.expansion)] if built is not None
                          else _default_random_instances(config.seed + 3, 4, n_range=(4, 6)))
             for k, f in instances:
-                thetas = [np.zeros(f.n)] + list(sample_tilts(f.n, config.epsilon, 4,
-                                                             seed=config.seed + 10 + k))
-                rows.extend(audit_product_proximity(f, thetas, max_states=config.transport_max_states,
-                                         max_n=config.max_n, instance={"suite_instance": k}))
+                thetas = [np.zeros(f.n)] + list(verify.sample_tilts(
+                    f.n, config.epsilon, 4, seed=config.seed + 10 + k))
+                rows.extend(verify.audit_product_proximity(
+                    f, thetas, max_states=config.transport_max_states, max_n=config.max_n,
+                    instance={"suite_instance": k}))
 
     if "main" in suites:
+        from . import complexity
+
         with timer.stage("main"):
-            f = built.expansion if built is not None else build_hamiltonian(
-                CurieWeissSpec(2.0, 8)).expansion
-            params = complexity_params(f, samples=min(config.samples, 20_000),
-                                       seed=config.seed, max_n=config.max_n)
-            thetas = sample_tilts(f.n, config.epsilon, 8, seed=config.seed + 20)
-            rows.extend(audit_main_residuals(f, thetas, config.epsilon, params,
-                                             max_n=config.max_n,
-                                             instance={"spec": config.spec_path}))
+            f = built.expansion if built is not None else hamiltonians.build_hamiltonian(
+                hamiltonians.CurieWeissSpec(2.0, 8)).expansion
+            params = complexity.complexity_params(f, samples=min(config.samples, 20_000),
+                                                  seed=config.seed, max_n=config.max_n)
+            thetas = verify.sample_tilts(f.n, config.epsilon, 8, seed=config.seed + 20)
+            rows.extend(verify.audit_main_residuals(f, thetas, config.epsilon, params,
+                                                    max_n=config.max_n,
+                                                    instance={"spec": config.spec_path}))
 
     if "ld" in suites:
         with timer.stage("ld"):
             if config.t is not None:
                 f, t, delta, spec_path = built.expansion, config.t, config.delta, config.spec_path
             else:
-                f = build_hamiltonian(CurieWeissSpec(1.5, 10)).expansion
+                f = hamiltonians.build_hamiltonian(hamiltonians.CurieWeissSpec(1.5, 10)).expansion
                 t, delta, spec_path = 0.675, 0.05, None
-            rows.extend(audit_large_deviations(smoothed_cutoff_weights(f, t, delta, config.max_n),
-                                               instance={"spec": spec_path}))
+            rows.extend(verify.audit_large_deviations(
+                hamiltonians.smoothed_cutoff_weights(f, t, delta, config.max_n),
+                instance={"spec": spec_path}))
 
     if "tightness" in suites:
         with timer.stage("tightness"):
-            t_rows, _ = tightness_demo([16, 64, 256, 1024])
+            t_rows, _ = verify.tightness_demo([16, 64, 256, 1024])
             rows.extend(t_rows)
 
     report["audits"] = _row_dicts(rows)
-    bad = failures(rows)
+    bad = verify.failures(rows)
     errors = [r for r in rows if r.kind == "error"]
     report["summary"] = {
         "rows": len(rows),
@@ -600,7 +616,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         code, _ = run(config)
         return code
-    except (InputError, InvalidSpec, CapExceeded, DimensionMismatch, ValueError) as exc:
+    except ValueError as exc:  # InputError and the layers' InvalidSpec, CapExceeded, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_TRANSPORT_STATES
 from .boolfn import CapExceeded
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_TRANSPORT_STATES = 1024
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,12 @@
-"""Shared helpers for the test suite: random instances and independent oracles."""
+"""Shared helpers for the test suite: random instances, independent oracles
+and a fresh-interpreter run of the command-line tool."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -201,3 +207,35 @@ def w1_ssp(p, q, n, scale):
         excess[target] += amount
     cost_units = int(round(np.abs(flow).sum() / 2.0))
     return cost_units, _certify(flow, potential, xor_idx), iterations
+
+
+# Run as ``python -c PROBE [--block-numpy] ARGS``: ARGS go to the CLI as under
+# ``python -m mfgl.cli``, or ``--import MODULE`` only imports MODULE.  At exit
+# the last stderr line lists the numpy, scipy and mfgl modules it loaded.
+_CLI_PROBE = """
+import atexit, importlib, json, runpy, sys
+if sys.argv[1] == "--block-numpy":
+    del sys.argv[1]
+    sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+atexit.register(lambda: print("\\n" + json.dumps(sorted(
+    m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "mfgl"))), file=sys.stderr))
+if sys.argv[1] == "--import":
+    importlib.import_module(sys.argv[2])
+else:
+    runpy.run_module("mfgl.cli", run_name="__main__")
+"""
+
+
+def run_cli_process(*args, cwd=None, block_numpy=False):
+    """Run the CLI on ``args`` in a fresh interpreter.
+
+    Returns ``(exit code, stdout bytes, set of loaded module names)``.
+    With ``block_numpy`` any import of numpy fails.
+    """
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", _CLI_PROBE, *(["--block-numpy"] if block_numpy else []), *args]
+    done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=120)
+    loaded = json.loads(done.stderr.decode().strip().splitlines()[-1])
+    return done.returncode, done.stdout, set(loaded)

@@ -1,16 +1,14 @@
 """CLI: config resolution, spec wire format, serialization, commands, exit codes."""
 
+import importlib
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfgl import cli
+from mfgl import cli, meanfield, verify
 from mfgl.hamiltonians import (
     SPEC_TYPES,
     CurieWeissSpec,
@@ -23,6 +21,10 @@ from mfgl.hamiltonians import (
     spec_from_dict,
 )
 from mfgl.verify import make_row
+
+from conftest import run_cli_process
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +125,54 @@ def test_spec_schema_docs_match_registry():
 
 
 def test_cli_import_leaves_scipy_out():
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, mfgl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True, timeout=60)
-    assert done.stdout.strip() == "[]"
+    # The front and the package import no numpy (nor scipy, nor any layer).
+    golden = str(GOLDEN_DIR / "audit_all.json")
+    cases = [(("--import", "mfgl"), 0, b""),
+             (("--import", "mfgl.cli"), 0, b""),
+             (("report", "--spec", golden, "--format", "csv"),
+              0, (GOLDEN_DIR / "audit_all.csv").read_bytes()),
+             (("report", "--spec", golden, "--format", "json"),
+              0, (GOLDEN_DIR / "audit_all.json").read_bytes()),
+             (("--version",), 0, f"mfgl {cli.__version__}\n".encode()),
+             (("--help",), 0, None),  # its line breaks follow the terminal width
+             (("report", "--format", "xml"), 1, b"")]
+    for args, code, stdout in cases:
+        got, out, loaded = run_cli_process(*args)
+        assert (got, loaded <= {"mfgl", "mfgl.cli"}) == (code, True), (args, loaded)
+        assert out == stdout or (stdout is None and out.startswith(b"usage: mfgl")), args
+
+
+def test_package_exports_resolve_to_their_defining_modules():
+    import mfgl
+
+    star: dict = {}
+    exec("from mfgl import *", star)
+    names = [n for n in mfgl.__all__ if n != "__version__"]
+    assert len(set(names)) == len(names) and star["__version__"] == mfgl.__version__
+    for name in names:
+        obj = getattr(mfgl, name)
+        assert obj.__module__.startswith("mfgl."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+        assert star[name] is obj, name
+    assert not hasattr(mfgl, "no_such_name")
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["fixed-points", "--spec", "specs/cw.json"], {"boolfn", "hamiltonians", "meanfield"}),
+    (["analyze", "--spec", "specs/cw.json", "--samples", "500"],
+     {"boolfn", "hamiltonians", "meanfield", "complexity"}),
+    (["ld-scan", "--spec", "specs/cw.json", "--t", "0.5", "--delta", "0.05",
+      "--lambda-grid", "0.5:1:2"],
+     {"boolfn", "hamiltonians", "meanfield", "verify", "gibbs", "transport"}),
+    (["audit", "--suite", "proximity", "--spec", "specs/cw.json"],
+     {"boolfn", "hamiltonians", "verify", "gibbs", "transport"}),
+])
+def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
+    (tmp_path / "specs").mkdir()
+    _write_spec(tmp_path / "specs", {"type": "curie_weiss", "beta": 2.0, "n": 6}, "cw.json")
+    code, _, loaded = run_cli_process(*argv, "--out", "r.json", cwd=tmp_path)
+    assert code == 0
+    assert {m.split(".")[1] for m in loaded if m.startswith("mfgl.")} == layers
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +206,16 @@ def test_csv_row_count_matches_json():
     json_rows = cli.parse_report(cli.serialize_report(report, "json"))["audits"]
     csv_lines = cli.serialize_report(report, "csv").decode().splitlines()
     assert len(csv_lines) - 1 == len(json_rows) == 7
+
+
+def test_emit_json_takes_numpy_numbers_and_arrays():
+    plain = {"i": 3, "x": 0.5, "nan": None, "v": [1.0, None], "m": [[0, 1]], "e": []}
+    arrays = {"i": np.int64(3), "x": np.float32(0.5), "nan": np.float64("nan"),
+              "v": np.array([1.0, np.inf]), "m": np.arange(2).reshape(1, 2), "e": np.zeros(0)}
+    assert cli.serialize_report(arrays, "json") == cli.serialize_report(plain, "json")
+    for unknown in (object(), 1j, np.bool_(True), np.complex128(1.0), {1, 2}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli.serialize_report({"x": unknown}, "json")
 
 
 def test_atomic_write(tmp_path):
@@ -412,8 +466,10 @@ def test_default_transport_cap_covers_1024_states(tmp_path):
 
 
 def test_audit_failure_exits_two(tmp_path, monkeypatch):
+    # The CLI calls the audits through the verify module, so a patch there
+    # reaches it.
     bad = make_row("forced_failure", {}, 2.0, 1.0)
-    monkeypatch.setattr(cli, "audit_tanh_mean_swap", lambda *a, **k: bad)
+    monkeypatch.setattr(verify, "audit_tanh_mean_swap", lambda *a, **k: bad)
     out = tmp_path / "audit.json"
     code = cli.main(["audit", "--suite", "appendix", "--out", str(out), "--seed", "4"])
     assert code == 2
@@ -464,13 +520,15 @@ def test_ld_scan_refuses_non_finite_lambda_grid_ends(tmp_path, capsys, monkeypat
     def no_scan(*args, **kwargs):
         raise AssertionError("lambda_scan ran")
 
-    monkeypatch.setattr(cli, "lambda_scan", no_scan)
+    monkeypatch.setattr(meanfield, "lambda_scan", no_scan)
     spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 6})
     out = tmp_path / "ld.json"
-    assert cli.main(["ld-scan", "--spec", spec, "--t", "0.675", "--delta", "0.05",
-                     f"--lambda-grid={grid}", "--out", str(out)]) == 1
+    argv = ["ld-scan", "--spec", spec, "--t", "0.675", "--delta", "0.05", "--out", str(out)]
+    assert cli.main([*argv, f"--lambda-grid={grid}"]) == 1
     assert capsys.readouterr().err == "error: lambda grid needs finite LO and HI\n"
     assert not out.exists()
+    with pytest.raises(AssertionError, match="lambda_scan ran"):  # the patch reaches the CLI
+        cli.main([*argv, "--lambda-grid=1e-2:1:4"])
 
 
 def test_timings_off_by_default(tmp_path):

@@ -28,6 +28,8 @@ import pytest
 
 from mfgl import cli
 
+from conftest import run_cli_process
+
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 SPECS = {
@@ -100,6 +102,15 @@ def run_golden(name: str, cwd: Path) -> bytes:
 @pytest.mark.parametrize("name", list(GOLDENS))
 def test_report_matches_golden(name, tmp_path):
     assert run_golden(name, tmp_path) == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", [n for n in GOLDENS if n.endswith(".json")])
+def test_report_command_reproduces_golden_without_numpy(name):
+    # ``report`` re-serializes a parsed report with the standard library alone.
+    code, out, _ = run_cli_process("report", "--spec", str(GOLDEN_DIR / name),
+                                   "--format", "json", block_numpy=True)
+    assert code == 0
+    assert out == (GOLDEN_DIR / name).read_bytes()
 
 
 def test_reports_unchanged_with_debug_logging(tmp_path, caplog):
