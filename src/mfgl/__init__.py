@@ -54,7 +54,6 @@ _EXPORTS = {
     "eval_extension": "boolfn",
     "gaussian_width_mc": "complexity",
     "gibbs_measure": "gibbs",
-    "gradient_cloud": "complexity",
     "gradient_extension": "boolfn",
     "tanh_covariance": "gibbs",
     "ising_complexity_bounds": "hamiltonians",

@@ -1,8 +1,9 @@
-"""Gradient complexity: exact gradient clouds and Monte-Carlo Gaussian width.
+"""Gradient complexity: the Monte-Carlo Gaussian width of the vertex gradients.
 
-The width of a point cloud K is D = E[sup_{x in K} <x, G>] over standard
-Gaussian vectors G; the gradient complexity of a Hamiltonian is the width
-of its vertex gradient image together with the origin.
+The gradient complexity of a Hamiltonian is the width
+D = E[sup_{x in K u {0}} <x, G>] over standard Gaussian vectors G, where the
+cloud K is its vertex gradient image.  The origin is never stored: every
+supremum here starts at 0, so each width is over K u {0} by construction.
 
 ``gaussian_width_mc`` estimates D in two levels, a control variate in the
 sense of multilevel Monte Carlo (Giles, Acta Numerica 2015):
@@ -10,7 +11,7 @@ sense of multilevel Monte Carlo (Giles, Acta Numerica 2015):
     D = E sup_A <x, G> + E[sup_K <x, G> - sup_A <x, G>],
 
 where the winner set A, a subset of K, holds the rows that attain the
-supremum on a seeded pilot of ``PILOT_DRAWS`` draws over K, plus the origin.
+supremum on a seeded pilot of ``PILOT_DRAWS`` draws over K.
 Level 0 is ``width_samples(A, samples, seed)``: every requested draw, on
 A alone.  Level 1 takes ``LEVEL1_DRAWS`` independent draws on all of K;
 its samples are >= 0 draw by draw, and zero unless a draw's maximiser lies
@@ -22,7 +23,7 @@ take at least as many draws as requested, A = K and the estimate is plain
 Monte Carlo over ``width_samples``.
 
 Duplicate rows never change a supremum, so ``complexity_params`` hands the
-raw gradient tables to the width; only ``gradient_cloud`` deduplicates.
+raw gradient tables to the width.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 from .boolfn import FourierExpansion, flip_lipschitz, gradient_tables
 from .hamiltonians import ComplexityParams
 
-DEDUP_TOL = 1e-12
 DEFAULT_SAMPLES = 100_000
 PILOT_DRAWS = 4096
 LEVEL1_DRAWS = 4096
@@ -46,18 +46,16 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GradientCloud:
-    """Gradient vectors, the origin always among them."""
+    """Gradient vectors K, one per row; widths are over K and the origin."""
 
-    points: np.ndarray  # (k, n)
+    points: np.ndarray  # (k, n), k >= 0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("cloud must be a nonempty (k, n) array")
+        if pts.ndim != 2:
+            raise ValueError("cloud must be a (k, n) array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("cloud points must be finite")
-        if not np.any(_origin_rows(pts)):
-            raise ValueError("cloud must contain the origin")
         if pts.flags.writeable:  # a read-only array is kept as it is, without a copy
             pts = pts.copy()
             pts.flags.writeable = False
@@ -72,53 +70,19 @@ class GradientCloud:
         return self.points.shape[1]
 
 
-def _origin_rows(points: np.ndarray) -> np.ndarray:
-    """Rows within DEDUP_TOL of the origin, coordinatewise, with no float temporary."""
-    return np.all((points >= -DEDUP_TOL) & (points <= DEDUP_TOL), axis=1)
-
-
-def _dedup_rows(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    keys = np.round(points / tol)
-    if np.abs(keys).max(initial=0.0) < 2.0**62:
-        # single-key sort on the packed integer rows; far faster than axis=0
-        packed = np.ascontiguousarray(keys.astype(np.int64))
-        view = packed.view(f"V{packed.shape[1] * packed.itemsize}").ravel()
-        _, first = np.unique(view, return_index=True)
-    else:
-        _, first = np.unique(keys, axis=0, return_index=True)
-    return points[np.sort(first)]
-
-
-def cloud_from_points(points: np.ndarray) -> GradientCloud:
-    """Dedup to 1e-12 coordinatewise and append the origin if missing."""
-    pts = _dedup_rows(np.asarray(points, dtype=np.float64))
-    if not np.any(_origin_rows(pts)):
-        pts = np.vstack([pts, np.zeros(pts.shape[1])])
-    return GradientCloud(pts)
-
-
-def gradient_cloud(f: FourierExpansion, max_n: int | None = None) -> GradientCloud:
-    """Exact gradients at all 2^n vertices, deduplicated, origin appended.
-
-    Integer-coefficient Hamiltonians collide heavily here.  The width does
-    not need the dedup (``complexity_params`` skips it); the cloud's size is
-    the number of distinct gradients.
-    """
-    return cloud_from_points(gradient_tables(f, max_n).T)
-
-
 def _sups(points: np.ndarray, draws: np.ndarray,
           winners: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-draw sup_{x in points} <x, g>, walking the rows in blocks.
+    """Per-draw sup of <x, g> over the rows x and the origin, walking the rows in blocks.
 
-    Each block of rows times the draws holds about ``_BLOCK_ENTRIES``
-    products, and a running maximum carries the sup across blocks.  With
-    ``winners`` also return, per draw, the first row that attains the sup.
+    The running maximum starts at the origin's 0 and carries the sup across
+    blocks, each of about ``_BLOCK_ENTRIES`` products.  With ``winners``
+    also return, per draw, the first row that beats the origin's 0 and
+    attains the sup, or -1 where none does.
     """
     m = draws.shape[0]
     rows = max(1, _BLOCK_ENTRIES // m)
-    best = np.full(m, -np.inf)
-    where = np.zeros(m, dtype=np.intp) if winners else None
+    best = np.zeros(m)
+    where = np.full(m, -1, dtype=np.intp) if winners else None
     for start in range(0, points.shape[0], rows):
         block = points[start:start + rows] @ draws.T
         top = block.max(axis=0)
@@ -131,7 +95,7 @@ def _sups(points: np.ndarray, draws: np.ndarray,
 
 
 def width_samples(cloud: GradientCloud, samples: int, seed: int | None = 0) -> np.ndarray:
-    """Per-draw suprema sup_{x in cloud} <x, G_k> for seeded Gaussian draws G_k.
+    """Per-draw suprema sup_{x in cloud u {0}} <x, G_k> for seeded Gaussian draws G_k.
 
     Draws come from ``numpy.random.default_rng(seed)`` (PCG64) in a fixed
     row-major order, so the k-th draw is the same vector for every cloud of
@@ -139,8 +103,6 @@ def width_samples(cloud: GradientCloud, samples: int, seed: int | None = 0) -> n
     across clouds (monotone under cloud inclusion, exactly scaled under
     positive scaling).
     """
-    if cloud.size == 0:
-        raise ValueError("empty cloud")
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
@@ -156,8 +118,8 @@ def width_samples(cloud: GradientCloud, samples: int, seed: int | None = 0) -> n
 class WidthEstimate:
     """A Monte-Carlo width, its standard error, and the draws behind it.
 
-    ``winners`` is |A|.  On the plain path A = K, no pilot or level-1 draw
-    is taken, and level 0 is the whole estimate.
+    ``winners`` is |A| + 1, counting the origin.  On the plain path A = K,
+    no pilot or level-1 draw is taken, and level 0 is the whole estimate.
     """
 
     estimate: float
@@ -194,15 +156,14 @@ def gaussian_width_mc(cloud: GradientCloud, samples: int = DEFAULT_SAMPLES,
         sups = width_samples(cloud, samples, seed)
         stderr = float(sups.std(ddof=1) / np.sqrt(samples))
         width = WidthEstimate(estimate=float(sups.mean()), stderr=stderr,
-                              pilot_draws=0, winners=cloud.size,
+                              pilot_draws=0, winners=cloud.size + 1,
                               level0_draws=samples, level0_stderr=stderr,
                               level1_draws=0, level1_stderr=0.0, level1_nonzero=0)
     else:
         points, n = cloud.points, cloud.n
         pilot_rng, level1_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
         _, won = _sups(points, pilot_rng.standard_normal((PILOT_DRAWS, n)), winners=True)
-        origin = np.flatnonzero(_origin_rows(points))[:1]
-        subset = GradientCloud(points[np.union1d(won, origin)])
+        subset = GradientCloud(points[np.unique(won[won >= 0])])
         level0 = width_samples(subset, samples, seed)
         g = level1_rng.standard_normal((LEVEL1_DRAWS, n))
         level1 = _sups(points, g)[0] - _sups(subset.points, g)[0]
@@ -210,33 +171,27 @@ def gaussian_width_mc(cloud: GradientCloud, samples: int = DEFAULT_SAMPLES,
         sq1 = level1.var(ddof=1) / LEVEL1_DRAWS
         width = WidthEstimate(estimate=float(level0.mean() + level1.mean()),
                               stderr=float(np.sqrt(sq0 + sq1)),
-                              pilot_draws=PILOT_DRAWS, winners=subset.size,
+                              pilot_draws=PILOT_DRAWS, winners=subset.size + 1,
                               level0_draws=samples, level0_stderr=float(np.sqrt(sq0)),
                               level1_draws=LEVEL1_DRAWS, level1_stderr=float(np.sqrt(sq1)),
                               level1_nonzero=int(np.count_nonzero(level1)))
     logger.debug("width over %d points: %d winners from %d pilot draws; level 0 %d draws, "
-                 "level 1 %d draws with %d nonzero", cloud.size, width.winners,
+                 "level 1 %d draws with %d nonzero", cloud.size + 1, width.winners,
                  width.pilot_draws, width.level0_draws, width.level1_draws, width.level1_nonzero)
     return width
-
-
-def _raw_cloud(tables: np.ndarray) -> GradientCloud:
-    """The gradient rows of (n, 2^n) tables plus the origin, copied once."""
-    points = np.vstack([tables.T, np.zeros((1, tables.shape[0]))])
-    points.flags.writeable = False
-    return GradientCloud(points)
 
 
 def complexity_params(f: FourierExpansion, samples: int = DEFAULT_SAMPLES,
                       seed: int | None = 0, max_n: int | None = None) -> ComplexityParams:
     """Monte-Carlo D plus exact floored Lipschitz parameters for f, from one table set.
 
-    The width runs on the undeduplicated gradients plus the origin.
+    The width reads the undeduplicated gradients through a read-only view.
     """
     tables = gradient_tables(f, max_n)
-    width = gaussian_width_mc(_raw_cloud(tables), samples=samples, seed=seed)
+    tables.flags.writeable = False
+    width = gaussian_width_mc(GradientCloud(tables.T), samples=samples, seed=seed)
     return ComplexityParams.from_raw(
-        max(width.estimate, 0.0),
+        width.estimate,
         float(max(tables.max(), -tables.min())),
         flip_lipschitz(tables),
         d_stderr=width.stderr,

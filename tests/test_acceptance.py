@@ -19,7 +19,7 @@ from mfgl.boolfn import (
     lipschitz_l2,
     vertex_values,
 )
-from mfgl.complexity import cloud_from_points, gaussian_width_mc, gradient_cloud
+from mfgl.complexity import GradientCloud, gaussian_width_mc
 from mfgl.gibbs import ProductMeasure, densify, gibbs_measure
 from mfgl.hamiltonians import (
     CurieWeissSpec,
@@ -110,7 +110,7 @@ def test_criterion_04_gaussian_width():
     for _ in range(20):
         n = int(rng.integers(3, 9))
         mu = rng.normal(size=n) * rng.uniform(0.5, 2.0)
-        cloud = cloud_from_points(np.vstack([mu, np.zeros(n)]))
+        cloud = GradientCloud(mu[None])
         width = gaussian_width_mc(cloud, samples=100_000, seed=int(rng.integers(1 << 30)))
         est, se = width.estimate, width.stderr
         truth = float(np.linalg.norm(mu)) / math.sqrt(2.0 * math.pi)
@@ -119,7 +119,8 @@ def test_criterion_04_gaussian_width():
     beta, n = 1.5, 8
     a = curie_weiss_interaction_matrix(beta, n)
     built = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(np.zeros(n))))
-    width = gaussian_width_mc(gradient_cloud(built.expansion), samples=100_000, seed=105)
+    width = gaussian_width_mc(GradientCloud(gradient_tables(built.expansion).T),
+                              samples=100_000, seed=105)
     est, se = width.estimate, width.stderr
     assert est <= beta * math.sqrt(n) + 3.0 * se, f"ferromagnet width {est:.3f}"
     elapsed = time.perf_counter() - start

@@ -12,70 +12,33 @@ from mfgl.complexity import (
     LEVEL1_DRAWS,
     PILOT_DRAWS,
     GradientCloud,
-    cloud_from_points,
     complexity_params,
     gaussian_width_mc,
-    gradient_cloud,
     width_samples,
 )
 from mfgl.hamiltonians import (
     ComplexityParams,
-    CurieWeissSpec,
     TriangleCountSpec,
     build_hamiltonian,
     curie_weiss_interaction_matrix,
     IsingSpec,
 )
-from mfgl.meanfield import as_gradient_field
-
 from conftest import random_expansion
 
 
-def test_cloud_of_zero_function():
-    cloud = gradient_cloud(FourierExpansion(4))
-    assert cloud.points.shape == (1, 4)
-    assert np.array_equal(cloud.points[0], np.zeros(4))
-
-
-def test_cloud_of_linear_function():
-    mu = np.array([0.3, -1.0, 0.5])
-    f = FourierExpansion.from_terms(3, [((i,), mu[i]) for i in range(3)])
-    cloud = gradient_cloud(f)
-    assert cloud.size == 2
-    rows = {tuple(r) for r in cloud.points.round(12).tolist()}
-    assert tuple(mu.tolist()) in rows and (0.0, 0.0, 0.0) in rows
-
-
-def test_cloud_requires_origin():
-    with pytest.raises(ValueError):
-        GradientCloud(np.ones((2, 3)))
-    cloud = cloud_from_points(np.ones((2, 3)))
-    assert cloud.size == 2  # deduped + origin appended
-
-
-def test_curie_weiss_cloud_size_bound():
-    built = build_hamiltonian(CurieWeissSpec(1.0, 4))
-    cloud = gradient_cloud(built.expansion)
-    field = as_gradient_field(built.expansion)
-    # gradients depend only on the per-coordinate leave-one-out sums
-    patterns = {tuple(np.round(field(v), 12))
-                for v in (np.array([1.0 if (k >> i) & 1 else -1.0 for i in range(4)])
-                          for k in range(16))}
-    assert cloud.size <= len(patterns) + 1
-
-
 def test_width_of_origin_cloud():
-    cloud = GradientCloud(np.zeros((1, 6)))
-    width = gaussian_width_mc(cloud, samples=100, seed=0)
-    est, se = width.estimate, width.stderr
-    assert est == 0.0 and se == 0.0
+    for k in (0, 1):  # K empty or {0}: the width is over {0} either way
+        cloud = GradientCloud(np.zeros((k, 6)))
+        width = gaussian_width_mc(cloud, samples=100, seed=0)
+        assert (width.estimate, width.stderr, width.winners) == (0.0, 0.0, k + 1)
 
 
 def test_width_two_point_cloud_analytic():
-    # sup over {mu, 0} is the positive part of N(0, |mu|^2): mean |mu|/sqrt(2 pi)
+    # sup over {mu} and the implicit origin is the positive part of
+    # N(0, |mu|^2): mean |mu|/sqrt(2 pi)
     rng = np.random.default_rng(1)
     mu = rng.normal(size=7)
-    cloud = cloud_from_points(np.vstack([mu, np.zeros(7)]))
+    cloud = GradientCloud(mu[None])
     width = gaussian_width_mc(cloud, samples=100_000, seed=2)
     est, se = width.estimate, width.stderr
     truth = np.linalg.norm(mu) / math.sqrt(2 * math.pi)
@@ -86,7 +49,8 @@ def test_width_curie_weiss_within_closed_form():
     beta, n = 1.2, 8
     a = curie_weiss_interaction_matrix(beta, n)
     built = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(np.zeros(n))))
-    width = gaussian_width_mc(gradient_cloud(built.expansion), samples=50_000, seed=3)
+    width = gaussian_width_mc(GradientCloud(gradient_tables(built.expansion).T),
+                              samples=50_000, seed=3)
     est, se = width.estimate, width.stderr
     assert est <= beta * math.sqrt(n) + 3 * se
 
@@ -94,8 +58,8 @@ def test_width_curie_weiss_within_closed_form():
 def test_width_monotone_under_inclusion():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(5, 4))
-    small = cloud_from_points(pts[:2])
-    big = cloud_from_points(pts)
+    small = GradientCloud(pts[:2])
+    big = GradientCloud(pts)
     s_small = width_samples(small, 256, seed=5)
     s_big = width_samples(big, 256, seed=5)
     assert np.all(s_big >= s_small)
@@ -103,7 +67,7 @@ def test_width_monotone_under_inclusion():
 
 def test_width_scaling_per_draw():
     rng = np.random.default_rng(6)
-    pts = np.vstack([rng.normal(size=(3, 5)), np.zeros(5)])
+    pts = rng.normal(size=(3, 5))
     base = width_samples(GradientCloud(pts), 128, seed=7)
     # power-of-two scaling commutes exactly with float rounding
     exact = width_samples(GradientCloud(2.0 * pts), 128, seed=7)
@@ -114,7 +78,7 @@ def test_width_scaling_per_draw():
 
 def test_width_reproducibility_bit_identical():
     rng = np.random.default_rng(8)
-    cloud = cloud_from_points(rng.normal(size=(10, 6)))
+    cloud = GradientCloud(rng.normal(size=(10, 6)))
     a = gaussian_width_mc(cloud, samples=5000, seed=42)
     b = gaussian_width_mc(cloud, samples=5000, seed=42)
     assert a == b
@@ -125,12 +89,12 @@ def test_width_reproducibility_bit_identical():
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_width_is_plain_monte_carlo_up_to_pilot_plus_level1(k, n, samples, seed, data):
     values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=k * n, max_size=k * n))
-    cloud = GradientCloud(np.vstack([np.reshape(values, (k, n)), np.zeros((1, n))]))
+    cloud = GradientCloud(np.reshape(values, (k, n)))
     width = gaussian_width_mc(cloud, samples=samples, seed=seed)
     sups = width_samples(cloud, samples, seed=seed)
     assert width.estimate == float(sups.mean())
     assert width.stderr == float(sups.std(ddof=1) / np.sqrt(samples))
-    assert (width.pilot_draws, width.winners, width.level0_draws) == (0, cloud.size, samples)
+    assert (width.pilot_draws, width.winners, width.level0_draws) == (0, k + 1, samples)
     assert (width.level1_draws, width.level1_stderr, width.level1_nonzero) == (0, 0.0, 0)
 
 
@@ -139,7 +103,7 @@ def test_two_level_width_agrees_with_plain_where_winners_are_missed():
     # winners, and the level-1 correction is ~8 combined standard errors
     rng = np.random.default_rng(13)
     x = rng.normal(size=(4000, 16))
-    cloud = GradientCloud(np.vstack([x / np.linalg.norm(x, axis=1, keepdims=True), np.zeros(16)]))
+    cloud = GradientCloud(x / np.linalg.norm(x, axis=1, keepdims=True))
     width = gaussian_width_mc(cloud, samples=20_000, seed=1)
     assert (width.pilot_draws, width.level0_draws, width.level1_draws) == (
         PILOT_DRAWS, 20_000, LEVEL1_DRAWS)
@@ -151,7 +115,7 @@ def test_two_level_width_agrees_with_plain_where_winners_are_missed():
 
 
 def test_width_logs_one_debug_line(caplog):
-    cloud = cloud_from_points(np.eye(3))
+    cloud = GradientCloud(np.eye(3))  # |K u {0}| = 4
     gaussian_width_mc(cloud, samples=100, seed=0)
     assert not [r for r in caplog.records if r.name == "mfgl.complexity"]
     caplog.set_level(logging.DEBUG, logger="mfgl.complexity")
@@ -169,10 +133,14 @@ def test_width_input_validation():
 
 
 def test_complexity_params_zero_function():
-    p = complexity_params(FourierExpansion(4), samples=100, seed=0)
-    assert (p.d, p.l1, p.l2) == (0.0, 1.0, 1.0)
-    assert p.d_provenance == "monte_carlo"
-    assert p.l1_provenance == "exact"
+    # plain Monte Carlo counts all 16 rows and the origin; at 10,000 draws
+    # no row beats the origin on the pilot, so the winner set A is empty
+    for samples, winners in ((100, 17), (10_000, 1)):
+        p = complexity_params(FourierExpansion(4), samples=samples, seed=0)
+        assert (p.d, p.d_stderr, p.l1, p.l2) == (0.0, 0.0, 1.0, 1.0)
+        assert p.d_levels["winners"] == winners
+        assert p.d_provenance == "monte_carlo"
+        assert p.l1_provenance == "exact"
 
 
 def test_complexity_params_random_instance():
@@ -198,9 +166,9 @@ def test_complexity_params_builds_tables_once(monkeypatch):
     assert len(calls) == 1
     # the one table set gives the numbers the standalone functions give
     monkeypatch.undo()
-    width = gaussian_width_mc(gradient_cloud(f), samples=500, seed=4)
+    width = gaussian_width_mc(GradientCloud(gradient_tables(f).T), samples=500, seed=4)
     d, d_se = width.estimate, width.stderr
-    assert p == ComplexityParams.from_raw(max(d, 0.0), lipschitz_l1(f), lipschitz_l2(f),
+    assert p == ComplexityParams.from_raw(d, lipschitz_l1(f), lipschitz_l2(f),
                                           d_stderr=d_se, d_provenance="monte_carlo",
                                           d_levels=width.levels())
 

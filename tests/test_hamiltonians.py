@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from mfgl.boolfn import (
     eval_extension,
     gradient_extension,
+    gradient_tables,
     lipschitz_l1,
     lipschitz_l2,
     compose,
     vertex_values,
 )
-from mfgl.complexity import gaussian_width_mc, gradient_cloud
+from mfgl.complexity import GradientCloud, gaussian_width_mc
 from mfgl.hamiltonians import (
     SPEC_TYPES,
     ComplexityParams,
@@ -247,7 +248,8 @@ def test_mc_width_within_closed_form_bound():
     mu = rng.normal(size=n) * 0.2
     built = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(mu.tolist())))
     bound = ising_complexity_bounds(a, mu)
-    width = gaussian_width_mc(gradient_cloud(built.expansion), samples=20_000, seed=9)
+    width = gaussian_width_mc(GradientCloud(gradient_tables(built.expansion).T), samples=20_000,
+                              seed=9)
     est, se = width.estimate, width.stderr
     assert est <= bound.d + 3.0 * se
 
