@@ -390,7 +390,9 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
         report["closed_form_bounds"] = _params_dict(
             hamiltonians.ising_complexity_bounds(*spec.matrices()))
     if isinstance(spec, hamiltonians.CurieWeissSpec):
-        report["scalar_roots"] = [float(r) for r in meanfield.curie_weiss_roots(spec.beta)]
+        # constant fixed points of this spec's field solve x = tanh(2 beta (n-1)/n x)
+        report["scalar_roots"] = [float(r) for r in meanfield.curie_weiss_roots(
+            2.0 * spec.beta * (spec.n - 1) / spec.n)]
     with timer.stage("fixed_points"):
         sols = meanfield.solve_multistart(f, f.n, lam=1.0, seed=config.seed,
                                           damping=config.damping, tol=config.tol)

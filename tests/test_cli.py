@@ -245,8 +245,11 @@ def test_analyze_curie_weiss(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["params"]["l1"] >= 1.0
-    assert report["scalar_roots"][2] == pytest.approx(0.9575, abs=1e-4)
-    assert any(s["converged"] for s in report["solutions"])
+    # the positive scalar root is the spec's own constant fixed point
+    root = report["scalar_roots"][2]
+    constant = [s["point"][0] for s in report["solutions"]
+                if s["converged"] and np.ptp(s["point"]) == 0 and s["point"][0] > 0]
+    assert constant and abs(constant[0] - root) <= 1e-8
     assert all("structural_set" in s for s in report["solutions"] if s["converged"])
     assert report["config"]["hamiltonian"]["type"] == "curie_weiss"
 
