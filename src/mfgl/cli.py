@@ -336,16 +336,6 @@ def _solution_dict(sol: FixedPointSolution, xf=None) -> dict:
     return out
 
 
-def _row_dicts(rows: Sequence[AuditRow]) -> list[dict]:
-    out = []
-    for r in rows:
-        d = r.as_dict()
-        d["measured"] = None if not math.isfinite(d["measured"]) else d["measured"]
-        d["bound"] = None if not math.isfinite(d["bound"]) else d["bound"]
-        out.append(d)
-    return out
-
-
 def _params_dict(p) -> dict:
     levels = {} if p.d_levels is None else {"d_levels": p.d_levels}
     return {
@@ -425,7 +415,7 @@ def _cmd_ld_scan(config: RunConfig) -> tuple[int, dict]:
     report = _new_report(config, spec.to_dict())
     cutoff = hamiltonians.smoothed_cutoff_weights(f, config.t, config.delta, config.max_n)
     rows = verify.audit_large_deviations(cutoff, instance={"spec": config.spec_path})
-    report["audits"] = _row_dicts(rows)
+    report["audits"] = [r.as_dict() for r in rows]
     if rows and rows[0].kind == "error":
         print(f"witness-missing: no vertex reaches f >= t*n = {config.t * f.n:.17g} "
               f"(max f = {float(cutoff.f_values.max()):.17g})", file=sys.stderr)
@@ -535,7 +525,7 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
             t_rows, _ = verify.tightness_demo([16, 64, 256, 1024])
             rows.extend(t_rows)
 
-    report["audits"] = _row_dicts(rows)
+    report["audits"] = [r.as_dict() for r in rows]
     bad = verify.failures(rows)
     errors = [r for r in rows if r.kind == "error"]
     report["summary"] = {

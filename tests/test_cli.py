@@ -193,7 +193,7 @@ def test_json_round_trip_with_floats_and_none():
     rows = [make_row("a", {"x": 1}, 1.0 / 3.0, 2.0),
             make_row("b", {}, 1.0, 0.0)]  # flagged ratio -> null
     report = {"config": {"seed": 0}, "params": None,
-              "solutions": [], "audits": cli._row_dicts(rows), "timings": {}}
+              "solutions": [], "audits": [r.as_dict() for r in rows], "timings": {}}
     data = cli.serialize_report(report, "json")
     assert cli.parse_report(data) == report
     assert b"0.33333333333333331" in data  # 17 significant digits
@@ -202,7 +202,7 @@ def test_json_round_trip_with_floats_and_none():
 def test_csv_row_count_matches_json():
     rows = [make_row(f"r{k}", {"k": k}, float(k), 10.0) for k in range(7)]
     report = {"config": {}, "params": None, "solutions": [],
-              "audits": cli._row_dicts(rows), "timings": {}}
+              "audits": [r.as_dict() for r in rows], "timings": {}}
     json_rows = cli.parse_report(cli.serialize_report(report, "json"))["audits"]
     csv_lines = cli.serialize_report(report, "csv").decode().splitlines()
     assert len(csv_lines) - 1 == len(json_rows) == 7
