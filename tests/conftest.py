@@ -209,16 +209,18 @@ def w1_ssp(p, q, n, scale):
     return cost_units, _certify(flow, potential, xor_idx), iterations
 
 
-# Run as ``python -c PROBE [--block-numpy] ARGS``: ARGS go to the CLI as under
-# ``python -m mfgl.cli``, or ``--import MODULE`` only imports MODULE.  At exit
-# the last stderr line lists the numpy, scipy and mfgl modules it loaded.
+# Run as ``python -c PROBE [--block MODULE]... ARGS``: ARGS go to the CLI as
+# under ``python -m mfgl.cli``, or ``--import MODULE`` only imports MODULE.
+# At exit the last stderr line lists the numpy, scipy and mfgl modules it
+# loaded; a blocked module is not among them.
 _CLI_PROBE = """
 import atexit, importlib, json, runpy, sys
-if sys.argv[1] == "--block-numpy":
-    del sys.argv[1]
-    sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+while sys.argv[1] == "--block":
+    sys.modules[sys.argv[2]] = None  # every import of it now raises ImportError
+    del sys.argv[1:3]
 atexit.register(lambda: print("\\n" + json.dumps(sorted(
-    m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "mfgl"))), file=sys.stderr))
+    m for m, module in list(sys.modules.items())
+    if module is not None and m.split(".")[0] in ("numpy", "scipy", "mfgl"))), file=sys.stderr))
 if sys.argv[1] == "--import":
     importlib.import_module(sys.argv[2])
 else:
@@ -226,16 +228,17 @@ else:
 """
 
 
-def run_cli_process(*args, cwd=None, block_numpy=False):
+def run_cli_process(*args, cwd=None, block=()):
     """Run the CLI on ``args`` in a fresh interpreter.
 
     Returns ``(exit code, stdout bytes, set of loaded module names)``.
-    With ``block_numpy`` any import of numpy fails.
+    Any import of a top-level module named in ``block`` fails.
     """
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, "-c", _CLI_PROBE, *(["--block-numpy"] if block_numpy else []), *args]
+    argv = [sys.executable, "-c", _CLI_PROBE, *(a for name in block for a in ("--block", name)),
+            *args]
     done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=120)
     loaded = json.loads(done.stderr.decode().strip().splitlines()[-1])
     return done.returncode, done.stdout, set(loaded)

@@ -175,6 +175,22 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
     assert {m.split(".")[1] for m in loaded if m.startswith("mfgl.")} == layers
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--spec", "specs/cw.json", "--samples", "500"],
+    ["fixed-points", "--spec", "specs/cw.json"],
+    ["ld-scan", "--spec", "specs/cw.json", "--t", "0.5", "--delta", "0.05",
+     "--lambda-grid", "0.5:1:2"],
+    ["audit", "--suite", "all"],
+], ids=lambda argv: argv[0])
+def test_commands_run_without_scipy(tmp_path, argv):
+    # scipy is a test dependency only: no command imports it
+    (tmp_path / "specs").mkdir()
+    _write_spec(tmp_path / "specs", {"type": "curie_weiss", "beta": 2.0, "n": 6}, "cw.json")
+    code, _, loaded = run_cli_process(*argv, "--out", "r.json", cwd=tmp_path, block=("scipy",))
+    assert code == 0
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def test_report_matches_golden(name, tmp_path):
 def test_report_command_reproduces_golden_without_numpy(name):
     # ``report`` re-serializes a parsed report with the standard library alone.
     code, out, _ = run_cli_process("report", "--spec", str(GOLDEN_DIR / name),
-                                   "--format", "json", block_numpy=True)
+                                   "--format", "json", block=("numpy",))
     assert code == 0
     assert out == (GOLDEN_DIR / name).read_bytes()
 
