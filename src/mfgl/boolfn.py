@@ -14,6 +14,7 @@ is 1 when coordinate i equals +1, so vertex index = sum(b_i * 2^i).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -39,20 +40,6 @@ def _check_cap(n: int, max_n: int | None, what: str) -> None:
     cap = _resolve_cap(max_n)
     if n > cap:
         raise CapExceeded(f"{what} needs 2^{n} states but the cap is n <= {cap}")
-
-
-_PARITY_CACHE: dict[int, np.ndarray] = {}
-
-
-def parity_signs(n: int) -> np.ndarray:
-    """(-1)^popcount(v) for every index v < 2^n, as a read-only float array."""
-    out = _PARITY_CACHE.get(n)
-    if out is None:
-        pop = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
-        out = 1.0 - 2.0 * (pop & 1)
-        out.flags.writeable = False
-        _PARITY_CACHE[n] = out
-    return out
 
 
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:
@@ -135,6 +122,15 @@ class FourierExpansion:
     def shift(self, c: float) -> "FourierExpansion":
         """f + c as a new expansion."""
         return add_linear(self, np.zeros(self.n), c)
+
+    @cached_property
+    def _vertex_table(self) -> np.ndarray:
+        """F on all 2^n vertices, built once and read-only; ``vertex_values`` checks the cap."""
+        tab = np.zeros(1 << self.n)
+        tab[self.masks] = self.coeffs * (1.0 - 2.0 * (np.bitwise_count(self.masks) & 1))
+        tab = walsh_hadamard(tab)
+        tab.flags.writeable = False
+        return tab
 
 
 def add_linear(f: FourierExpansion, theta: np.ndarray, const: float = 0.0) -> FourierExpansion:
@@ -249,13 +245,10 @@ def gradient_extension(f: FourierExpansion, x) -> np.ndarray:
 
 
 def vertex_values(f: FourierExpansion, max_n: int | None = None) -> np.ndarray:
-    """Dense table of f over all 2^n vertices (index = bit encoding)."""
+    """Dense table of f over all 2^n vertices (index = bit encoding), built once
+    per expansion and returned read-only; the cap is checked on every call."""
     _check_cap(f.n, max_n, "vertex table")
-    size = 1 << f.n
-    tab = np.zeros(size)
-    if f.masks.size:
-        tab[f.masks] = f.coeffs * parity_signs(f.n)[f.masks]
-    return walsh_hadamard(tab)
+    return f._vertex_table
 
 
 def from_vertex_values(n: int, values: np.ndarray, prune: float = PRUNE_TOL) -> FourierExpansion:
@@ -267,7 +260,8 @@ def from_vertex_values(n: int, values: np.ndarray, prune: float = PRUNE_TOL) -> 
     values = np.asarray(values, dtype=np.float64)
     if values.size != (1 << n):
         raise ValueError(f"need 2^{n} vertex values, got {values.size}")
-    coeffs = walsh_hadamard(values) * parity_signs(n) / float(1 << n)
+    signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n)) & 1)
+    coeffs = walsh_hadamard(values) * signs / float(1 << n)
     keep = np.nonzero(np.abs(coeffs) > prune)[0]
     return FourierExpansion(n, keep.astype(np.int64), coeffs[keep])
 

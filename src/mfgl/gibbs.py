@@ -115,14 +115,10 @@ def theta_in_tilt_support(theta: np.ndarray, eps: float) -> bool:
 
 def gibbs_measure(f: FourierExpansion, max_n: int | None = None) -> DenseMeasure:
     """Measure with probabilities proportional to exp(f(v))."""
-    return gibbs_from_values(f.n, vertex_values(f, max_n))
-
-
-def gibbs_from_values(n: int, values: np.ndarray) -> DenseMeasure:
-    """Measure proportional to exp(F(v)) for a vertex table F of a Hamiltonian."""
+    values = vertex_values(f, max_n)
     if not np.all(np.isfinite(values)):
         raise ValueError("Hamiltonian evaluates to non-finite values")
-    return DenseMeasure.from_log_weights(n, values)
+    return DenseMeasure.from_log_weights(f.n, values)
 
 
 def densify(pm: ProductMeasure) -> DenseMeasure:

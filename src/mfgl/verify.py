@@ -33,7 +33,7 @@ from .gibbs import (
     DenseMeasure,
     ProductMeasure,
     densify,
-    gibbs_from_values,
+    gibbs_measure,
     tanh_covariance,
     mean,
     product_approx,
@@ -151,8 +151,7 @@ def audit_product_proximity(f: FourierExpansion, theta_list: Sequence[np.ndarray
     theta = 0 rows audit the base Gibbs measure itself.
     """
     base_instance = dict(instance or {})
-    values = vertex_values(f, max_n)
-    nu, grad = gibbs_from_values(f.n, values), flip_differences(values).T.copy()
+    nu, grad = gibbs_measure(f, max_n), gradient_tables(f, max_n).T.copy()
     rows = []
     for k, theta in enumerate(theta_list):
         theta = np.asarray(theta, dtype=np.float64)
@@ -202,8 +201,7 @@ def audit_main_residuals(f: FourierExpansion, theta_list: Sequence[np.ndarray],
     if not (0.0 < eps < limit):
         raise ValueError(f"eps must lie in (0, {limit:.6g}) for D = {params.d:.6g}")
     base_instance = dict(instance or {}, eps=eps, d=params.d, l1=params.l1, l2=params.l2)
-    values = vertex_values(f, max_n)
-    nu, grad = gibbs_from_values(f.n, values), flip_differences(values).T.copy()
+    nu, grad = gibbs_measure(f, max_n), gradient_tables(f, max_n).T.copy()
     tanh_grad = np.tanh(grad)
     trace_cap = 256.0 * n ** (1.0 / 3.0) * params.d ** (2.0 / 3.0) / eps ** (2.0 / 3.0)
     scale = n ** (2.0 / 3.0) * params.d ** (1.0 / 3.0) / eps ** (1.0 / 3.0)

@@ -171,6 +171,30 @@ def test_vertex_values_match_direct_eval():
         assert values[v] == pytest.approx(eval_direct(f, coords), abs=1e-12)
 
 
+def test_vertex_table_is_built_once_and_read_only(monkeypatch):
+    f = random_expansion(np.random.default_rng(5), 5, degree=3)
+    sizes = []
+    transform = boolfn.walsh_hadamard
+    monkeypatch.setattr(boolfn, "walsh_hadamard", lambda a: sizes.append(a.size) or transform(a))
+    values = vertex_values(f)
+    assert vertex_values(f) is values and gradient_tables(f).shape == (5, 32)
+    assert sizes == [32]
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 1.0
+
+
+def test_cap_is_checked_after_the_table_is_kept():
+    from mfgl.gibbs import gibbs_measure
+
+    f = random_expansion(np.random.default_rng(6), 6, degree=2)
+    vertex_values(f)
+    gibbs_measure(f)
+    with pytest.raises(CapExceeded):
+        vertex_values(f, max_n=f.n - 1)
+    with pytest.raises(CapExceeded):
+        gibbs_measure(f, max_n=f.n - 1)
+
+
 def test_transform_round_trip():
     rng = np.random.default_rng(9)
     values = rng.normal(size=32)

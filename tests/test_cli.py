@@ -352,7 +352,8 @@ def test_ld_scan_keeps_the_requested_tol(tmp_path):
     assert all(s["residual_l1"] <= report["config"]["tol"] for s in converged)
 
 
-def test_ld_scan_builds_its_cutoff_once(tmp_path, monkeypatch):
+def _count_transforms(monkeypatch) -> list[int]:
+    """Sizes of the Walsh-Hadamard transforms run from now on, in call order."""
     import mfgl.boolfn as boolfn
 
     sizes = []
@@ -363,6 +364,11 @@ def test_ld_scan_builds_its_cutoff_once(tmp_path, monkeypatch):
         return transform(values)
 
     monkeypatch.setattr(boolfn, "walsh_hadamard", counted)
+    return sizes
+
+
+def test_ld_scan_builds_its_cutoff_once(tmp_path, monkeypatch):
+    sizes = _count_transforms(monkeypatch)
     spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 10})
     assert cli.main(["ld-scan", "--spec", spec, "--out", str(tmp_path / "ld.json"),
                      "--t", "0.675", "--delta", "0.05", "--lambda-grid", "0.44:0.5:2"]) == 0
@@ -370,25 +376,25 @@ def test_ld_scan_builds_its_cutoff_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("suite, transforms", [
-    ("appendix", 12),   # per instance: f, f again inside compose, the inverse, h∘f
+    ("appendix", 9),    # per instance: f, the inverse inside compose, h∘f
     ("proximity", 4),   # one per default instance
-    ("main", 2),        # complexity_params and the audit
+    ("main", 1),        # complexity_params and the audit share one table
     ("ld", 1),
-    ("all", 19),
+    ("all", 15),
 ])
 def test_audit_suites_transform_each_expansion_once(tmp_path, monkeypatch, suite, transforms):
-    import mfgl.boolfn as boolfn
-
-    calls = []
-    transform = boolfn.walsh_hadamard
-
-    def counted(values):
-        calls.append(np.size(values))
-        return transform(values)
-
-    monkeypatch.setattr(boolfn, "walsh_hadamard", counted)
+    calls = _count_transforms(monkeypatch)
     assert cli.main(["audit", "--suite", suite, "--out", str(tmp_path / "audit.json")]) == 0
     assert len(calls) == transforms
+
+
+def test_audit_all_tabulates_the_spec_once(tmp_path, monkeypatch):
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 2.0, "n": 8})
+    calls = _count_transforms(monkeypatch)
+    assert cli.main(["audit", "--suite", "all", "--spec", spec, "--t", "0.675", "--delta", "0.05",
+                     "--out", str(tmp_path / "audit.json")]) == 0
+    # the appendix's 9, then one table of the spec for proximity, main and ld together
+    assert calls[9:] == [1 << 8]
 
 
 def _assert_refused(capsys, out):
