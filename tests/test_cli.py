@@ -376,11 +376,11 @@ def test_ld_scan_builds_its_cutoff_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("suite, transforms", [
-    ("appendix", 9),    # per instance: f, the inverse inside compose, h∘f
+    ("appendix", 6),    # per instance: f and the inverse inside compose
     ("proximity", 4),   # one per default instance
     ("main", 1),        # complexity_params and the audit share one table
     ("ld", 1),
-    ("all", 15),
+    ("all", 12),
 ])
 def test_audit_suites_transform_each_expansion_once(tmp_path, monkeypatch, suite, transforms):
     calls = _count_transforms(monkeypatch)
@@ -393,8 +393,8 @@ def test_audit_all_tabulates_the_spec_once(tmp_path, monkeypatch):
     calls = _count_transforms(monkeypatch)
     assert cli.main(["audit", "--suite", "all", "--spec", spec, "--t", "0.675", "--delta", "0.05",
                      "--out", str(tmp_path / "audit.json")]) == 0
-    # the appendix's 9, then one table of the spec for proximity, main and ld together
-    assert calls[9:] == [1 << 8]
+    # the appendix's 6, then one table of the spec for proximity, main and ld together
+    assert calls[6:] == [1 << 8]
 
 
 def _assert_refused(capsys, out):
