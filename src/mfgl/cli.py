@@ -550,6 +550,10 @@ def _cmd_report(config: RunConfig) -> tuple[int, dict]:
         raise InputError(f"input is not a JSON report: {exc}") from exc
     if not isinstance(report, dict) or "audits" not in report:
         raise InputError("input does not look like a report (missing 'audits')")
+    audits = report["audits"]
+    if not isinstance(audits, list) or not all(
+            isinstance(row, dict) and all(key in row for key in CSV_COLUMNS) for row in audits):
+        raise InputError(f"'audits' must be a list of rows with keys {', '.join(CSV_COLUMNS)}")
     return EXIT_OK, report
 
 

@@ -513,6 +513,14 @@ def test_report_command_csv_projection(tmp_path):
     assert len(lines) - 1 == len(report["audits"])
 
 
+@pytest.mark.parametrize("report", [{"audits": 5}, {"audits": [{"check_id": "x"}]}])
+def test_report_refuses_malformed_audit_rows(tmp_path, capsys, report):
+    spec = _write_spec(tmp_path, report, name="report.json")
+    out = tmp_path / "audit.csv"
+    assert cli.main(["report", "--spec", spec, "--format", "csv", "--out", str(out)]) == 1
+    _assert_refused(capsys, out)
+
+
 def test_missing_spec_is_input_error():
     assert cli.main(["analyze"]) == 1
     assert cli.main(["analyze", "--spec", "/nonexistent/path.json"]) == 1
