@@ -43,7 +43,6 @@ _EXPORTS = {
     "SmoothedCutoffSpec": "hamiltonians",
     "SparseFourierSpec": "hamiltonians",
     "TriangleCountSpec": "hamiltonians",
-    "WitnessMissing": "verify",
     "build_hamiltonian": "hamiltonians",
     "complexity_params": "complexity",
     "compose": "boolfn",

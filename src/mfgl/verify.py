@@ -49,10 +49,6 @@ PASS_SLACK = 1e-9
 MAX_TILT_TRIES = 100_000
 
 
-class WitnessMissing(ValueError):
-    """No vertex reaches the large-deviation threshold, so the tail bound's hypothesis fails."""
-
-
 @dataclass(frozen=True)
 class AuditRow:
     """One measured-vs-bound comparison.
@@ -321,23 +317,18 @@ def audit_chain_rule_and_moments(f: FourierExpansion, h: ScalarShape,
 
 
 def audit_large_deviations(cutoff: SmoothedCutoff, *,
-                           instance: dict | None = None,
-                           strict: bool = False) -> list[AuditRow]:
+                           instance: dict | None = None) -> list[AuditRow]:
     """Tail mass, total variation, and coupling cost of the smoothed cutoff.
 
     ``cutoff`` comes from ``smoothed_cutoff_weights``; its ``psi`` carries
     n, t and delta.  Requires a witness vertex with f >= t n; without one
     the tail bound's hypothesis fails and a single error row is returned
-    (or WitnessMissing is raised under ``strict``) instead of a silently
-    skipped audit.
+    instead of a silently skipped audit.
     """
     n, t, delta = cutoff.psi.n, cutoff.psi.t, cutoff.psi.delta
     base = dict(instance or {}, t=t, delta=delta)
     witness_gap = float(cutoff.f_values.max()) - t * n
     if witness_gap < 0:
-        if strict:
-            raise WitnessMissing(f"no vertex reaches the threshold level {t * n:.6g} "
-                                 f"(max value {float(cutoff.f_values.max()):.6g})")
         return [AuditRow(check_id="witness_missing", instance=dict(base, witness_gap=witness_gap),
                          measured=witness_gap, bound=0.0, ratio=None, passed=False,
                          kind="error", hypothesis_met=False)]
