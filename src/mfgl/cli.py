@@ -20,8 +20,9 @@ Hamiltonian spec JSON schema (one object, dispatch on "type"):
 Matrices are row-major nested arrays; subsets are sorted index lists;
 n, num_vertices and subset indices are integers (6.0 reads as 6, 6.9 is refused).
 
-Every flag can be defaulted through an environment variable with the MFGL_
-prefix (e.g. MFGL_SEED, MFGL_SAMPLES, MFGL_MAX_N); explicit flags win.
+Every flag but --timings can be defaulted through an environment variable
+with the MFGL_ prefix (e.g. MFGL_SEED, MFGL_SAMPLES, MFGL_MAX_N); explicit
+flags win.
 Numbers in reports are emitted with 17 significant digits and reports are
 written atomically (temp file + rename), so identical configs and seeds
 produce byte-identical files.  Exit codes: 0 success, 1 input error,
