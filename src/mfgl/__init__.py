@@ -24,7 +24,6 @@ DEFAULT_TRANSPORT_STATES = 1024
 # Exported name -> the module of this package that defines it.
 _EXPORTS = {
     "AuditRow": "verify",
-    "BuiltHamiltonian": "hamiltonians",
     "CapExceeded": "boolfn",
     "ComplexityParams": "hamiltonians",
     "CurieWeissSpec": "hamiltonians",
@@ -48,7 +47,6 @@ _EXPORTS = {
     "compose": "boolfn",
     "composition_params": "hamiltonians",
     "curie_weiss_roots": "meanfield",
-    "cutoff_shape_eval": "hamiltonians",
     "densify": "gibbs",
     "eval_extension": "boolfn",
     "gaussian_width_mc": "complexity",

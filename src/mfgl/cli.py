@@ -38,6 +38,7 @@ loads ``verify``, ``gibbs``, ``transport`` or ``complexity``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -56,7 +57,8 @@ from . import DEFAULT_TRANSPORT_STATES, __version__
 if TYPE_CHECKING:
     import numpy as np
 
-    from .hamiltonians import BuiltHamiltonian, HamiltonianSpec
+    from .boolfn import FourierExpansion
+    from .hamiltonians import HamiltonianSpec
     from .meanfield import FixedPointSolution
     from .verify import AuditRow
 
@@ -194,8 +196,8 @@ def load_spec(path: str) -> HamiltonianSpec:
 
     try:
         data = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise InputError(f"spec file not found: {path}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read spec file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"spec file is not valid JSON: {exc}") from exc
     return hamiltonians.spec_from_dict(data)
@@ -357,7 +359,7 @@ def _new_report(config: RunConfig, spec_dict: dict | None) -> dict:
     return {"config": cfg, "params": None, "solutions": [], "audits": [], "timings": {}}
 
 
-def _require_spec(config: RunConfig) -> tuple[HamiltonianSpec, BuiltHamiltonian]:
+def _require_spec(config: RunConfig) -> tuple[HamiltonianSpec, FourierExpansion]:
     from . import hamiltonians
 
     if not config.spec_path:
@@ -369,11 +371,9 @@ def _require_spec(config: RunConfig) -> tuple[HamiltonianSpec, BuiltHamiltonian]
 def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
     from . import complexity, hamiltonians, meanfield
 
-    spec, built = _require_spec(config)
-    f = built.expansion
+    spec, f = _require_spec(config)
     report = _new_report(config, spec.to_dict())
-    timer = _Timer(report, config.timings)
-    with timer.stage("complexity"):
+    with _timed(config, report, "complexity"):
         params = complexity.complexity_params(f, samples=config.samples,
                                               seed=config.seed, max_n=config.max_n)
     report["params"] = _params_dict(params)
@@ -384,7 +384,7 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
         # constant fixed points of this spec's field solve x = tanh(2 beta (n-1)/n x)
         report["scalar_roots"] = [float(r) for r in meanfield.curie_weiss_roots(
             2.0 * spec.beta * (spec.n - 1) / spec.n)]
-    with timer.stage("fixed_points"):
+    with _timed(config, report, "fixed_points"):
         sols = meanfield.solve_multistart(f, f.n, lam=1.0, seed=config.seed,
                                           damping=config.damping, tol=config.tol)
     report["solutions"] = [
@@ -398,9 +398,9 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
 def _cmd_fixed_points(config: RunConfig) -> tuple[int, dict]:
     from . import meanfield
 
-    spec, built = _require_spec(config)
+    spec, f = _require_spec(config)
     report = _new_report(config, spec.to_dict())
-    sols = meanfield.solve_multistart(built.expansion, built.expansion.n, lam=1.0,
+    sols = meanfield.solve_multistart(f, f.n, lam=1.0,
                                       seed=config.seed, damping=config.damping, tol=config.tol)
     report["solutions"] = [_solution_dict(s) for s in sols]
     return EXIT_OK, report
@@ -409,10 +409,9 @@ def _cmd_fixed_points(config: RunConfig) -> tuple[int, dict]:
 def _cmd_ld_scan(config: RunConfig) -> tuple[int, dict]:
     from . import hamiltonians, meanfield, verify
 
-    spec, built = _require_spec(config)
+    spec, f = _require_spec(config)
     if config.t is None or config.delta is None:
         raise InputError("ld-scan requires --t and --delta")
-    f = built.expansion
     report = _new_report(config, spec.to_dict())
     cutoff = hamiltonians.smoothed_cutoff_weights(f, config.t, config.delta, config.max_n)
     rows = verify.audit_large_deviations(cutoff, instance={"spec": config.spec_path})
@@ -434,8 +433,7 @@ def _cmd_ld_scan(config: RunConfig) -> tuple[int, dict]:
         "mid_band_states": int(cutoff.mid_mask.sum()),
         "top_band_states": int(cutoff.top_mask.sum()),
     }
-    timer = _Timer(report, config.timings)
-    with timer.stage("lambda_scan"):
+    with _timed(config, report, "lambda_scan"):
         sols = meanfield.lambda_scan(f, config.t, config.delta,
                                      lambda_grid=config.parsed_lambda_grid(), seed=config.seed,
                                      tol=config.tol, damping=config.damping)
@@ -466,16 +464,15 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
 
     from . import hamiltonians, verify
 
-    built = _require_spec(config)[1] if config.spec_path else None
-    report = _new_report(config, built.spec.to_dict() if built else None)
+    spec, built = _require_spec(config) if config.spec_path else (None, None)
+    report = _new_report(config, spec.to_dict() if spec else None)
     rows: list[AuditRow] = []
     suites = SUITES[:-1] if config.suite == "all" else (config.suite,)
     if "ld" in suites and config.t is not None and built is None:
         raise InputError("--t and --delta need --spec for the ld suite")
-    timer = _Timer(report, config.timings)
 
     if "appendix" in suites:
-        with timer.stage("appendix"):
+        with _timed(config, report, "appendix"):
             rows.append(verify.audit_tanh_mean_swap(2000, (1.0, 5.0), seed=config.seed))
             rng = np.random.default_rng(config.seed + 1)
             for k, f in _default_random_instances(config.seed + 2, 3, n_range=(6, 8), degree=2):
@@ -487,8 +484,8 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
             rows.extend(t_rows)
 
     if "proximity" in suites:
-        with timer.stage("proximity"):
-            instances = ([(0, built.expansion)] if built is not None
+        with _timed(config, report, "proximity"):
+            instances = ([(0, built)] if built is not None
                          else _default_random_instances(config.seed + 3, 4, n_range=(4, 6)))
             for k, f in instances:
                 thetas = [np.zeros(f.n)] + list(verify.sample_tilts(
@@ -500,9 +497,9 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
     if "main" in suites:
         from . import complexity
 
-        with timer.stage("main"):
-            f = built.expansion if built is not None else hamiltonians.build_hamiltonian(
-                hamiltonians.CurieWeissSpec(2.0, 8)).expansion
+        with _timed(config, report, "main"):
+            f = built if built is not None else hamiltonians.build_hamiltonian(
+                hamiltonians.CurieWeissSpec(2.0, 8))
             params = complexity.complexity_params(f, samples=min(config.samples, 20_000),
                                                   seed=config.seed, max_n=config.max_n)
             thetas = verify.sample_tilts(f.n, config.epsilon, 8, seed=config.seed + 20)
@@ -511,18 +508,18 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
                                                     instance={"spec": config.spec_path}))
 
     if "ld" in suites:
-        with timer.stage("ld"):
+        with _timed(config, report, "ld"):
             if config.t is not None:
-                f, t, delta, spec_path = built.expansion, config.t, config.delta, config.spec_path
+                f, t, delta, spec_path = built, config.t, config.delta, config.spec_path
             else:
-                f = hamiltonians.build_hamiltonian(hamiltonians.CurieWeissSpec(1.5, 10)).expansion
+                f = hamiltonians.build_hamiltonian(hamiltonians.CurieWeissSpec(1.5, 10))
                 t, delta, spec_path = 0.675, 0.05, None
             rows.extend(verify.audit_large_deviations(
                 hamiltonians.smoothed_cutoff_weights(f, t, delta, config.max_n),
                 instance={"spec": spec_path}))
 
     if "tightness" in suites:
-        with timer.stage("tightness"):
+        with _timed(config, report, "tightness"):
             t_rows, _ = verify.tightness_demo([16, 64, 256, 1024])
             rows.extend(t_rows)
 
@@ -545,8 +542,8 @@ def _cmd_report(config: RunConfig) -> tuple[int, dict]:
         raise InputError("report requires --spec pointing at an existing JSON report")
     try:
         report = parse_report(Path(config.spec_path).read_bytes())
-    except FileNotFoundError as exc:
-        raise InputError(f"report not found: {config.spec_path}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read report {config.spec_path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not a JSON report: {exc}") from exc
     if not isinstance(report, dict) or "audits" not in report:
@@ -558,24 +555,13 @@ def _cmd_report(config: RunConfig) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
-class _Timer:
-    def __init__(self, report: dict, enabled: bool):
-        self.report = report
-        self.enabled = enabled
-
-    def stage(self, name: str):
-        timer = self
-
-        class _Stage:
-            def __enter__(self):
-                self.start = time.perf_counter()
-
-            def __exit__(self, *exc):
-                if timer.enabled:
-                    timer.report["timings"][name] = time.perf_counter() - self.start
-                return False
-
-        return _Stage()
+@contextlib.contextmanager
+def _timed(config: RunConfig, report: dict, stage: str):
+    """Record the wall time of the ``with`` body under ``report["timings"][stage]`` if asked."""
+    start = time.perf_counter()
+    yield
+    if config.timings:
+        report["timings"][stage] = time.perf_counter() - start
 
 
 _COMMANDS = {
@@ -593,7 +579,10 @@ def run(config: RunConfig) -> tuple[int, dict | None]:
     code, report = _COMMANDS[config.command](config)
     payload = serialize_report(report, config.fmt)
     if config.out_path:
-        write_atomic(config.out_path, payload)
+        try:
+            write_atomic(config.out_path, payload)
+        except OSError as exc:
+            raise InputError(f"cannot write {config.out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(payload.decode())
     return code, report

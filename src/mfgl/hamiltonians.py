@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,9 +50,6 @@ class ScalarShape:
 
     def deriv2(self, x):
         raise NotImplementedError
-
-    def evaluate(self, x):
-        return self.value(x), self.deriv1(x), self.deriv2(x)
 
 
 class CutoffShape(ScalarShape):
@@ -108,25 +105,6 @@ class CubicQuinticShape(ScalarShape):
         return np.where(x >= 1.0, 1.0, np.where(x <= -1.0, -1.0, core))
 
 
-class AffineShape(ScalarShape):
-    name = "affine"
-
-    def __init__(self, a: float, b: float = 0.0):
-        self.a = float(a)
-        self.b = float(b)
-        self.d1_bound = abs(self.a)
-        self.d2_bound = 0.0
-
-    def value(self, x):
-        return self.a * np.asarray(x, dtype=np.float64) + self.b
-
-    def deriv1(self, x):
-        return np.full_like(np.asarray(x, dtype=np.float64), self.a)
-
-    def deriv2(self, x):
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
-
-
 def _check_level(t: float, delta: float) -> None:
     if not math.isfinite(t):
         raise InvalidSpec(f"t must be finite, got {t}")
@@ -163,35 +141,6 @@ class ScaledCutoffShape(ScalarShape):
 
     def deriv2(self, x):
         return self._h.deriv2(self._u(x)) / (self.n * self.delta**2)
-
-
-class CustomShape(ScalarShape):
-    """User-supplied value/derivative callables with explicit sup bounds."""
-
-    name = "custom"
-
-    def __init__(self, value_fn: Callable, deriv1_fn: Callable, deriv2_fn: Callable,
-                 d1_bound: Optional[float] = None, d2_bound: Optional[float] = None):
-        self._v, self._d1, self._d2 = value_fn, deriv1_fn, deriv2_fn
-        self.d1_bound = d1_bound
-        self.d2_bound = d2_bound
-
-    def value(self, x):
-        return np.asarray(self._v(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-
-    def deriv1(self, x):
-        return np.asarray(self._d1(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-
-    def deriv2(self, x):
-        return np.asarray(self._d2(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-
-
-def cutoff_shape_eval(h: ScalarShape, x) -> tuple:
-    """(value, first derivative, second derivative) of a shape at x."""
-    v, d1, d2 = h.evaluate(x)
-    if np.ndim(x) == 0:
-        return float(v), float(d1), float(d2)
-    return v, d1, d2
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +232,7 @@ class HamiltonianSpec:
     A spec's JSON object is its ``type`` tag followed by its dataclass fields,
     in field order; ``__post_init__`` coerces and validates those fields, so
     every route into a spec (JSON or Python) is checked the same way.  Each
-    type's ``build(max_n)`` realizes it for ``build_hamiltonian``.
+    type's ``build(max_n)`` returns its ``FourierExpansion`` for ``build_hamiltonian``.
     """
 
     def _set(self, **values) -> None:
@@ -314,8 +263,7 @@ class LinearSpec(HamiltonianSpec):
         return len(self.theta)
 
     def build(self, max_n=None):
-        return BuiltHamiltonian(self, FourierExpansion.from_terms(
-            self.n, [((i,), c) for i, c in enumerate(self.theta)]))
+        return FourierExpansion.from_terms(self.n, [((i,), c) for i, c in enumerate(self.theta)])
 
 
 @dataclass(frozen=True)
@@ -358,7 +306,7 @@ class IsingSpec(HamiltonianSpec):
         n = self.n
         terms = [((i, j), a[i, j]) for i in range(n) for j in range(i + 1, n) if a[i, j] != 0.0]
         terms += [((i,), mu[i]) for i in range(n) if mu[i] != 0.0]
-        return BuiltHamiltonian(self, FourierExpansion.from_terms(n, terms))
+        return FourierExpansion.from_terms(n, terms)
 
 
 @dataclass(frozen=True)
@@ -378,11 +326,7 @@ class CurieWeissSpec(HamiltonianSpec):
         """(A, mu) = (2 x the interaction matrix, 0), the pairwise form of this Hamiltonian."""
         return 2.0 * curie_weiss_interaction_matrix(self.beta, self.n), np.zeros(self.n)
 
-    def build(self, max_n=None):
-        beta, n = self.beta, self.n
-        c = 2.0 * beta / n  # ordered double sum counts each pair twice
-        return BuiltHamiltonian(self, FourierExpansion.from_terms(
-            n, [((i, j), c) for i in range(n) for j in range(i + 1, n)]))
+    build = IsingSpec.build  # the pairwise form of matrices()
 
 
 @dataclass(frozen=True)
@@ -409,7 +353,7 @@ class TriangleCountSpec(HamiltonianSpec):
             for j in range(i + 1, nv):
                 for k in range(j + 1, nv):
                     terms.append(((edges[(i, j)], edges[(j, k)], edges[(i, k)]), coeff))
-        return BuiltHamiltonian(self, FourierExpansion.from_terms(self.n, terms))
+        return FourierExpansion.from_terms(self.n, terms)
 
 
 @dataclass(frozen=True)
@@ -439,7 +383,7 @@ class SparseFourierSpec(HamiltonianSpec):
         return cls(data["n"], tuple((t["subset"], t["coeff"]) for t in data["terms"]))
 
     def build(self, max_n=None):
-        return BuiltHamiltonian(self, FourierExpansion.from_terms(self.n, self.terms))
+        return FourierExpansion.from_terms(self.n, self.terms)
 
 
 @dataclass(frozen=True)
@@ -462,8 +406,7 @@ class SmoothedCutoffSpec(HamiltonianSpec):
 
     def build(self, max_n=None):
         inner = build_hamiltonian(self.inner, max_n)
-        psi = ScaledCutoffShape(inner.expansion.n, self.t, self.delta)
-        return BuiltHamiltonian(self, compose(inner.expansion, psi, max_n))
+        return compose(inner, ScaledCutoffShape(inner.n, self.t, self.delta), max_n)
 
 
 SPEC_TYPES = {cls.type: cls for cls in (LinearSpec, IsingSpec, CurieWeissSpec, TriangleCountSpec,
@@ -503,17 +446,11 @@ def curie_weiss_interaction_matrix(beta: float, n: int) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class BuiltHamiltonian:
-    spec: HamiltonianSpec
-    expansion: FourierExpansion
+def build_hamiltonian(spec: HamiltonianSpec, max_n: int | None = None) -> FourierExpansion:
+    """Realize a spec as its sparse expansion f.
 
-
-def build_hamiltonian(spec: HamiltonianSpec, max_n: int | None = None) -> BuiltHamiltonian:
-    """Realize a spec as a sparse expansion.
-
-    Its gradient field is ``meanfield.as_gradient_field(built.expansion)``,
-    which compiles degree <= 2 expansions to the matrix form x @ A + mu.
+    Its gradient field is ``meanfield.as_gradient_field(f)``, which compiles
+    degree <= 2 expansions to the matrix form x @ A + mu.
     """
     if not isinstance(spec, HamiltonianSpec):
         raise InvalidSpec(f"unknown Hamiltonian spec {type(spec).__name__}")

@@ -284,9 +284,11 @@ def audit_chain_rule_and_moments(f: FourierExpansion, h: ScalarShape,
     grad_f = flip_differences(fvals)
     lip = float(np.abs(grad_f).max())
     b2 = float(h.d2_bound)
-    # the vertex defect reads h(F) exactly; hf, pruned, serves the interior points
-    hf = compose(f, h, max_n)
-    defect = flip_differences(np.asarray(h.value(fvals))) - np.asarray(h.deriv1(fvals)) * grad_f
+    # the vertex defect reads h(F) exactly; hf, built from that same table and
+    # pruned, serves the interior points
+    hvals = np.asarray(h.value(fvals))
+    hf = compose(f, lambda _: hvals, max_n)
+    defect = flip_differences(hvals) - np.asarray(h.deriv1(fvals)) * grad_f
     rows = [
         make_row("chain_rule_vertex_defect_l1", dict(base),
                  float(np.abs(defect).sum(axis=0).max()), b2 * lip**2 * n),

@@ -228,17 +228,21 @@ else:
 """
 
 
+def src_env() -> dict:
+    """This process's environment with the checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).parents[1] / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli_process(*args, cwd=None, block=()):
     """Run the CLI on ``args`` in a fresh interpreter.
 
     Returns ``(exit code, stdout bytes, set of loaded module names)``.
     Any import of a top-level module named in ``block`` fails.
     """
-    src = str(Path(__file__).parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-c", _CLI_PROBE, *(a for name in block for a in ("--block", name)),
             *args]
-    done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=120)
+    done = subprocess.run(argv, cwd=cwd, env=src_env(), capture_output=True, timeout=120)
     loaded = json.loads(done.stderr.decode().strip().splitlines()[-1])
     return done.returncode, done.stdout, set(loaded)

@@ -59,7 +59,7 @@ def test_criterion_01_product_law_exactness():
     worst = 0.0
     for _ in range(20):
         theta = rng.uniform(-1.5, 1.5, 6)
-        nu = gibbs_measure(build_hamiltonian(LinearSpec(tuple(theta))).expansion)
+        nu = gibbs_measure(build_hamiltonian(LinearSpec(tuple(theta))))
         pm = densify(ProductMeasure(np.tanh(theta)))
         worst = max(worst, float(np.abs(nu.probs - pm.probs).max()))
     elapsed = time.perf_counter() - start
@@ -119,7 +119,7 @@ def test_criterion_04_gaussian_width():
     beta, n = 1.5, 8
     a = curie_weiss_interaction_matrix(beta, n)
     built = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(np.zeros(n))))
-    width = gaussian_width_mc(GradientCloud(gradient_tables(built.expansion).T),
+    width = gaussian_width_mc(GradientCloud(gradient_tables(built).T),
                               samples=100_000, seed=105)
     est, se = width.estimate, width.stderr
     assert est <= beta * math.sqrt(n) + 3.0 * se, f"ferromagnet width {est:.3f}"
@@ -142,7 +142,7 @@ def test_criterion_05_scalar_roots_and_subcritical_collapse():
     worst = 0.0
     for _ in range(100):
         x0 = rng.uniform(-1.0, 1.0, 12)
-        for fld in (built.expansion, all_ones_map):
+        for fld in (built, all_ones_map):
             sol = mf_iterate(fld, x0, tol=1e-12)
             assert sol.converged
             worst = max(worst, float(np.abs(sol.point).sum()))
@@ -152,13 +152,13 @@ def test_criterion_05_scalar_roots_and_subcritical_collapse():
 
 def test_criterion_06_fixed_points_are_critical_points():
     built = build_hamiltonian(CurieWeissSpec(2.0, 12))
-    sols = solve_multistart(built.expansion, 12, seed=106, tol=1e-13)
+    sols = solve_multistart(built, 12, seed=106, tol=1e-13)
     converged = [s for s in sols if s.converged]
     assert converged, "supercritical run produced no converged solutions"
     worst = 0.0
     for sol in converged:
         assert np.abs(sol.point).max() < 1.0
-        grad = mean_field_functional_gradient(built.expansion, sol.point)
+        grad = mean_field_functional_gradient(built, sol.point)
         worst = max(worst, float(np.abs(grad).max()))
     assert worst <= 1e-8, f"functional gradient {worst:.2e} at a residual-zero point"
     _report("06 critical-points", f"{len(converged)} solutions, worst gradient {worst:.1e}")
@@ -167,9 +167,9 @@ def test_criterion_06_fixed_points_are_critical_points():
 def test_criterion_07_large_deviation_tail_and_tv():
     start = time.perf_counter()
     built = build_hamiltonian(CurieWeissSpec(1.5, 10))
-    f_top = float(vertex_values(built.expansion).max())
+    f_top = float(vertex_values(built).max())
     t = 0.5 * f_top / 10
-    cutoff = smoothed_cutoff_weights(built.expansion, t, 0.05)
+    cutoff = smoothed_cutoff_weights(built, t, 0.05)
     rows = {r.check_id: r for r in audit_large_deviations(cutoff)}
     elapsed = time.perf_counter() - start
     tail = rows["cutoff_tail_mass"]

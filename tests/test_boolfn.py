@@ -25,7 +25,6 @@ from mfgl.boolfn import (
     walsh_hadamard,
 )
 from mfgl.hamiltonians import (
-    AffineShape,
     CurieWeissSpec,
     CutoffShape,
     SmoothedCutoffSpec,
@@ -150,7 +149,7 @@ def test_hub_example_separates_sequential_from_pairwise_sums():
 
 def test_gradient_memory_is_bounded_by_the_block():
     # 8,192 terms of degree up to 14: unblocked, one call peaks near 47 MB
-    f = build_hamiltonian(SmoothedCutoffSpec(CurieWeissSpec(1.5, 14), 0.4, 0.05)).expansion
+    f = build_hamiltonian(SmoothedCutoffSpec(CurieWeissSpec(1.5, 14), 0.4, 0.05))
     x = np.random.default_rng(3).uniform(-1.0, 1.0, (17, 14))
     tracemalloc.start()
     try:
@@ -324,7 +323,7 @@ def test_tanh_contraction_helper():
 def test_compose_identity_preserves_truth_table():
     rng = np.random.default_rng(61)
     f = random_expansion(rng, 5, degree=3)
-    g = compose(f, AffineShape(1.0, 0.0))
+    g = compose(f, lambda x: x)
     assert vertex_values(g) == pytest.approx(vertex_values(f), abs=1e-12)
 
 

@@ -3,6 +3,8 @@
 import importlib
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from mfgl.hamiltonians import (
 )
 from mfgl.verify import make_row
 
-from conftest import run_cli_process
+from conftest import run_cli_process, src_env
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -521,6 +523,21 @@ def test_report_refuses_malformed_audit_rows(tmp_path, capsys, report):
     _assert_refused(capsys, out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--spec", "dir"],
+    ["report", "--spec", "dir"],
+    ["audit", "--suite", "tightness", "--out", "dir"],
+], ids=["analyze-spec", "report-spec", "out"])
+def test_a_directory_path_is_one_error_line(tmp_path, argv):
+    (tmp_path / "dir").mkdir()
+    done = subprocess.run([sys.executable, "-m", "mfgl.cli", *argv], cwd=tmp_path,
+                          env=src_env(), capture_output=True, timeout=120)
+    err = done.stderr.decode()
+    assert "Traceback" not in err, err
+    assert done.returncode == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_missing_spec_is_input_error():
     assert cli.main(["analyze"]) == 1
     assert cli.main(["analyze", "--spec", "/nonexistent/path.json"]) == 1
@@ -565,9 +582,14 @@ def test_ld_scan_refuses_non_finite_lambda_grid_ends(tmp_path, capsys, monkeypat
 
 
 def test_timings_off_by_default(tmp_path):
-    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 0.5, "n": 4})
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 6})
     out = tmp_path / "r.json"
-    cli.main(["analyze", "--spec", spec, "--out", str(out), "--samples", "500"])
-    assert json.loads(out.read_text())["timings"] == {}
-    cli.main(["analyze", "--spec", spec, "--out", str(out), "--samples", "500", "--timings"])
-    assert "complexity" in json.loads(out.read_text())["timings"]
+    for argv, stages in [
+            (["analyze", "--samples", "500"], ["complexity", "fixed_points"]),
+            (["ld-scan", "--t", "0.675", "--delta", "0.05", "--lambda-grid", "0.5:1:2"],
+             ["lambda_scan"]),
+            (["audit", "--suite", "all", "--samples", "500"],
+             ["appendix", "proximity", "main", "ld", "tightness"])]:
+        for timings, want in (([], []), (["--timings"], stages)):
+            assert cli.main([*argv, "--spec", spec, "--out", str(out), *timings]) == 0
+            assert list(json.loads(out.read_text())["timings"]) == want, argv

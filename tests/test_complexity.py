@@ -48,8 +48,8 @@ def test_width_two_point_cloud_analytic():
 def test_width_curie_weiss_within_closed_form():
     beta, n = 1.2, 8
     a = curie_weiss_interaction_matrix(beta, n)
-    built = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(np.zeros(n))))
-    width = gaussian_width_mc(GradientCloud(gradient_tables(built.expansion).T),
+    f = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(np.zeros(n))))
+    width = gaussian_width_mc(GradientCloud(gradient_tables(f).T),
                               samples=50_000, seed=3)
     est, se = width.estimate, width.stderr
     assert est <= beta * math.sqrt(n) + 3 * se
@@ -177,8 +177,8 @@ def test_triangle_count_parameters_bounded():
     # N = 7 graph vertices, n = 21 coordinates; exact Lipschitz parameters
     # stay under the 200|beta| envelope and everything is finite
     beta = 1.0
-    built = build_hamiltonian(TriangleCountSpec(beta, 7), max_n=21)
-    p = complexity_params(built.expansion, samples=64, seed=11, max_n=21)
+    f = build_hamiltonian(TriangleCountSpec(beta, 7), max_n=21)
+    p = complexity_params(f, samples=64, seed=11, max_n=21)
     assert math.isfinite(p.d) and p.d > 0
     assert p.l1 <= 200 * abs(beta)
     assert p.l2 <= 200 * abs(beta)

@@ -34,7 +34,7 @@ from conftest import all_vertices, random_expansion, w1_ssp
 
 
 def _linear(theta):
-    return build_hamiltonian(LinearSpec(tuple(theta))).expansion
+    return build_hamiltonian(LinearSpec(tuple(theta)))
 
 
 def test_gibbs_of_zero_is_uniform():

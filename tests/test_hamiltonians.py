@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfgl.boolfn import (
+    FourierExpansion,
     eval_extension,
     gradient_extension,
     gradient_tables,
@@ -22,7 +23,6 @@ from mfgl.hamiltonians import (
     ComplexityParams,
     HamiltonianSpec,
     CurieWeissSpec,
-    CustomShape,
     CutoffShape,
     InvalidSpec,
     IsingSpec,
@@ -35,7 +35,6 @@ from mfgl.hamiltonians import (
     build_hamiltonian,
     composition_params,
     curie_weiss_interaction_matrix,
-    cutoff_shape_eval,
     edge_index_map,
     ising_complexity_bounds,
     smoothed_cutoff_weights,
@@ -53,47 +52,47 @@ from conftest import all_vertices, random_expansion
 
 def test_linear_vertex_values():
     theta = (0.2, -0.4, 1.0)
-    built = build_hamiltonian(LinearSpec(theta))
+    f = build_hamiltonian(LinearSpec(theta))
     for coords in all_vertices(3):
-        assert eval_extension(built.expansion, coords) == pytest.approx(np.dot(theta, coords))
+        assert eval_extension(f, coords) == pytest.approx(np.dot(theta, coords))
 
 
 def test_curie_weiss_pair_coefficient_and_n3_oracle():
     beta, n = 1.3, 3
-    built = build_hamiltonian(CurieWeissSpec(beta, n))
+    f = build_hamiltonian(CurieWeissSpec(beta, n))
     # pair coefficient is 2*beta/n because the ordered sum visits each pair twice
-    assert np.allclose(built.expansion.coeffs, 2.0 * beta / n)
-    assert built.expansion.masks.size == 3
+    assert np.allclose(f.coeffs, 2.0 * beta / n)
+    assert f.masks.size == 3
     for coords in all_vertices(n):
         direct = sum(
             beta / n * coords[i] * coords[j]
             for i in range(n) for j in range(n) if i != j
         )
-        assert eval_extension(built.expansion, coords) == pytest.approx(direct, abs=1e-12)
-    assert eval_extension(built.expansion, np.ones(n)) == pytest.approx(2.0 * beta)
+        assert eval_extension(f, coords) == pytest.approx(direct, abs=1e-12)
+    assert eval_extension(f, np.ones(n)) == pytest.approx(2.0 * beta)
 
 
 def test_curie_weiss_closed_form_gradient_matches_expansion():
-    built = build_hamiltonian(CurieWeissSpec(0.8, 5))
-    field = as_gradient_field(built.expansion)
+    f = build_hamiltonian(CurieWeissSpec(0.8, 5))
+    field = as_gradient_field(f)
     rng = np.random.default_rng(1)
     for _ in range(4):
         x = rng.uniform(-1, 1, 5)
-        assert field(x) == pytest.approx(gradient_extension(built.expansion, x), abs=1e-12)
+        assert field(x) == pytest.approx(gradient_extension(f, x), abs=1e-12)
 
 
 def test_triangle_count_all_ones_value():
     beta, big_n = 0.9, 3
-    built = build_hamiltonian(TriangleCountSpec(beta, big_n))
+    f = build_hamiltonian(TriangleCountSpec(beta, big_n))
     # ordered pairwise-distinct triples: N(N-1)(N-2) of them, so value 2*beta at all-ones
-    assert eval_extension(built.expansion, np.ones(3)) == pytest.approx(2.0 * beta)
+    assert eval_extension(f, np.ones(3)) == pytest.approx(2.0 * beta)
 
 
 def test_triangle_count_direct_summation_oracle():
     beta, big_n = 0.9, 4
-    built = build_hamiltonian(TriangleCountSpec(beta, big_n))
+    f = build_hamiltonian(TriangleCountSpec(beta, big_n))
     edges = edge_index_map(big_n)
-    n = built.expansion.n
+    n = f.n
 
     def direct(coords):
         total = 0.0
@@ -106,7 +105,7 @@ def test_triangle_count_direct_summation_oracle():
         return beta / big_n * total
 
     for coords in all_vertices(n):
-        assert eval_extension(built.expansion, coords) == pytest.approx(direct(coords), abs=1e-10)
+        assert eval_extension(f, coords) == pytest.approx(direct(coords), abs=1e-10)
 
 
 def test_ising_gradient_closed_form_equals_generic_at_every_vertex():
@@ -116,12 +115,12 @@ def test_ising_gradient_closed_form_equals_generic_at_every_vertex():
     a = (a + a.T) / 2
     np.fill_diagonal(a, 0.0)
     mu = rng.normal(size=n)
-    built = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(mu.tolist())))
-    field = as_gradient_field(built.expansion)
+    f = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(mu.tolist())))
+    field = as_gradient_field(f)
     for coords in all_vertices(n):
         closed = field(coords)
         assert np.array_equal(closed, coords @ a + mu)
-        assert closed == pytest.approx(gradient_extension(built.expansion, coords), abs=1e-12)
+        assert closed == pytest.approx(gradient_extension(f, coords), abs=1e-12)
 
 
 def test_ising_lipschitz_bounds_hold_exactly():
@@ -131,17 +130,17 @@ def test_ising_lipschitz_bounds_hold_exactly():
     a = (a + a.T) / 2
     np.fill_diagonal(a, 0.0)
     mu = rng.normal(size=n)
-    built = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(mu.tolist())))
+    f = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(mu.tolist())))
     mu_max = np.abs(mu).max()
     row = np.abs(a).sum(axis=1).max()
-    assert lipschitz_l1(built.expansion) <= mu_max + row + 1e-12
-    assert lipschitz_l2(built.expansion) <= row + 1e-12
+    assert lipschitz_l1(f) <= mu_max + row + 1e-12
+    assert lipschitz_l2(f) <= row + 1e-12
 
 
 def test_sparse_fourier_spec_round_trip():
     spec = SparseFourierSpec(4, (((0, 2), 1.5), ((1,), -0.5)))
-    built = build_hamiltonian(spec)
-    assert eval_extension(built.expansion, np.ones(4)) == pytest.approx(1.0)
+    f = build_hamiltonian(spec)
+    assert eval_extension(f, np.ones(4)) == pytest.approx(1.0)
 
 
 def test_spec_validation_errors():
@@ -203,7 +202,18 @@ SPEC_STRATEGIES = {
 def test_spec_json_round_trip_and_build(kind, data):
     spec = data.draw(SPEC_STRATEGIES[kind])
     assert spec_from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
-    assert build_hamiltonian(spec).spec is spec
+    assert isinstance(build_hamiltonian(spec), FourierExpansion)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(spec=st.builds(CurieWeissSpec, st.floats(0.01, 4.0), st.integers(2, 21)))
+def test_curie_weiss_builds_two_beta_over_n_on_every_pair(spec):
+    # built from matrices() by the ising builder: 2 (beta / n) is 2 beta / n bit for bit
+    f = build_hamiltonian(spec)
+    n = spec.n
+    pairs = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    assert sorted(f.masks.tolist()) == sorted(pairs)
+    assert f.coeffs.tobytes() == np.full(len(pairs), 2.0 * spec.beta / n).tobytes()
 
 
 def test_every_spec_type_is_registered():
@@ -246,9 +256,9 @@ def test_mc_width_within_closed_form_bound():
     a = (a + a.T) / 2
     np.fill_diagonal(a, 0.0)
     mu = rng.normal(size=n) * 0.2
-    built = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(mu.tolist())))
+    f = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(mu.tolist())))
     bound = ising_complexity_bounds(a, mu)
-    width = gaussian_width_mc(GradientCloud(gradient_tables(built.expansion).T), samples=20_000,
+    width = gaussian_width_mc(GradientCloud(gradient_tables(f).T), samples=20_000,
                               seed=9)
     est, se = width.estimate, width.stderr
     assert est <= bound.d + 3.0 * se
@@ -261,16 +271,13 @@ def test_mc_width_within_closed_form_bound():
 
 def test_cutoff_shape_pinned_values():
     h = CutoffShape()
-    assert cutoff_shape_eval(h, -2.0)[0] == -3.0
-    assert cutoff_shape_eval(h, -1.0)[0] == -1.0
-    assert cutoff_shape_eval(h, 0.0)[0] == 0.0
-    assert cutoff_shape_eval(h, 3.0)[0] == 0.0
+    assert [float(h.value(x)) for x in (-2.0, -1.0, 0.0, 3.0)] == [-3.0, -1.0, 0.0, 0.0]
 
 
 def test_cutoff_shape_derivative_bounds_and_monotonicity():
     h = CutoffShape()
     xs = np.linspace(-4, 4, 2001)
-    vals, d1, d2 = h.evaluate(xs)
+    vals, d1, d2 = h.value(xs), h.deriv1(xs), h.deriv2(xs)
     assert np.all(np.abs(d1) <= 2.0) and np.all(np.abs(d2) <= 2.0)
     assert np.all(np.diff(vals) >= -1e-15)  # monotone nondecreasing
     assert np.all(d1 >= 0.0)
@@ -307,13 +314,6 @@ def test_scaled_cutoff_bounds_and_sign():
     assert psi.d1_bound == pytest.approx(40.0)
 
 
-def test_custom_shape_wraps_callables():
-    h = CustomShape(lambda x: x**2, lambda x: 2 * x, lambda x: 2 * np.ones_like(x),
-                    d1_bound=None, d2_bound=2.0)
-    v, d1, d2 = cutoff_shape_eval(h, 3.0)
-    assert (v, d1, d2) == (9.0, 6.0, 2.0)
-
-
 # ---------------------------------------------------------------------------
 # Smoothed cutoff weights
 # ---------------------------------------------------------------------------
@@ -342,11 +342,11 @@ def test_smoothed_cutoff_weight_bands():
 
 def test_smoothed_cutoff_spec_builds_composition():
     spec = SmoothedCutoffSpec(CurieWeissSpec(1.5, 6), 0.4, 0.1)
-    built = build_hamiltonian(spec)
+    f = build_hamiltonian(spec)
     inner = build_hamiltonian(spec.inner)
     psi = ScaledCutoffShape(6, 0.4, 0.1)
-    expected = psi.value(vertex_values(inner.expansion))
-    assert vertex_values(built.expansion) == pytest.approx(np.asarray(expected), abs=1e-9)
+    expected = psi.value(vertex_values(inner))
+    assert vertex_values(f) == pytest.approx(np.asarray(expected), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

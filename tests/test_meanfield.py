@@ -44,10 +44,10 @@ def test_zero_function_converges_in_one_step():
 
 
 def test_subcritical_curie_weiss_reaches_zero():
-    built = build_hamiltonian(CurieWeissSpec(0.5, 8))
+    f = build_hamiltonian(CurieWeissSpec(0.5, 8))
     rng = np.random.default_rng(0)
     for _ in range(5):
-        sol = mf_iterate(built.expansion, rng.uniform(-1, 1, 8), tol=1e-12)
+        sol = mf_iterate(f, rng.uniform(-1, 1, 8), tol=1e-12)
         assert sol.converged
         assert np.abs(sol.point).sum() < 1e-10
 
@@ -84,7 +84,7 @@ def test_mf_iterate_validates_damping():
                                     {"tol": 0.0}, {"tol": -1e-10}, {"tol": float("nan")},
                                     {"tol": float("inf")}])
 def test_iteration_inputs_validated_at_every_entry_point(kwargs):
-    f = build_hamiltonian(CurieWeissSpec(1.5, 4)).expansion
+    f = build_hamiltonian(CurieWeissSpec(1.5, 4))
     calls = [lambda: mf_iterate(f, np.zeros(4), **kwargs),
              lambda: solve_multistart(f, 4, **kwargs),
              lambda: lambda_scan(f, 0.5, 0.05, lambda_grid=np.array([1.0]), **kwargs)]
@@ -110,7 +110,7 @@ def _assert_same_as_plain(field, x0, ids, **kwargs):
 
 def test_cycling_curie_weiss_battery_matches_plain_iteration():
     # at lambda = -5 the stuck starts sit in exact period-2 cycles
-    field = as_gradient_field(build_hamiltonian(CurieWeissSpec(1.5, 10)).expansion)
+    field = as_gradient_field(build_hamiltonian(CurieWeissSpec(1.5, 10)))
     x0, ids = _battery(10, 501)
     sols = _assert_same_as_plain(field, x0, ids, lam=-5.0, damping=0.5, tol=1e-10,
                                  max_iter=10_000)
@@ -120,7 +120,7 @@ def test_cycling_curie_weiss_battery_matches_plain_iteration():
 @pytest.mark.parametrize("max_iter", [700, 701, 733, 1500])
 def test_cycling_cutoff_battery_matches_plain_iteration_at_every_phase(max_iter):
     # the stuck starts cycle with periods 8, 32 and 128 by step 580
-    field = as_gradient_field(build_hamiltonian(CUTOFF6).expansion)
+    field = as_gradient_field(build_hamiltonian(CUTOFF6))
     x0, ids = _battery(6, 501)
     sols = _assert_same_as_plain(field, x0, ids, lam=1.0, damping=0.5, tol=1e-10,
                                  max_iter=max_iter)
@@ -150,7 +150,7 @@ def sparse_fourier_specs(draw, max_n=5):
 @given(spec=sparse_fourier_specs(), lam=st.floats(-20.0, 20.0), damping=st.sampled_from([0.5, 1.0]),
        max_iter=st.integers(0, 300), seed=st.integers(0, 2**16))
 def test_iteration_matches_plain_iteration(spec, lam, damping, max_iter, seed):
-    field, calls = _counted(as_gradient_field(build_hamiltonian(spec).expansion))
+    field, calls = _counted(as_gradient_field(build_hamiltonian(spec)))
     x0, ids = _battery(spec.n, seed)
     sols = _assert_same_as_plain(field, x0, ids, lam=lam, damping=damping, tol=1e-10,
                                  max_iter=max_iter)
@@ -161,19 +161,19 @@ def test_iteration_matches_plain_iteration(spec, lam, damping, max_iter, seed):
 
 def test_cycling_batteries_stop_early():
     # the capped loop evaluates the field max_iter + 1 = 10,001 times on both
-    cutoff, calls = _counted(as_gradient_field(build_hamiltonian(CUTOFF6).expansion))
+    cutoff, calls = _counted(as_gradient_field(build_hamiltonian(CUTOFF6)))
     solve_multistart(cutoff, 6, seed=501)
     assert calls[0] <= 1_300
-    cw, calls = _counted(as_gradient_field(build_hamiltonian(CurieWeissSpec(1.5, 10)).expansion))
+    cw, calls = _counted(as_gradient_field(build_hamiltonian(CurieWeissSpec(1.5, 10))))
     solve_multistart(cw, 10, lam=-5.0, seed=501)
     assert calls[0] <= 100
 
 
 def test_iteration_logs_one_debug_line(caplog):
-    solve_multistart(build_hamiltonian(CurieWeissSpec(1.5, 10)).expansion, 10, lam=-5.0)
+    solve_multistart(build_hamiltonian(CurieWeissSpec(1.5, 10)), 10, lam=-5.0)
     assert not [r for r in caplog.records if r.name == "mfgl.meanfield"]
     caplog.set_level(logging.DEBUG, logger="mfgl.meanfield")
-    solve_multistart(build_hamiltonian(CUTOFF6).expansion, 6, seed=501)
+    solve_multistart(build_hamiltonian(CUTOFF6), 6, seed=501)
     (record,) = [r for r in caplog.records if r.name == "mfgl.meanfield"]
     assert record.levelno == logging.DEBUG
     assert record.getMessage() == ("17 rows in 1072 steps: 9 converged, 8 frozen in exact "
@@ -197,8 +197,8 @@ def test_structural_set_subcritical_norm_bound():
     # below critical coupling every structural-set member with the literal
     # threshold satisfies |X|_1 <= 5001 (1+beta)^2/(1-beta) n^(7/8)
     beta, n = 0.5, 8
-    built = build_hamiltonian(CurieWeissSpec(beta, n))
-    sols = solve_multistart(built.expansion, n, seed=3)
+    f = build_hamiltonian(CurieWeissSpec(beta, n))
+    sols = solve_multistart(f, n, seed=3)
     cap = 5001.0 * (1 + beta) ** 2 / (1 - beta) * n ** 0.875
     for sol in sols:
         if sol.converged:
@@ -225,12 +225,12 @@ def test_functional_gradient_matches_central_differences():
 
 
 def test_functional_gradient_vanishes_at_fixed_points():
-    built = build_hamiltonian(CurieWeissSpec(2.0, 10))
-    sols = solve_multistart(built.expansion, 10, seed=5, tol=1e-13)
+    f = build_hamiltonian(CurieWeissSpec(2.0, 10))
+    sols = solve_multistart(f, 10, seed=5, tol=1e-13)
     checked = 0
     for sol in sols:
         if sol.converged and np.abs(sol.point).max() < 1.0:
-            g = mean_field_functional_gradient(built.expansion, sol.point)
+            g = mean_field_functional_gradient(f, sol.point)
             assert np.abs(g).max() < 1e-8
             checked += 1
     assert checked >= 2
@@ -265,9 +265,9 @@ def test_curie_weiss_field_contracts_below_critical():
 
 
 def test_multistart_deterministic_and_deduped():
-    built = build_hamiltonian(CurieWeissSpec(2.0, 6))
-    a = solve_multistart(built.expansion, 6, seed=7)
-    b = solve_multistart(built.expansion, 6, seed=7)
+    f = build_hamiltonian(CurieWeissSpec(2.0, 6))
+    a = solve_multistart(f, 6, seed=7)
+    b = solve_multistart(f, 6, seed=7)
     assert [s.start_id for s in a] == [s.start_id for s in b]
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.point, sb.point)
@@ -313,21 +313,20 @@ def test_lambda_scan_zero_lambda_window():
 
 def test_lambda_scan_finds_curie_weiss_root_in_window():
     beta, n = 2.0, 10
-    built = build_hamiltonian(CurieWeissSpec(beta, n))
+    f = build_hamiltonian(CurieWeissSpec(beta, n))
     x_star = float(curie_weiss_roots(beta)[2])
-    t = eval_extension(built.expansion, np.full(n, x_star)) / n
-    sols = lambda_scan(built.expansion, t, 0.05, lambda_grid=np.geomspace(0.1, 3.0, 25),
+    t = eval_extension(f, np.full(n, x_star)) / n
+    sols = lambda_scan(f, t, 0.05, lambda_grid=np.geomspace(0.1, 3.0, 25),
                        seed=8, tol=1e-9, max_iter=3000)
     window = [(t - 0.3) * n, t * n]
     hits = [s for s in sols
             if np.allclose(s.point, s.point[0], atol=1e-6)
-            and window[0] <= eval_extension(built.expansion, s.point) <= window[1]]
+            and window[0] <= eval_extension(f, s.point) <= window[1]]
     assert hits, "no constant solution landed in the conditioning window"
 
 
 def test_lambda_scan_filter_soundness():
-    built = build_hamiltonian(TriangleCountSpec(0.8, 5))
-    f = built.expansion
+    f = build_hamiltonian(TriangleCountSpec(0.8, 5))
     fmax = float(eval_extension(f, np.ones(f.n)))
     t, delta = 0.4 * fmax / f.n, 0.1
     grid = default_lambda_grid(count=8)

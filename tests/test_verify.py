@@ -9,7 +9,6 @@ import pytest
 from mfgl.boolfn import FourierExpansion, vertex_values
 from mfgl.gibbs import theta_in_tilt_support
 from mfgl.hamiltonians import (
-    AffineShape,
     CurieWeissSpec,
     CutoffShape,
     LinearSpec,
@@ -88,7 +87,7 @@ def test_sample_tilts_stall_is_a_value_error():
 
 
 def test_proximity_linear_zero_tilt_degenerate():
-    f = build_hamiltonian(LinearSpec((0.4, -0.2, 0.7))).expansion
+    f = build_hamiltonian(LinearSpec((0.4, -0.2, 0.7)))
     rows = audit_product_proximity(f, [np.zeros(3)])
     assert rows[0].measured == pytest.approx(0.0, abs=1e-9)
     assert rows[0].bound == pytest.approx(0.0, abs=1e-9)
@@ -105,7 +104,7 @@ def test_proximity_random_instances_pass():
 
 
 def test_proximity_with_tilts_passes():
-    f = build_hamiltonian(CurieWeissSpec(1.2, 6)).expansion
+    f = build_hamiltonian(CurieWeissSpec(1.2, 6))
     thetas = [np.zeros(6)] + list(sample_tilts(6, 0.2, 5, seed=3))
     rows = audit_product_proximity(f, thetas, instance={"name": "cw"})
     assert len(rows) == 6
@@ -120,7 +119,7 @@ def test_proximity_with_tilts_passes():
 
 def test_main_residuals_linear_bounded_by_tilt_norm():
     theta0 = np.array([0.3, -0.5, 0.2, 0.4, -0.1])
-    f = build_hamiltonian(LinearSpec(tuple(theta0))).expansion
+    f = build_hamiltonian(LinearSpec(tuple(theta0)))
     params = complexity_params(f, samples=2000, seed=4)
     eps = 0.2
     tilts = sample_tilts(5, eps, 10, seed=5)
@@ -133,7 +132,7 @@ def test_main_residuals_linear_bounded_by_tilt_norm():
 
 
 def test_main_residuals_zero_tilt_product_law():
-    f = build_hamiltonian(LinearSpec((0.6, -0.3, 0.1, 0.2))).expansion
+    f = build_hamiltonian(LinearSpec((0.6, -0.3, 0.1, 0.2)))
     params = complexity_params(f, samples=2000, seed=6)
     rows = audit_main_residuals(f, [np.zeros(4)], 0.2, params)
     resid = [r for r in rows if r.check_id == "tilt_mean_residual"][0]
@@ -141,7 +140,7 @@ def test_main_residuals_zero_tilt_product_law():
 
 
 def test_main_residuals_trace_rows_are_hypothesis_kind():
-    f = build_hamiltonian(CurieWeissSpec(2.0, 6)).expansion
+    f = build_hamiltonian(CurieWeissSpec(2.0, 6))
     params = complexity_params(f, samples=2000, seed=7)
     rows = audit_main_residuals(f, sample_tilts(6, 0.2, 3, seed=8), 0.2, params)
     kinds = {r.check_id: r.kind for r in rows}
@@ -150,7 +149,7 @@ def test_main_residuals_trace_rows_are_hypothesis_kind():
 
 
 def test_main_residuals_refuses_out_of_range_eps():
-    f = build_hamiltonian(CurieWeissSpec(2.0, 6)).expansion
+    f = build_hamiltonian(CurieWeissSpec(2.0, 6))
     params = complexity_params(f, samples=2000, seed=9)
     limit = eps_upper_limit(6, params.d)
     with pytest.raises(ValueError):
@@ -184,10 +183,12 @@ def test_tanh_mean_swap_bulk_ratio_below_one():
 
 
 def test_chain_rule_block_affine_shape_has_zero_defects():
+    # shifted to vertex values <= -2, f only meets the cutoff's affine branch 2x+1
     rng = np.random.default_rng(14)
     f = random_expansion(rng, 6, degree=2)
+    f = f.shift(-2.0 - float(vertex_values(f).max()))
     means = [rng.uniform(-0.8, 0.8, 6) for _ in range(3)]
-    rows = audit_chain_rule_and_moments(f, AffineShape(1.7, 0.3), means)
+    rows = audit_chain_rule_and_moments(f, CutoffShape(), means)
     by_id = {r.check_id: r for r in rows}
     assert by_id["chain_rule_vertex_defect_l1"].measured == pytest.approx(0.0, abs=1e-10)
     assert by_id["chain_rule_extension_defect_l1"].measured == pytest.approx(0.0, abs=1e-10)
@@ -205,9 +206,24 @@ def test_chain_rule_block_cutoff_rows_pass():
     assert all(r.measured < 1e-10 for r in swaps)
 
 
+def test_chain_rule_block_evaluates_h_over_the_table_once():
+    rng = np.random.default_rng(16)
+    f = random_expansion(rng, 6, degree=2)
+    table_calls = []
+
+    class CountingCutoff(CutoffShape):
+        def value(self, x):
+            if np.shape(x) == (1 << f.n,):
+                table_calls.append(x)
+            return super().value(x)
+
+    audit_chain_rule_and_moments(f, CountingCutoff(), [rng.uniform(-0.9, 0.9, 6)])
+    assert len(table_calls) == 1
+
+
 def test_chain_rule_block_requires_second_derivative_bound():
     f = FourierExpansion.from_terms(4, [((0,), 1.0)])
-    shape = AffineShape(1.0)
+    shape = CutoffShape()
     shape.d2_bound = None
     with pytest.raises(ValueError):
         audit_chain_rule_and_moments(f, shape, [])
@@ -219,9 +235,9 @@ def test_chain_rule_block_requires_second_derivative_bound():
 
 
 def test_large_deviations_rows_pass_on_witnessed_instance():
-    built = build_hamiltonian(CurieWeissSpec(1.5, 10))
-    fmax = float(vertex_values(built.expansion).max())
-    cutoff = smoothed_cutoff_weights(built.expansion, 0.5 * fmax / 10, 0.05)
+    f = build_hamiltonian(CurieWeissSpec(1.5, 10))
+    fmax = float(vertex_values(f).max())
+    cutoff = smoothed_cutoff_weights(f, 0.5 * fmax / 10, 0.05)
     rows = audit_large_deviations(cutoff)
     by_id = {r.check_id: r for r in rows}
     assert by_id["cutoff_tail_mass"].measured <= 2.0 ** -10 + 1e-9
@@ -230,7 +246,7 @@ def test_large_deviations_rows_pass_on_witnessed_instance():
 
 
 def test_large_deviations_witness_missing_error_row():
-    f = build_hamiltonian(LinearSpec((0.1, 0.2, -0.3, 0.1))).expansion
+    f = build_hamiltonian(LinearSpec((0.1, 0.2, -0.3, 0.1)))
     rows = audit_large_deviations(smoothed_cutoff_weights(f, 5.0, 0.05))
     assert len(rows) == 1
     assert rows[0].check_id == "witness_missing"
