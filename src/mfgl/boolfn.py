@@ -15,13 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 DEFAULT_ENUM_CAP = 20
+MAX_DIMENSION = 63  # int64 subset masks hold coordinates 0..62
 PRUNE_TOL = 1e-14
 _BLOCK_ENTRIES = 1 << 18  # entries per (width x terms x batch) block of the term kernel: 2 MB
+_FLIP_BLOCK = 1 << 14  # vertices per block of the Lipschitz scans: 2.6 MB of partials at n = 20
 
 
 class DimensionMismatch(ValueError):
@@ -274,21 +276,75 @@ def gradient_tables(f: FourierExpansion, max_n: int | None = None) -> np.ndarray
 def flip_differences(values: np.ndarray) -> np.ndarray:
     """Discrete partial derivatives read off one vertex table F, shape (n, 2^n).
 
-    The flip pair v, v ^ 2^i shares d_i f = (F[bit i set] - F[bit i clear]) / 2,
-    and viewing F as blocks of 2^i indices, shape (-1, 2, 2^i), lines up
-    every such pair.
+    The flip pair v, v ^ 2^i shares d_i f = (F[bit i set] - F[bit i clear]) / 2.
+    """
+    return flip_block(values, 0, values.size)
+
+
+def flip_block(values: np.ndarray, start: int, size: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Columns [start, start + size) of ``flip_differences(values)``, shape (n, size).
+
+    ``size`` is a power of two that divides ``start``.  For a bit i with
+    2^i < size, viewing the block as (-1, 2, 2^i) lines up every flip pair
+    inside it.  For a higher bit the whole block sits on one side of the flip,
+    and its partners are the contiguous range at start ^ 2^i.  Each entry is
+    the same 0.5 * (F[hi] - F[lo]), so a block equals the full table's columns
+    bit for bit.  The block is written into ``out`` when given.
     """
     n = values.size.bit_length() - 1
-    out = np.empty((n, values.size))
+    block = values[start:start + size]
+    out = np.empty((n, size)) if out is None else out
     for i in range(n):
-        pairs = values.reshape(-1, 2, 1 << i)
-        out[i].reshape(pairs.shape)[:] = (0.5 * (pairs[:, 1] - pairs[:, 0]))[:, None]
+        step = 1 << i
+        if step < size:
+            pairs = block.reshape(-1, 2, step)
+            out[i].reshape(pairs.shape)[:] = (0.5 * (pairs[:, 1] - pairs[:, 0]))[:, None]
+        else:
+            other = values[start ^ step:(start ^ step) + size]
+            hi, lo = (block, other) if start & step else (other, block)
+            np.subtract(hi, lo, out=out[i])
+            out[i] *= 0.5
+    return out
+
+
+def flip_blocks(values: np.ndarray, size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, ``flip_block(values, start, size)``) over the whole table, in order;
+    ``size`` is a power of two, clipped to the table.
+
+    Every block is written into one buffer, so a block is valid only until
+    the next step: a scan touches fresh pages once, not once per block.
+    """
+    size = min(size, values.size)
+    out = np.empty((values.size.bit_length() - 1, size))
+    for start in range(0, values.size, size):
+        yield start, flip_block(values, start, size, out)
+
+
+def flip_rows(values: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Columns ``vertices`` of ``flip_differences(values)`` as rows, shape (len(vertices), n)."""
+    n = values.size.bit_length() - 1
+    out = np.empty((len(vertices), n))
+    for i in range(n):
+        out[:, i] = 0.5 * (values[vertices | (1 << i)] - values[vertices & ~(1 << i)])
     return out
 
 
 def lipschitz_l1(f: FourierExpansion, max_n: int | None = None) -> float:
-    """max over coordinates and vertices of |partial_i f|, by exact enumeration."""
-    return float(np.abs(gradient_tables(f, max_n)).max())
+    """max over coordinates and vertices of |partial_i f|, by exact enumeration.
+
+    Each coordinate's 2^(n-1) flip pairs are scanned once, one coordinate at
+    a time; halving commutes with the max, so this is the max of |table| bit
+    for bit.
+    """
+    values = vertex_values(f, max_n)
+    buf = np.empty(values.size // 2)
+    best = 0.0
+    for i in range(f.n):
+        pairs = values.reshape(-1, 2, 1 << i)
+        diff = np.subtract(pairs[:, 1], pairs[:, 0], out=buf.reshape(pairs[:, 0].shape))
+        best = max(best, float(diff.max()), -float(diff.min()))
+    return 0.5 * best
 
 
 def lipschitz_l2(f: FourierExpansion, max_n: int | None = None) -> float:
@@ -299,23 +355,31 @@ def lipschitz_l2(f: FourierExpansion, max_n: int | None = None) -> float:
     numerator is subadditive over the flips while the denominator is
     additive), so the supremum is attained at distance 1.  This costs
     O(n^2 2^n) instead of O(4^n); the small-n all-pairs oracle in the test
-    suite guards the reduction.
+    suite guards the reduction.  The scan walks blocks of ``_FLIP_BLOCK``
+    vertices: a flip inside a block pairs its own columns, and a higher flip
+    pairs the block with the partner block above it.
     """
-    return flip_lipschitz(gradient_tables(f, max_n))
-
-
-def flip_lipschitz(tables: np.ndarray) -> float:
-    """The distance-1 ratio of ``lipschitz_l2``, from gradient tables (n, 2^n)."""
-    n = tables.shape[0]
+    values = vertex_values(f, max_n)
     best = 0.0
-    for i in range(n):
-        pairs = tables.reshape(n, -1, 2, 1 << i)
-        acc = np.zeros(pairs[0, :, 0].shape)
-        diff = np.empty_like(acc)
-        for j in range(n):
-            np.subtract(pairs[j, :, 1], pairs[j, :, 0], out=diff)
-            acc += np.abs(diff, out=diff)
-        best = max(best, float(acc.max()) / 2.0)
+    shape = (f.n, min(values.size, _FLIP_BLOCK))
+    partner, buf = np.empty(shape), np.empty(shape)
+    for start, grad in flip_blocks(values, _FLIP_BLOCK):
+        size = grad.shape[1]
+        for i in range(f.n):
+            step = 1 << i
+            if step < size:
+                pairs = grad.reshape(f.n, -1, 2, step)
+                hi, lo = pairs[:, :, 1], pairs[:, :, 0]
+            elif start & step:
+                continue  # scanned from the lower end of the flip
+            else:
+                hi, lo = flip_block(values, start | step, size, partner), grad
+            diff = buf.reshape(-1)[:lo.size].reshape(lo.shape)
+            np.abs(np.subtract(hi, lo, out=diff), out=diff)
+            # the sum over j runs in order from diff[0], which is 0.0 + diff[0]
+            for j in range(1, f.n):
+                diff[0] += diff[j]
+            best = max(best, float(diff[0].max()) / 2.0)
     return best
 
 

@@ -22,24 +22,31 @@ and level 1 is mostly zeros.  When the pilot and level 1 together would
 take at least as many draws as requested, A = K and the estimate is plain
 Monte Carlo over ``width_samples``.
 
-Duplicate rows never change a supremum, so ``complexity_params`` hands the
-raw gradient tables to the width.
+A cloud is either a ``GradientCloud`` of explicit rows or the ``VertexCloud``
+of a vertex table F, whose row v is the gradient at vertex v.  Every sup
+walks the cloud in row blocks; a ``VertexCloud`` builds each block from F as
+it goes (``boolfn.flip_block``), so ``complexity_params`` never holds the
+(n, 2^n) gradient tables.  Duplicate rows never change a supremum, so K is
+not deduplicated.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .boolfn import FourierExpansion, flip_lipschitz, gradient_tables
+from .boolfn import (FourierExpansion, flip_blocks, flip_rows, lipschitz_l1, lipschitz_l2,
+                     vertex_values)
 from .hamiltonians import ComplexityParams
 
 DEFAULT_SAMPLES = 100_000
 PILOT_DRAWS = 4096
 LEVEL1_DRAWS = 4096
 _BLOCK_ENTRIES = 1 << 18  # entries per (rows x draws) product block: 2 MB
+_SLAB_ROWS = 1 << 14  # rows of a VertexCloud built from F at a time: 2.6 MB at n = 20
 
 logger = logging.getLogger(__name__)
 
@@ -69,10 +76,63 @@ class GradientCloud:
     def n(self) -> int:
         return self.points.shape[1]
 
+    def blocks(self, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(start, rows [start, start + rows)) over the cloud, in order."""
+        for start in range(0, self.size, rows):
+            yield start, self.points[start:start + rows]
 
-def _sups(points: np.ndarray, draws: np.ndarray,
+    def take(self, index: np.ndarray) -> np.ndarray:
+        """The rows at ``index``, shape (len(index), n)."""
+        return self.points[index]
+
+
+_MAX_VERTEX_VALUE = np.finfo(np.float64).max / 2  # keeps every flip difference finite
+
+
+@dataclass(frozen=True)
+class VertexCloud:
+    """The gradient cloud of a vertex table F: row v is the gradient at vertex v.
+
+    The rows are built from F a slab of ``_SLAB_ROWS`` at a time and never
+    stored whole, so a sup over K holds one slab and one block of about
+    ``_BLOCK_ENTRIES`` products.  Blocks hold a power of two of rows, at most
+    the rows asked for.
+    """
+
+    values: np.ndarray  # (2^n,)
+
+    def __post_init__(self):
+        values = self.values
+        if values.ndim != 1 or values.size < 2 or values.size & (values.size - 1):
+            raise ValueError("vertex table must have 2^n entries, n >= 1")
+        if not max(values.max(), -values.min()) <= _MAX_VERTEX_VALUE:
+            raise ValueError("vertex table must be finite, with |F| <= max float / 2 "
+                             "so that every flip difference is finite")
+
+    @property
+    def size(self) -> int:
+        return self.values.size
+
+    @property
+    def n(self) -> int:
+        return self.values.size.bit_length() - 1
+
+    def blocks(self, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+        rows = 1 << (rows.bit_length() - 1)  # a power of two, so blocks tile every slab
+        for start, grad in flip_blocks(self.values, max(rows, _SLAB_ROWS)):
+            for at in range(0, grad.shape[1], rows):
+                yield start + at, grad[:, at:at + rows].T
+
+    def take(self, index: np.ndarray) -> np.ndarray:
+        return flip_rows(self.values, index)
+
+
+Cloud = GradientCloud | VertexCloud
+
+
+def _sups(cloud: Cloud, draws: np.ndarray,
           winners: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-draw sup of <x, g> over the rows x and the origin, walking the rows in blocks.
+    """Per-draw sup of <x, g> over the cloud's rows x and the origin, walking the rows in blocks.
 
     The running maximum starts at the origin's 0 and carries the sup across
     blocks, each of about ``_BLOCK_ENTRIES`` products.  With ``winners``
@@ -80,11 +140,10 @@ def _sups(points: np.ndarray, draws: np.ndarray,
     attains the sup, or -1 where none does.
     """
     m = draws.shape[0]
-    rows = max(1, _BLOCK_ENTRIES // m)
     best = np.zeros(m)
     where = np.full(m, -1, dtype=np.intp) if winners else None
-    for start in range(0, points.shape[0], rows):
-        block = points[start:start + rows] @ draws.T
+    for start, rows in cloud.blocks(max(1, _BLOCK_ENTRIES // m)):
+        block = rows @ draws.T
         top = block.max(axis=0)
         if winners:
             # a column-wise argmax is slow; take it only where the sup moved
@@ -94,7 +153,7 @@ def _sups(points: np.ndarray, draws: np.ndarray,
     return best, where
 
 
-def width_samples(cloud: GradientCloud, samples: int, seed: int | None = 0) -> np.ndarray:
+def width_samples(cloud: Cloud, samples: int, seed: int | None = 0) -> np.ndarray:
     """Per-draw suprema sup_{x in cloud u {0}} <x, G_k> for seeded Gaussian draws G_k.
 
     Draws come from ``numpy.random.default_rng(seed)`` (PCG64) in a fixed
@@ -110,7 +169,7 @@ def width_samples(cloud: GradientCloud, samples: int, seed: int | None = 0) -> n
     sups = np.empty(samples)
     for done in range(0, samples, chunk):
         g = rng.standard_normal((min(chunk, samples - done), cloud.n))
-        sups[done:done + g.shape[0]] = _sups(cloud.points, g)[0]
+        sups[done:done + g.shape[0]] = _sups(cloud, g)[0]
     return sups
 
 
@@ -139,7 +198,7 @@ class WidthEstimate:
         return out
 
 
-def gaussian_width_mc(cloud: GradientCloud, samples: int = DEFAULT_SAMPLES,
+def gaussian_width_mc(cloud: Cloud, samples: int = DEFAULT_SAMPLES,
                       seed: int | None = 0) -> WidthEstimate:
     """Two-level Monte-Carlo width estimate with its standard error.
 
@@ -160,13 +219,12 @@ def gaussian_width_mc(cloud: GradientCloud, samples: int = DEFAULT_SAMPLES,
                               level0_draws=samples, level0_stderr=stderr,
                               level1_draws=0, level1_stderr=0.0, level1_nonzero=0)
     else:
-        points, n = cloud.points, cloud.n
         pilot_rng, level1_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-        _, won = _sups(points, pilot_rng.standard_normal((PILOT_DRAWS, n)), winners=True)
-        subset = GradientCloud(points[np.unique(won[won >= 0])])
+        _, won = _sups(cloud, pilot_rng.standard_normal((PILOT_DRAWS, cloud.n)), winners=True)
+        subset = GradientCloud(cloud.take(np.unique(won[won >= 0])))
         level0 = width_samples(subset, samples, seed)
-        g = level1_rng.standard_normal((LEVEL1_DRAWS, n))
-        level1 = _sups(points, g)[0] - _sups(subset.points, g)[0]
+        g = level1_rng.standard_normal((LEVEL1_DRAWS, cloud.n))
+        level1 = _sups(cloud, g)[0] - _sups(subset, g)[0]
         sq0 = level0.var(ddof=1) / samples  # squared standard error of each level
         sq1 = level1.var(ddof=1) / LEVEL1_DRAWS
         width = WidthEstimate(estimate=float(level0.mean() + level1.mean()),
@@ -183,17 +241,16 @@ def gaussian_width_mc(cloud: GradientCloud, samples: int = DEFAULT_SAMPLES,
 
 def complexity_params(f: FourierExpansion, samples: int = DEFAULT_SAMPLES,
                       seed: int | None = 0, max_n: int | None = None) -> ComplexityParams:
-    """Monte-Carlo D plus exact floored Lipschitz parameters for f, from one table set.
+    """Monte-Carlo D plus exact floored Lipschitz parameters for f, from its one vertex table.
 
-    The width reads the undeduplicated gradients through a read-only view.
+    The width walks the undeduplicated ``VertexCloud`` of F, and L1 and L2
+    scan F itself, so no (n, 2^n) array is built.
     """
-    tables = gradient_tables(f, max_n)
-    tables.flags.writeable = False
-    width = gaussian_width_mc(GradientCloud(tables.T), samples=samples, seed=seed)
+    width = gaussian_width_mc(VertexCloud(vertex_values(f, max_n)), samples=samples, seed=seed)
     return ComplexityParams.from_raw(
         width.estimate,
-        float(max(tables.max(), -tables.min())),
-        flip_lipschitz(tables),
+        lipschitz_l1(f, max_n),
+        lipschitz_l2(f, max_n),
         d_stderr=width.stderr,
         d_provenance="monte_carlo",
         d_levels=width.levels(),

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boolfn import FourierExpansion, compose, vertex_values
+from .boolfn import MAX_DIMENSION, FourierExpansion, compose, vertex_values
 
 
 class InvalidSpec(ValueError):
@@ -230,10 +230,19 @@ class HamiltonianSpec:
     """Base of the spec types; ``SPEC_TYPES`` maps each ``type`` tag to its class.
 
     A spec's JSON object is its ``type`` tag followed by its dataclass fields,
-    in field order; ``__post_init__`` coerces and validates those fields, so
-    every route into a spec (JSON or Python) is checked the same way.  Each
-    type's ``build(max_n)`` returns its ``FourierExpansion`` for ``build_hamiltonian``.
+    in field order; each type's ``_validate`` coerces and validates those
+    fields, and ``__post_init__`` then refuses a dimension n above
+    ``MAX_DIMENSION``, which the int64 subset masks cannot hold.  So every
+    route into a spec (JSON or Python) is checked the same way, before
+    anything is built.  Each type's ``build(max_n)`` returns its
+    ``FourierExpansion`` for ``build_hamiltonian``.
     """
+
+    def __post_init__(self):
+        self._validate()
+        if self.n > MAX_DIMENSION:
+            raise InvalidSpec(f"n = {self.n} exceeds {MAX_DIMENSION}, the most coordinates "
+                              f"a subset bitmask holds")
 
     def _set(self, **values) -> None:
         for name, value in values.items():
@@ -252,7 +261,7 @@ class LinearSpec(HamiltonianSpec):
     type = "linear"
     theta: tuple
 
-    def __post_init__(self):
+    def _validate(self):
         theta = np.asarray(self.theta, dtype=np.float64)
         if theta.ndim != 1 or theta.size == 0 or not np.all(np.isfinite(theta)):
             raise InvalidSpec("linear field must be a finite nonempty vector")
@@ -278,7 +287,7 @@ class IsingSpec(HamiltonianSpec):
     coupling: tuple
     field: tuple
 
-    def __post_init__(self):
+    def _validate(self):
         a = np.asarray(self.coupling, dtype=np.float64)
         mu = np.asarray(self.field, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -315,7 +324,7 @@ class CurieWeissSpec(HamiltonianSpec):
     beta: float
     n: int
 
-    def __post_init__(self):
+    def _validate(self):
         self._set(beta=float(self.beta), n=_integer(self.n))
         if self.beta <= 0:
             raise InvalidSpec("beta must be positive")
@@ -335,7 +344,7 @@ class TriangleCountSpec(HamiltonianSpec):
     beta: float
     num_vertices: int
 
-    def __post_init__(self):
+    def _validate(self):
         self._set(beta=float(self.beta), num_vertices=_integer(self.num_vertices))
         if self.num_vertices < 3:
             raise InvalidSpec("need at least three graph vertices")
@@ -362,7 +371,7 @@ class SparseFourierSpec(HamiltonianSpec):
     n: int
     terms: tuple  # ((sorted index tuple, coeff), ...)
 
-    def __post_init__(self):
+    def _validate(self):
         norm = []
         n = _integer(self.n)
         for subset, coeff in self.terms:
@@ -393,9 +402,15 @@ class SmoothedCutoffSpec(HamiltonianSpec):
     t: float
     delta: float
 
-    def __post_init__(self):
+    def _validate(self):
+        if not isinstance(self.inner, HamiltonianSpec):
+            raise InvalidSpec(f"unknown inner Hamiltonian spec {type(self.inner).__name__}")
         self._set(t=float(self.t), delta=float(self.delta))
         _check_level(self.t, self.delta)
+
+    @property
+    def n(self) -> int:
+        return self.inner.n
 
     def to_dict(self) -> dict:
         return {"type": self.type, "inner": self.inner.to_dict(), "t": self.t, "delta": self.delta}

@@ -63,6 +63,20 @@ def gradient_direct(f, coords):
     return out
 
 
+def flip_lipschitz_tables(tables):
+    """The distance-1 ratio of ``lipschitz_l2`` from whole gradient tables (n, 2^n),
+    the scan the streamed one replaced, kept as its oracle."""
+    n = tables.shape[0]
+    best = 0.0
+    for i in range(n):
+        pairs = tables.reshape(n, -1, 2, 1 << i)
+        acc = np.zeros(pairs[0, :, 0].shape)
+        for j in range(n):
+            acc += np.abs(pairs[j, :, 1] - pairs[j, :, 0])
+        best = max(best, float(acc.max()) / 2.0)
+    return best
+
+
 def _mask_indices(mask):
     return np.array([i for i in range(mask.bit_length()) if (mask >> i) & 1], dtype=np.int64)
 

@@ -113,6 +113,18 @@ def test_spec_from_dict_rejects_malformed(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("data", [
+    {"type": "curie_weiss", "beta": 1.0, "n": 70},
+    {"type": "sparse_fourier", "n": 70, "terms": [{"subset": [65], "coeff": 1.0}]},
+    {"type": "triangle_count", "beta": 1.0, "num_vertices": 12},
+])
+def test_a_dimension_above_the_masks_is_one_error_line(tmp_path, capsys, data):
+    spec = _write_spec(tmp_path, data)
+    assert cli.main(["fixed-points", "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "exceeds 63" in err
+
+
 def test_spec_schema_docs_match_registry():
     # the README's spec block parses and the --help text lists the same types
     readme = (Path(__file__).parents[1] / "README.md").read_text()

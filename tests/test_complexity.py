@@ -2,28 +2,34 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfgl.boolfn import FourierExpansion, gradient_tables, lipschitz_l1, lipschitz_l2
+import mfgl.boolfn as boolfn
+import mfgl.complexity as complexity
+from mfgl.boolfn import FourierExpansion, gradient_tables, lipschitz_l1, lipschitz_l2, vertex_values
 from mfgl.complexity import (
     LEVEL1_DRAWS,
     PILOT_DRAWS,
     GradientCloud,
+    VertexCloud,
     complexity_params,
     gaussian_width_mc,
     width_samples,
 )
 from mfgl.hamiltonians import (
     ComplexityParams,
+    CurieWeissSpec,
+    SparseFourierSpec,
     TriangleCountSpec,
     build_hamiltonian,
     curie_weiss_interaction_matrix,
     IsingSpec,
 )
-from conftest import random_expansion
+from conftest import flip_lipschitz_tables, random_expansion
 
 
 def test_width_of_origin_cloud():
@@ -152,25 +158,83 @@ def test_complexity_params_random_instance():
 
 
 def test_complexity_params_builds_tables_once(monkeypatch):
-    import mfgl.complexity as complexity
-
-    calls = []
-
-    def counted(f, max_n=None):
-        calls.append(f)
-        return gradient_tables(f, max_n)
-
-    monkeypatch.setattr(complexity, "gradient_tables", counted)
+    sizes, tables = [], []
+    transform, tabulate = boolfn.walsh_hadamard, boolfn.gradient_tables
+    monkeypatch.setattr(boolfn, "walsh_hadamard", lambda a: sizes.append(a.size) or transform(a))
+    monkeypatch.setattr(boolfn, "gradient_tables", lambda *a: tables.append(a) or tabulate(*a))
     f = random_expansion(np.random.default_rng(12), 6, degree=3)
     p = complexity_params(f, samples=500, seed=4)
-    assert len(calls) == 1
-    # the one table set gives the numbers the standalone functions give
+    assert (sizes, tables) == ([64], [])
+    # the streamed numbers are the ones the whole (n, 2^n) tables give
     monkeypatch.undo()
-    width = gaussian_width_mc(GradientCloud(gradient_tables(f).T), samples=500, seed=4)
+    grads = gradient_tables(f)
+    width = gaussian_width_mc(GradientCloud(grads.T), samples=500, seed=4)
     d, d_se = width.estimate, width.stderr
-    assert p == ComplexityParams.from_raw(d, lipschitz_l1(f), lipschitz_l2(f),
+    assert p == ComplexityParams.from_raw(d, float(np.abs(grads).max()),
+                                          flip_lipschitz_tables(grads),
                                           d_stderr=d_se, d_provenance="monte_carlo",
                                           d_levels=width.levels())
+
+
+def test_complexity_params_never_holds_the_gradient_tables():
+    # the tables alone take n 2^n 8 bytes (37.7 MB); the width, L1 and L2 stay
+    # under half of that, the vertex table F included
+    f = build_hamiltonian(CurieWeissSpec(1.5, 18))
+    tracemalloc.start()
+    try:
+        complexity_params(f, samples=200, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * (1 << 18) * 8 / 2
+
+
+@st.composite
+def sparse_fourier_specs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    subsets = st.sets(st.integers(0, n - 1), max_size=min(n, 4)).map(lambda s: tuple(sorted(s)))
+    terms = draw(st.lists(st.tuples(subsets, st.floats(-10.0, 10.0, allow_nan=False)),
+                          max_size=12))
+    return SparseFourierSpec(n, tuple(terms))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(spec=sparse_fourier_specs(), data=st.data())
+def test_streamed_cloud_matches_the_gradient_tables(spec, data):
+    f = build_hamiltonian(spec)
+    n, values, tables = f.n, vertex_values(f), gradient_tables(f)
+    # blocks of 1 .. 2^n vertices: bits below the block pair inside it, the
+    # rest pair it with the block at start ^ 2^i
+    scan_block = 1 << data.draw(st.integers(0, n), label="log2 scan block")
+    rows = 1 << data.draw(st.integers(0, n), label="log2 cloud block")
+    draws = data.draw(st.integers(2, 9), label="draws")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boolfn, "_FLIP_BLOCK", scan_block)
+        mp.setattr(complexity, "_BLOCK_ENTRIES", rows * draws)
+        assert lipschitz_l1(f) == float(np.abs(tables).max())
+        assert lipschitz_l2(f) == flip_lipschitz_tables(tables)
+        streamed, oracle = VertexCloud(values), GradientCloud(tables.T)
+        g = np.random.default_rng(draws).standard_normal((draws, n))
+        sups, won = complexity._sups(streamed, g, winners=True)
+        want, want_won = complexity._sups(oracle, g, winners=True)
+        assert np.array_equal(sups, want) and np.array_equal(won, want_won)
+        index = np.unique(won[won >= 0])
+        assert np.array_equal(streamed.take(index), oracle.points[index])
+        # the two-level path: pilot winners, level 0 on the gathered rows, level 1
+        mp.setattr(complexity, "PILOT_DRAWS", draws)
+        mp.setattr(complexity, "LEVEL1_DRAWS", draws)
+        assert (gaussian_width_mc(streamed, samples=4 * draws, seed=draws)
+                == gaussian_width_mc(oracle, samples=4 * draws, seed=draws))
+
+
+def test_vertex_cloud_refuses_tables_whose_flips_overflow():
+    with pytest.raises(ValueError, match="finite"):
+        VertexCloud(np.array([1.0, np.inf]))
+    with pytest.raises(ValueError, match="finite"):
+        VertexCloud(np.array([1e308, -1e308]))
+    with pytest.raises(ValueError, match="2\\^n"):
+        VertexCloud(np.zeros(3))
+    assert VertexCloud(np.zeros(8)).size == 8 and VertexCloud(np.zeros(8)).n == 3
 
 
 def test_triangle_count_parameters_bounded():

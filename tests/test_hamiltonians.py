@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -153,6 +154,8 @@ def test_spec_validation_errors():
     with pytest.raises(InvalidSpec):
         SmoothedCutoffSpec(CurieWeissSpec(1.0, 4), 0.5, 0.0)
     with pytest.raises(InvalidSpec):
+        SmoothedCutoffSpec({"type": "curie_weiss", "beta": 1.0, "n": 4}, 0.5, 0.1)
+    with pytest.raises(InvalidSpec):
         SparseFourierSpec(3, (((0, 5), 1.0),))
     # integer fields take integral numbers; fractions are refused, not truncated
     assert CurieWeissSpec(1.5, 6.0).n == 6
@@ -162,6 +165,29 @@ def test_spec_validation_errors():
         TriangleCountSpec(1.0, float("inf"))
     with pytest.raises(InvalidSpec):
         SparseFourierSpec(3, (((0, 1.7), 1.0),))
+
+
+def test_specs_refuse_dimensions_the_masks_cannot_hold():
+    # int64 masks hold coordinates 0..62, so n = 63 is the largest dimension
+    top = build_hamiltonian(SparseFourierSpec(63, (((0, 62), 1.0),)))
+    assert top.n == 63 and top.masks.tolist() == [1 | 1 << 62]
+    assert build_hamiltonian(CurieWeissSpec(1.0, 63)).n == 63
+    assert TriangleCountSpec(1.0, 11).n == 55
+    for make in (lambda: CurieWeissSpec(1.0, 64),
+                 lambda: SparseFourierSpec(64, (((0,), 1.0),)),
+                 lambda: SparseFourierSpec(70, (((65,), 1.0),)),
+                 lambda: TriangleCountSpec(1.0, 12),  # 66 edges
+                 lambda: LinearSpec(tuple(np.ones(64))),
+                 lambda: IsingSpec(tuple(map(tuple, np.zeros((64, 64)))), tuple(np.zeros(64)))):
+        with pytest.raises(InvalidSpec, match="exceeds 63"):
+            make()
+
+
+def test_a_huge_curie_weiss_spec_is_refused_before_any_work():
+    start = time.perf_counter()
+    with pytest.raises(InvalidSpec, match="n = 3000 exceeds 63"):
+        CurieWeissSpec(1.0, 3000)
+    assert time.perf_counter() - start < 1.0
 
 
 _reals = st.floats(-4.0, 4.0, allow_nan=False)
