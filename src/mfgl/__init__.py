@@ -55,12 +55,10 @@ _EXPORTS = {
     "tanh_covariance": "gibbs",
     "ising_complexity_bounds": "hamiltonians",
     "lambda_scan": "meanfield",
-    "lipschitz_l1": "boolfn",
-    "lipschitz_l2": "boolfn",
+    "lipschitz": "boolfn",
     "mean": "gibbs",
     "mean_field_functional": "meanfield",
     "mf_iterate": "meanfield",
-    "product_approx": "gibbs",
     "smoothed_cutoff_weights": "hamiltonians",
     "solve_multistart": "meanfield",
     "tilt": "gibbs",

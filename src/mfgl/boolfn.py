@@ -23,7 +23,7 @@ DEFAULT_ENUM_CAP = 20
 MAX_DIMENSION = 63  # int64 subset masks hold coordinates 0..62
 PRUNE_TOL = 1e-14
 _BLOCK_ENTRIES = 1 << 18  # entries per (width x terms x batch) block of the term kernel: 2 MB
-_FLIP_BLOCK = 1 << 14  # vertices per block of the Lipschitz scans: 2.6 MB of partials at n = 20
+_FLIP_BLOCK = 1 << 14  # vertices per flip block of F (Lipschitz walk, cloud slabs): 2.6 MB at n = 20
 
 
 class DimensionMismatch(ValueError):
@@ -268,11 +268,6 @@ def from_vertex_values(n: int, values: np.ndarray, prune: float = PRUNE_TOL) -> 
     return FourierExpansion(n, keep.astype(np.int64), coeffs[keep])
 
 
-def gradient_tables(f: FourierExpansion, max_n: int | None = None) -> np.ndarray:
-    """All discrete partial derivatives over all vertices, shape (n, 2^n)."""
-    return flip_differences(vertex_values(f, max_n))
-
-
 def flip_differences(values: np.ndarray) -> np.ndarray:
     """Discrete partial derivatives read off one vertex table F, shape (n, 2^n).
 
@@ -330,40 +325,27 @@ def flip_rows(values: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     return out
 
 
-def lipschitz_l1(f: FourierExpansion, max_n: int | None = None) -> float:
-    """max over coordinates and vertices of |partial_i f|, by exact enumeration.
+def lipschitz(f: FourierExpansion, max_n: int | None = None) -> tuple[float, float]:
+    """(L1, L2) of f by exact enumeration, in one walk over the flip blocks of F.
 
-    Each coordinate's 2^(n-1) flip pairs are scanned once, one coordinate at
-    a time; halving commutes with the max, so this is the max of |table| bit
-    for bit.
+    L1 is the max over coordinates and vertices of |partial_i f|, read off
+    each block as max(grad.max(), -grad.min()).  L2 is the sup over vertex
+    pairs of ||grad f(x) - grad f(y)||_1 / ||x - y||_1, computed over
+    Hamming-distance-1 pairs only: the ratio for any pair is bounded by the
+    worst single-flip ratio along a connecting path (the numerator is
+    subadditive over the flips while the denominator is additive), so the
+    supremum is attained at distance 1.  This costs O(n^2 2^n) instead of
+    O(4^n); the small-n all-pairs oracle in the test suite guards the
+    reduction.  The walk takes blocks of ``_FLIP_BLOCK`` vertices: a flip
+    inside a block pairs its own columns, and a higher flip pairs the block
+    with the partner block above it.
     """
     values = vertex_values(f, max_n)
-    buf = np.empty(values.size // 2)
-    best = 0.0
-    for i in range(f.n):
-        pairs = values.reshape(-1, 2, 1 << i)
-        diff = np.subtract(pairs[:, 1], pairs[:, 0], out=buf.reshape(pairs[:, 0].shape))
-        best = max(best, float(diff.max()), -float(diff.min()))
-    return 0.5 * best
-
-
-def lipschitz_l2(f: FourierExpansion, max_n: int | None = None) -> float:
-    """sup over vertex pairs of ||grad f(x) - grad f(y)||_1 / ||x - y||_1.
-
-    Computed over Hamming-distance-1 pairs only: the ratio for any pair is
-    bounded by the worst single-flip ratio along a connecting path (the
-    numerator is subadditive over the flips while the denominator is
-    additive), so the supremum is attained at distance 1.  This costs
-    O(n^2 2^n) instead of O(4^n); the small-n all-pairs oracle in the test
-    suite guards the reduction.  The scan walks blocks of ``_FLIP_BLOCK``
-    vertices: a flip inside a block pairs its own columns, and a higher flip
-    pairs the block with the partner block above it.
-    """
-    values = vertex_values(f, max_n)
-    best = 0.0
+    l1 = l2 = 0.0
     shape = (f.n, min(values.size, _FLIP_BLOCK))
     partner, buf = np.empty(shape), np.empty(shape)
     for start, grad in flip_blocks(values, _FLIP_BLOCK):
+        l1 = max(l1, float(grad.max()), -float(grad.min()))
         size = grad.shape[1]
         for i in range(f.n):
             step = 1 << i
@@ -379,8 +361,8 @@ def lipschitz_l2(f: FourierExpansion, max_n: int | None = None) -> float:
             # the sum over j runs in order from diff[0], which is 0.0 + diff[0]
             for j in range(1, f.n):
                 diff[0] += diff[j]
-            best = max(best, float(diff[0].max()) / 2.0)
-    return best
+            l2 = max(l2, float(diff[0].max()) / 2.0)
+    return l1, l2
 
 
 def compose(f: FourierExpansion, h, max_n: int | None = None) -> FourierExpansion:

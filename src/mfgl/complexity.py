@@ -24,10 +24,10 @@ Monte Carlo over ``width_samples``.
 
 A cloud is either a ``GradientCloud`` of explicit rows or the ``VertexCloud``
 of a vertex table F, whose row v is the gradient at vertex v.  Every sup
-walks the cloud in row blocks; a ``VertexCloud`` builds each block from F as
-it goes (``boolfn.flip_block``), so ``complexity_params`` never holds the
-(n, 2^n) gradient tables.  Duplicate rows never change a supremum, so K is
-not deduplicated.
+walks the cloud in row blocks; a ``VertexCloud`` builds them from F as it
+goes, in slabs that are the flip blocks of ``boolfn.flip_blocks``, so
+``complexity_params`` never holds the (n, 2^n) gradient tables.  Duplicate
+rows never change a supremum, so K is not deduplicated.
 """
 
 from __future__ import annotations
@@ -38,15 +38,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .boolfn import (FourierExpansion, flip_blocks, flip_rows, lipschitz_l1, lipschitz_l2,
-                     vertex_values)
+from . import boolfn
+from .boolfn import FourierExpansion, flip_blocks, flip_rows, lipschitz, vertex_values
 from .hamiltonians import ComplexityParams
 
 DEFAULT_SAMPLES = 100_000
 PILOT_DRAWS = 4096
 LEVEL1_DRAWS = 4096
 _BLOCK_ENTRIES = 1 << 18  # entries per (rows x draws) product block: 2 MB
-_SLAB_ROWS = 1 << 14  # rows of a VertexCloud built from F at a time: 2.6 MB at n = 20
 
 logger = logging.getLogger(__name__)
 
@@ -93,10 +92,11 @@ _MAX_VERTEX_VALUE = np.finfo(np.float64).max / 2  # keeps every flip difference 
 class VertexCloud:
     """The gradient cloud of a vertex table F: row v is the gradient at vertex v.
 
-    The rows are built from F a slab of ``_SLAB_ROWS`` at a time and never
-    stored whole, so a sup over K holds one slab and one block of about
-    ``_BLOCK_ENTRIES`` products.  Blocks hold a power of two of rows, at most
-    the rows asked for.
+    The rows are built from F a slab at a time and never stored whole.  A
+    slab is a flip block of ``boolfn._FLIP_BLOCK`` vertices, the block size of
+    the Lipschitz walk, read at call time; so a sup over K holds one slab and
+    one block of about ``_BLOCK_ENTRIES`` products.  Blocks hold a power of
+    two of rows, at most the rows asked for.
     """
 
     values: np.ndarray  # (2^n,)
@@ -119,7 +119,7 @@ class VertexCloud:
 
     def blocks(self, rows: int) -> Iterator[tuple[int, np.ndarray]]:
         rows = 1 << (rows.bit_length() - 1)  # a power of two, so blocks tile every slab
-        for start, grad in flip_blocks(self.values, max(rows, _SLAB_ROWS)):
+        for start, grad in flip_blocks(self.values, max(rows, boolfn._FLIP_BLOCK)):
             for at in range(0, grad.shape[1], rows):
                 yield start + at, grad[:, at:at + rows].T
 
@@ -244,13 +244,12 @@ def complexity_params(f: FourierExpansion, samples: int = DEFAULT_SAMPLES,
     """Monte-Carlo D plus exact floored Lipschitz parameters for f, from its one vertex table.
 
     The width walks the undeduplicated ``VertexCloud`` of F, and L1 and L2
-    scan F itself, so no (n, 2^n) array is built.
+    come from one walk over F's flip blocks, so no (n, 2^n) array is built.
     """
     width = gaussian_width_mc(VertexCloud(vertex_values(f, max_n)), samples=samples, seed=seed)
     return ComplexityParams.from_raw(
         width.estimate,
-        lipschitz_l1(f, max_n),
-        lipschitz_l2(f, max_n),
+        *lipschitz(f, max_n),
         d_stderr=width.stderr,
         d_provenance="monte_carlo",
         d_levels=width.levels(),

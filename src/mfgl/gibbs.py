@@ -155,13 +155,18 @@ def mean(measure: DenseMeasure | ProductMeasure) -> np.ndarray:
     return out
 
 
-def tanh_covariance(nu: DenseMeasure, field: np.ndarray) -> tuple[np.ndarray, float]:
-    """Covariance matrix of tanh(field(V)) under V ~ nu, plus its trace.
+def tanh_covariance(nu: DenseMeasure,
+                    field: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Mean and covariance matrix of tanh(field(V)) under V ~ nu, plus the trace.
 
     ``field`` is the per-vertex effective gradient table (2^n, n), for
-    tilt(gibbs(f), theta) the table ``gradient_tables(f).T + theta``; the
-    caller supplies it because the probability vector alone does not expose
-    the field.
+    tilt(gibbs(f), theta) the table ``flip_differences(vertex_values(f)).T +
+    theta``; the caller supplies it because the probability vector alone
+    does not expose the field.  The mean is the center of the product
+    approximation ``ProductMeasure(center)``: for the measure's own effective
+    field it coincides with the mean of nu (conditioning on the other
+    coordinates makes each coordinate a tanh of its local field), and that
+    product law is within sqrt(n tr H(nu)) of nu in Wasserstein distance.
     """
     field = np.asarray(field, dtype=np.float64)
     if field.shape != (1 << nu.n, nu.n):
@@ -171,21 +176,7 @@ def tanh_covariance(nu: DenseMeasure, field: np.ndarray) -> tuple[np.ndarray, fl
     center = w @ t
     cov = (t * w[:, None]).T @ t - np.outer(center, center)
     cov = (cov + cov.T) / 2.0
-    return cov, float(np.trace(cov))
-
-
-def product_approx(nu: DenseMeasure, field: np.ndarray) -> ProductMeasure:
-    """Product law centered at the nu-average of tanh(field).
-
-    For the measure's own effective field this center coincides with the
-    mean of nu (conditioning on the other coordinates makes each coordinate
-    a tanh of its local field), and the product law is within
-    sqrt(n tr H(nu)) of nu in Wasserstein distance.
-    """
-    field = np.asarray(field, dtype=np.float64)
-    if field.shape != (1 << nu.n, nu.n):
-        raise DimensionMismatch(f"field has shape {field.shape}, expected {(1 << nu.n, nu.n)}")
-    return ProductMeasure(nu.probs @ np.tanh(field))
+    return center, cov, float(np.trace(cov))
 
 
 def _check_pair(nu1: DenseMeasure, nu2: DenseMeasure) -> None:

@@ -53,28 +53,41 @@ class ScalarShape:
 
 
 class CutoffShape(ScalarShape):
-    """Monotone ramp: 2x+1 below -1, -x^2 on [-1,0], 0 above 0.
+    """psi(x) = n * h((x/n - t)/delta) for the monotone ramp h.
 
-    |h'| <= 2 and |h''| <= 2 everywhere; value and first derivative agree
-    one-sidedly at both knots.  At the knots the second derivative takes the
-    left branch at -1 and the right branch at 0.
+    h(u) is 2u+1 below -1, -u^2 on [-1,0] and 0 above 0, with |h'| <= 2 and
+    |h''| <= 2 everywhere; value and first derivative agree one-sidedly at
+    both knots.  At the knots the second derivative takes the left branch at
+    -1 and the right branch at 0.  So |psi'| <= 2/delta and
+    |psi''| <= 2/(n delta^2); psi <= 0 everywhere and vanishes for x >= t*n.
+    The defaults n = 1, t = 0, delta = 1 give h itself bit for bit: x/1,
+    x - 0.0 (which keeps -0.0), division by 1.0 and 1*h(u) are all exact.
     """
 
     name = "cutoff"
-    d1_bound = 2.0
-    d2_bound = 2.0
+
+    def __init__(self, n: int = 1, t: float = 0.0, delta: float = 1.0):
+        _check_level(t, delta)
+        self.n = int(n)
+        self.t = float(t)
+        self.delta = float(delta)
+        self.d1_bound = 2.0 / self.delta
+        self.d2_bound = 2.0 / (self.n * self.delta**2)
+
+    def _u(self, x):
+        return (np.asarray(x, dtype=np.float64) / self.n - self.t) / self.delta
 
     def value(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(x <= -1.0, 2.0 * x + 1.0, np.where(x < 0.0, -x * x, 0.0))
+        u = self._u(x)
+        return self.n * np.where(u <= -1.0, 2.0 * u + 1.0, np.where(u < 0.0, -u * u, 0.0))
 
     def deriv1(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(x <= -1.0, 2.0, np.where(x < 0.0, -2.0 * x, 0.0))
+        u = self._u(x)
+        return np.where(u <= -1.0, 2.0, np.where(u < 0.0, -2.0 * u, 0.0)) / self.delta
 
     def deriv2(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(x <= -1.0, 0.0, np.where(x < 0.0, -2.0, 0.0))
+        u = self._u(x)
+        return np.where(u <= -1.0, 0.0, np.where(u < 0.0, -2.0, 0.0)) / (self.n * self.delta**2)
 
 
 class CubicQuinticShape(ScalarShape):
@@ -110,37 +123,6 @@ def _check_level(t: float, delta: float) -> None:
         raise InvalidSpec(f"t must be finite, got {t}")
     if not (math.isfinite(delta) and delta > 0):
         raise InvalidSpec(f"delta must be finite and positive, got {delta}")
-
-
-class ScaledCutoffShape(ScalarShape):
-    """psi(x) = n * h((x/n - t)/delta) for the cutoff ramp h.
-
-    |psi'| <= 2/delta and |psi''| <= 2/(n delta^2); psi <= 0 everywhere and
-    vanishes for x >= t*n.
-    """
-
-    name = "scaled_cutoff"
-
-    def __init__(self, n: int, t: float, delta: float):
-        _check_level(t, delta)
-        self.n = int(n)
-        self.t = float(t)
-        self.delta = float(delta)
-        self._h = CutoffShape()
-        self.d1_bound = 2.0 / self.delta
-        self.d2_bound = 2.0 / (self.n * self.delta**2)
-
-    def _u(self, x):
-        return (np.asarray(x, dtype=np.float64) / self.n - self.t) / self.delta
-
-    def value(self, x):
-        return self.n * self._h.value(self._u(x))
-
-    def deriv1(self, x):
-        return self._h.deriv1(self._u(x)) / self.delta
-
-    def deriv2(self, x):
-        return self._h.deriv2(self._u(x)) / (self.n * self.delta**2)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +403,7 @@ class SmoothedCutoffSpec(HamiltonianSpec):
 
     def build(self, max_n=None):
         inner = build_hamiltonian(self.inner, max_n)
-        return compose(inner, ScaledCutoffShape(inner.n, self.t, self.delta), max_n)
+        return compose(inner, CutoffShape(inner.n, self.t, self.delta), max_n)
 
 
 SPEC_TYPES = {cls.type: cls for cls in (LinearSpec, IsingSpec, CurieWeissSpec, TriangleCountSpec,
@@ -500,15 +482,15 @@ def ising_complexity_bounds(a: np.ndarray, mu: np.ndarray) -> ComplexityParams:
 class SmoothedCutoff:
     """Vertex tables of the smoothed cutoff g = psi∘f and its weight table phi.
 
-    ``psi`` is the scaled ramp, so it carries n, t and delta.  ``f_values``
-    and ``g_values`` tabulate f and g over the 2^n vertices.  phi is 0
-    strictly below the (t - delta_prime) n level, exp(g) on the middle band
-    and exactly 1 at or above t n; ``log_phi`` holds it in log space (-inf
-    where phi = 0), since g can reach hundreds of negative e-folds.  The
-    three masks mark those bands.
+    ``psi`` is the ramp ``CutoffShape(n, t, delta)``, so it carries n, t and
+    delta.  ``f_values`` and ``g_values`` tabulate f and g over the 2^n
+    vertices.  phi is 0 strictly below the (t - delta_prime) n level, exp(g)
+    on the middle band and exactly 1 at or above t n; ``log_phi`` holds it
+    in log space (-inf where phi = 0), since g can reach hundreds of negative
+    e-folds.  The three masks mark those bands.
     """
 
-    psi: ScaledCutoffShape
+    psi: CutoffShape
     delta_prime: float
     f_values: np.ndarray
     g_values: np.ndarray
@@ -533,7 +515,7 @@ def smoothed_cutoff_weights(f: FourierExpansion, t: float, delta: float,
     """
     n = f.n
     delta_prime = DELTA_PRIME_FACTOR * delta
-    psi = ScaledCutoffShape(n, t, delta)
+    psi = CutoffShape(n, t, delta)
     fvals = vertex_values(f, max_n)
     gvals = np.asarray(psi.value(fvals), dtype=np.float64)
     zero = fvals < (t - delta_prime) * n

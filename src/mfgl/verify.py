@@ -26,7 +26,6 @@ from .boolfn import (
     eval_extension,
     flip_differences,
     gradient_extension,
-    gradient_tables,
     vertex_values,
 )
 from .gibbs import (
@@ -36,7 +35,6 @@ from .gibbs import (
     gibbs_measure,
     tanh_covariance,
     mean,
-    product_approx,
     theta_in_tilt_support,
     tilt,
     tv,
@@ -147,15 +145,13 @@ def audit_product_proximity(f: FourierExpansion, theta_list: Sequence[np.ndarray
     theta = 0 rows audit the base Gibbs measure itself.
     """
     base_instance = dict(instance or {})
-    nu, grad = gibbs_measure(f, max_n), gradient_tables(f, max_n).T.copy()
+    nu, grad = gibbs_measure(f, max_n), flip_differences(vertex_values(f, max_n)).T.copy()
     rows = []
     for k, theta in enumerate(theta_list):
         theta = np.asarray(theta, dtype=np.float64)
         tilted = tilt(nu, theta) if np.any(theta) else nu
-        field_tab = grad + theta
-        _, trace = tanh_covariance(tilted, field_tab)
-        xi = product_approx(tilted, field_tab)
-        w1 = w1_result(tilted, densify(xi), max_states=max_states)
+        center, _, trace = tanh_covariance(tilted, grad + theta)
+        w1 = w1_result(tilted, densify(ProductMeasure(center)), max_states=max_states)
         bound = math.sqrt(f.n * max(trace, 0.0))
         inst = dict(base_instance, tilt_index=k, theta_norm=float(np.linalg.norm(theta)),
                     trace=trace, mass_error_bound=w1.mass_error_bound)
@@ -197,7 +193,7 @@ def audit_main_residuals(f: FourierExpansion, theta_list: Sequence[np.ndarray],
     if not (0.0 < eps < limit):
         raise ValueError(f"eps must lie in (0, {limit:.6g}) for D = {params.d:.6g}")
     base_instance = dict(instance or {}, eps=eps, d=params.d, l1=params.l1, l2=params.l2)
-    nu, grad = gibbs_measure(f, max_n), gradient_tables(f, max_n).T.copy()
+    nu, grad = gibbs_measure(f, max_n), flip_differences(vertex_values(f, max_n)).T.copy()
     tanh_grad = np.tanh(grad)
     trace_cap = 256.0 * n ** (1.0 / 3.0) * params.d ** (2.0 / 3.0) / eps ** (2.0 / 3.0)
     scale = n ** (2.0 / 3.0) * params.d ** (1.0 / 3.0) / eps ** (1.0 / 3.0)
@@ -207,7 +203,7 @@ def audit_main_residuals(f: FourierExpansion, theta_list: Sequence[np.ndarray],
     for k, theta in enumerate(theta_list):
         theta = np.asarray(theta, dtype=np.float64)
         tilted = tilt(nu, theta) if np.any(theta) else nu
-        _, trace = tanh_covariance(tilted, grad + theta)
+        _, _, trace = tanh_covariance(tilted, grad + theta)
         in_good_set = trace <= trace_cap + PASS_SLACK
         center = mean(tilted)
         resid = float(np.abs(center - np.tanh(gradient_extension(f, center))).sum())

@@ -64,7 +64,7 @@ def gradient_direct(f, coords):
 
 
 def flip_lipschitz_tables(tables):
-    """The distance-1 ratio of ``lipschitz_l2`` from whole gradient tables (n, 2^n),
+    """The distance-1 ratio of ``lipschitz``'s L2 from whole gradient tables (n, 2^n),
     the scan the streamed one replaced, kept as its oracle."""
     n = tables.shape[0]
     best = 0.0

@@ -13,10 +13,9 @@ import numpy as np
 from mfgl.boolfn import (
     compose,
     eval_extension,
+    flip_differences,
     gradient_extension,
-    gradient_tables,
-    lipschitz_l1,
-    lipschitz_l2,
+    lipschitz,
     vertex_values,
 )
 from mfgl.complexity import GradientCloud, gaussian_width_mc
@@ -119,7 +118,7 @@ def test_criterion_04_gaussian_width():
     beta, n = 1.5, 8
     a = curie_weiss_interaction_matrix(beta, n)
     built = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(np.zeros(n))))
-    width = gaussian_width_mc(GradientCloud(gradient_tables(built).T),
+    width = gaussian_width_mc(GradientCloud(flip_differences(vertex_values(built)).T),
                               samples=100_000, seed=105)
     est, se = width.estimate, width.stderr
     assert est <= beta * math.sqrt(n) + 3.0 * se, f"ferromagnet width {est:.3f}"
@@ -198,9 +197,11 @@ def test_criterion_09_chain_rule_defects():
     worst_vertex = worst_ext = 0.0
     for _ in range(20):
         f = random_expansion(rng, n, degree=3)
-        lip = lipschitz_l1(f)
+        lip = lipschitz(f)[0]
         hf = compose(f, h)
-        defect = gradient_tables(hf) - np.asarray(h.deriv1(vertex_values(f))) * gradient_tables(f)
+        fvals = vertex_values(f)
+        defect = (flip_differences(vertex_values(hf))
+                  - np.asarray(h.deriv1(fvals)) * flip_differences(fvals))
         vertex_gap = float(np.abs(defect).sum(axis=0).max())
         assert vertex_gap <= b * lip**2 * n + 1e-9
         worst_vertex = max(worst_vertex, vertex_gap / (b * lip**2 * n))
@@ -219,7 +220,7 @@ def test_criterion_10_product_law_concentration():
     for _ in range(50):
         n = int(rng.integers(4, 9))
         f = random_expansion(rng, n, degree=3)
-        lip = lipschitz_l1(f)
+        lip = lipschitz(f)[0]
         z = rng.uniform(-0.95, 0.95, n)
         weights = densify(ProductMeasure(z)).probs
         deviation = float(weights @ np.abs(vertex_values(f) - float(eval_extension(f, z))))
@@ -244,14 +245,14 @@ def test_criterion_12_gradient_ratio_oracle_equivalence():
     for _ in range(30):
         n = int(rng.integers(3, 7))
         f = random_expansion(rng, n, degree=3)
-        tables = gradient_tables(f)
+        tables = flip_differences(vertex_values(f))
         size = 1 << n
         best = 0.0
         for u in range(size):
             for v in range(u + 1, size):
                 dist = bin(u ^ v).count("1")
                 best = max(best, float(np.abs(tables[:, u] - tables[:, v]).sum()) / (2.0 * dist))
-        assert lipschitz_l2(f) == best, "distance-1 restriction disagreed with all pairs"
+        assert lipschitz(f)[1] == best, "distance-1 restriction disagreed with all pairs"
     _report("12 ratio-oracle", "30 instances, distance-1 equals all-pairs exactly")
 
 

@@ -17,10 +17,9 @@ from mfgl.boolfn import (
     compose,
     eval_extension,
     from_vertex_values,
+    flip_differences,
     gradient_extension,
-    gradient_tables,
-    lipschitz_l1,
-    lipschitz_l2,
+    lipschitz,
     vertex_values,
     walsh_hadamard,
 )
@@ -176,7 +175,7 @@ def test_vertex_table_is_built_once_and_read_only(monkeypatch):
     transform = boolfn.walsh_hadamard
     monkeypatch.setattr(boolfn, "walsh_hadamard", lambda a: sizes.append(a.size) or transform(a))
     values = vertex_values(f)
-    assert vertex_values(f) is values and gradient_tables(f).shape == (5, 32)
+    assert vertex_values(f) is values and flip_differences(vertex_values(f)).shape == (5, 32)
     assert sizes == [32]
     with pytest.raises(ValueError, match="read-only"):
         values[0] = 1.0
@@ -218,7 +217,7 @@ def expansions(draw, max_n=8):
 @settings(max_examples=60, deadline=None, database=None)
 @given(f=expansions())
 def test_gradient_tables_match_flip_definition(f):
-    tables = gradient_tables(f)
+    tables = flip_differences(vertex_values(f))
     tol = 1e-12 * (1.0 + float(np.abs(vertex_values(f)).max()))
     for v, coords in enumerate(all_vertices(f.n)):
         assert np.abs(tables[:, v] - gradient_direct(f, coords)).max() <= tol
@@ -236,7 +235,7 @@ def test_walsh_hadamard_matches_definition_and_keeps_input():
 def test_lipschitz_l1_linear():
     mu = np.array([0.3, -1.2, 0.7])
     f = FourierExpansion.from_terms(3, [((i,), mu[i]) for i in range(3)])
-    assert lipschitz_l1(f) == pytest.approx(1.2)
+    assert lipschitz(f)[0] == pytest.approx(1.2)
 
 
 def test_lipschitz_l1_brute_force():
@@ -248,12 +247,12 @@ def test_lipschitz_l1_brute_force():
             for coords in all_vertices(6)
             for i in range(6)
         )
-        assert lipschitz_l1(f) == pytest.approx(brute, abs=1e-12)
+        assert lipschitz(f)[0] == pytest.approx(brute, abs=1e-12)
 
 
 def test_lipschitz_l2_linear_is_zero():
     f = FourierExpansion.from_terms(4, [((i,), 1.0) for i in range(4)])
-    assert lipschitz_l2(f) == 0.0
+    assert lipschitz(f)[1] == 0.0
 
 
 def test_lipschitz_l2_curie_weiss_matrix():
@@ -261,11 +260,11 @@ def test_lipschitz_l2_curie_weiss_matrix():
     beta, n = 1.7, 6
     terms = [((i, j), beta / n) for i in range(n) for j in range(i + 1, n)]
     f = FourierExpansion.from_terms(n, terms)
-    assert lipschitz_l2(f) <= beta + 1e-12
+    assert lipschitz(f)[1] <= beta + 1e-12
 
 
 def _l2_all_pairs(f):
-    tables = gradient_tables(f)
+    tables = flip_differences(vertex_values(f))
     size = 1 << f.n
     best = 0.0
     for u in range(size):
@@ -281,13 +280,13 @@ def test_lipschitz_l2_hamming1_equals_all_pairs():
     for _ in range(6):
         n = int(rng.integers(3, 7))
         f = random_expansion(rng, n, degree=3)
-        assert lipschitz_l2(f) == _l2_all_pairs(f)
+        assert lipschitz(f)[1] == _l2_all_pairs(f)
 
 
 def test_l1_bound_on_vertex_pairs():
     rng = np.random.default_rng(41)
     f = random_expansion(rng, 6, degree=3)
-    l1 = lipschitz_l1(f)
+    l1 = lipschitz(f)[0]
     values = vertex_values(f)
     coords = all_vertices(6)
     for _ in range(50):
@@ -347,8 +346,7 @@ def test_zero_function_everywhere():
     z = FourierExpansion(4)
     assert eval_extension(z, np.zeros(4)) == 0.0
     assert np.array_equal(gradient_extension(z, np.ones(4)), np.zeros(4))
-    assert lipschitz_l1(z) == 0.0
-    assert lipschitz_l2(z) == 0.0
+    assert lipschitz(z) == (0.0, 0.0)
     assert vertex_values(z) == pytest.approx(np.zeros(16))
 
 
@@ -372,7 +370,7 @@ def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         vertex_values(f)
     with pytest.raises(CapExceeded):
-        lipschitz_l1(f)
+        lipschitz(f)
     # configurable
     g = FourierExpansion.from_terms(6, [((0,), 1.0)])
     with pytest.raises(CapExceeded):

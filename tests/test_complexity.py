@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import mfgl.boolfn as boolfn
 import mfgl.complexity as complexity
-from mfgl.boolfn import FourierExpansion, gradient_tables, lipschitz_l1, lipschitz_l2, vertex_values
+from mfgl.boolfn import FourierExpansion, flip_differences, lipschitz, vertex_values
 from mfgl.complexity import (
     LEVEL1_DRAWS,
     PILOT_DRAWS,
@@ -55,7 +55,7 @@ def test_width_curie_weiss_within_closed_form():
     beta, n = 1.2, 8
     a = curie_weiss_interaction_matrix(beta, n)
     f = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(np.zeros(n))))
-    width = gaussian_width_mc(GradientCloud(gradient_tables(f).T),
+    width = gaussian_width_mc(GradientCloud(flip_differences(vertex_values(f)).T),
                               samples=50_000, seed=3)
     est, se = width.estimate, width.stderr
     assert est <= beta * math.sqrt(n) + 3 * se
@@ -159,15 +159,15 @@ def test_complexity_params_random_instance():
 
 def test_complexity_params_builds_tables_once(monkeypatch):
     sizes, tables = [], []
-    transform, tabulate = boolfn.walsh_hadamard, boolfn.gradient_tables
+    transform, tabulate = boolfn.walsh_hadamard, boolfn.flip_differences
     monkeypatch.setattr(boolfn, "walsh_hadamard", lambda a: sizes.append(a.size) or transform(a))
-    monkeypatch.setattr(boolfn, "gradient_tables", lambda *a: tables.append(a) or tabulate(*a))
+    monkeypatch.setattr(boolfn, "flip_differences", lambda *a: tables.append(a) or tabulate(*a))
     f = random_expansion(np.random.default_rng(12), 6, degree=3)
     p = complexity_params(f, samples=500, seed=4)
     assert (sizes, tables) == ([64], [])
     # the streamed numbers are the ones the whole (n, 2^n) tables give
     monkeypatch.undo()
-    grads = gradient_tables(f)
+    grads = flip_differences(vertex_values(f))
     width = gaussian_width_mc(GradientCloud(grads.T), samples=500, seed=4)
     d, d_se = width.estimate, width.stderr
     assert p == ComplexityParams.from_raw(d, float(np.abs(grads).max()),
@@ -202,17 +202,18 @@ def sparse_fourier_specs(draw, max_n=10):
 @given(spec=sparse_fourier_specs(), data=st.data())
 def test_streamed_cloud_matches_the_gradient_tables(spec, data):
     f = build_hamiltonian(spec)
-    n, values, tables = f.n, vertex_values(f), gradient_tables(f)
-    # blocks of 1 .. 2^n vertices: bits below the block pair inside it, the
-    # rest pair it with the block at start ^ 2^i
-    scan_block = 1 << data.draw(st.integers(0, n), label="log2 scan block")
+    n, values = f.n, vertex_values(f)
+    tables = flip_differences(values)
+    # flip blocks of 1 .. 2^n vertices, for the Lipschitz walk and the cloud's
+    # slabs alike: bits below the block pair inside it, the rest pair it with
+    # the block at start ^ 2^i
+    flip_block = 1 << data.draw(st.integers(0, n), label="log2 flip block")
     rows = 1 << data.draw(st.integers(0, n), label="log2 cloud block")
     draws = data.draw(st.integers(2, 9), label="draws")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(boolfn, "_FLIP_BLOCK", scan_block)
+        mp.setattr(boolfn, "_FLIP_BLOCK", flip_block)
         mp.setattr(complexity, "_BLOCK_ENTRIES", rows * draws)
-        assert lipschitz_l1(f) == float(np.abs(tables).max())
-        assert lipschitz_l2(f) == flip_lipschitz_tables(tables)
+        assert lipschitz(f) == (float(np.abs(tables).max()), flip_lipschitz_tables(tables))
         streamed, oracle = VertexCloud(values), GradientCloud(tables.T)
         g = np.random.default_rng(draws).standard_normal((draws, n))
         sups, won = complexity._sups(streamed, g, winners=True)

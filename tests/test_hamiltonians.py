@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 from mfgl.boolfn import (
     FourierExpansion,
     eval_extension,
+    flip_differences,
     gradient_extension,
-    gradient_tables,
-    lipschitz_l1,
-    lipschitz_l2,
+    lipschitz,
     compose,
     vertex_values,
 )
@@ -29,7 +28,6 @@ from mfgl.hamiltonians import (
     IsingSpec,
     LinearSpec,
     CubicQuinticShape,
-    ScaledCutoffShape,
     SmoothedCutoffSpec,
     SparseFourierSpec,
     TriangleCountSpec,
@@ -134,8 +132,9 @@ def test_ising_lipschitz_bounds_hold_exactly():
     f = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(mu.tolist())))
     mu_max = np.abs(mu).max()
     row = np.abs(a).sum(axis=1).max()
-    assert lipschitz_l1(f) <= mu_max + row + 1e-12
-    assert lipschitz_l2(f) <= row + 1e-12
+    l1, l2 = lipschitz(f)
+    assert l1 <= mu_max + row + 1e-12
+    assert l2 <= row + 1e-12
 
 
 def test_sparse_fourier_spec_round_trip():
@@ -284,8 +283,8 @@ def test_mc_width_within_closed_form_bound():
     mu = rng.normal(size=n) * 0.2
     f = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(mu.tolist())))
     bound = ising_complexity_bounds(a, mu)
-    width = gaussian_width_mc(GradientCloud(gradient_tables(f).T), samples=20_000,
-                              seed=9)
+    width = gaussian_width_mc(GradientCloud(flip_differences(vertex_values(f)).T),
+                              samples=20_000, seed=9)
     est, se = width.estimate, width.stderr
     assert est <= bound.d + 3.0 * se
 
@@ -318,6 +317,21 @@ def test_cutoff_shape_one_sided_derivatives_at_knots():
         assert left == pytest.approx(right, abs=1e-8)
 
 
+def test_cutoff_shape_defaults_are_the_literal_ramp():
+    # n = 1, t = 0, delta = 1: every scaling step is exact, so the shape is
+    # the ramp bit for bit, signs of zero included
+    h = CutoffShape()
+    xs = np.array([-np.inf, -3.5, -1.0 - 2**-52, -1.0, -1.0 + 2**-53, -0.5, -1e-200, -0.0,
+                   0.0, 1e-300, 2.0, np.inf])
+    ramp = np.where(xs <= -1.0, 2.0 * xs + 1.0, np.where(xs < 0.0, -xs * xs, 0.0))
+    d1 = np.where(xs <= -1.0, 2.0, np.where(xs < 0.0, -2.0 * xs, 0.0))
+    d2 = np.where(xs <= -1.0, 0.0, np.where(xs < 0.0, -2.0, 0.0))
+    for got, want in ((h.value(xs), ramp), (h.deriv1(xs), d1), (h.deriv2(xs), d2)):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.signbit(h.value(-1e-200))  # the grid reaches a -0.0 value: -(1e-200)^2 underflows
+    assert (h.n, h.t, h.delta, h.d1_bound, h.d2_bound) == (1, 0.0, 1.0, 2.0, 2.0)
+
+
 def test_cubic_quintic_shape_knot_continuity_and_flat_origin():
     h = CubicQuinticShape()
     # cubic-quintic branch 3/4 - 1/4 = 1/2 meets the quadratic branch at 1
@@ -332,7 +346,7 @@ def test_cubic_quintic_shape_knot_continuity_and_flat_origin():
 
 
 def test_scaled_cutoff_bounds_and_sign():
-    psi = ScaledCutoffShape(10, 0.4, 0.05)
+    psi = CutoffShape(10, 0.4, 0.05)
     xs = np.linspace(-30, 30, 1001)
     assert np.all(psi.value(xs) <= 0.0)
     assert np.all(np.abs(psi.deriv1(xs)) <= 2.0 / 0.05 + 1e-12)
@@ -370,7 +384,7 @@ def test_smoothed_cutoff_spec_builds_composition():
     spec = SmoothedCutoffSpec(CurieWeissSpec(1.5, 6), 0.4, 0.1)
     f = build_hamiltonian(spec)
     inner = build_hamiltonian(spec.inner)
-    psi = ScaledCutoffShape(6, 0.4, 0.1)
+    psi = CutoffShape(6, 0.4, 0.1)
     expected = psi.value(vertex_values(inner))
     assert vertex_values(f) == pytest.approx(np.asarray(expected), abs=1e-9)
 
@@ -413,11 +427,10 @@ def test_composition_lipschitz_bounds_hold_empirically():
     for _ in range(4):
         n = int(rng.integers(5, 9))
         f = random_expansion(rng, n, degree=2)
-        params = ComplexityParams.from_raw(0.0, lipschitz_l1(f), lipschitz_l2(f))
-        hf = compose(f, h)
-        assert lipschitz_l1(hf) <= h.d1_bound * params.l1 + 1e-9
-        assert lipschitz_l2(hf) <= (h.d1_bound * params.l2
-                                    + 3.0 * h.d2_bound * params.l1**2 * n + 1e-9)
+        params = ComplexityParams.from_raw(0.0, *lipschitz(f))
+        l1, l2 = lipschitz(compose(f, h))
+        assert l1 <= h.d1_bound * params.l1 + 1e-9
+        assert l2 <= h.d1_bound * params.l2 + 3.0 * h.d2_bound * params.l1**2 * n + 1e-9
 
 
 def test_complexity_params_floors():
