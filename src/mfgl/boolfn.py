@@ -127,12 +127,55 @@ class FourierExpansion:
 
     @cached_property
     def _vertex_table(self) -> np.ndarray:
-        """F on all 2^n vertices, built once and read-only; ``vertex_values`` checks the cap."""
+        """F on all 2^n vertices: built once, read-only, refused unless finite."""
         tab = np.zeros(1 << self.n)
         tab[self.masks] = self.coeffs * (1.0 - 2.0 * (np.bitwise_count(self.masks) & 1))
-        tab = walsh_hadamard(tab)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tab = walsh_hadamard(tab)
+        if not np.all(np.isfinite(tab)):
+            raise ValueError("Hamiltonian evaluates to non-finite values")
         tab.flags.writeable = False
         return tab
+
+    @cached_property
+    def _terms(self) -> np.ndarray:
+        """The term index of the extension kernels, built once and read-only.
+
+        Column t (degree x terms) holds term t's coordinates in increasing
+        order, padded to the degree with ``n``, the index of a row of ones
+        appended to the points; terms keep the mask order.  Points enter as
+        columns, so each product and sum runs over whole (terms x batch)
+        slices.  ``eval_extension`` and ``gradient_extension`` walk the terms
+        in blocks of about ``_BLOCK_ENTRIES`` entries, the width being the
+        degree for the value and n + 1 for the gradient, whose shares are
+        spread over every coordinate.  A running sum carries across blocks,
+        adding the terms' shares one after another in mask order from 0.0.
+        So each point's bits do not depend on the batch around it, and they
+        match a per-term loop that adds ``coeff * prod`` (or, per coordinate,
+        ``coeff * prefix * suffix``) into a zero-initialised accumulator.
+        """
+        masks = self.masks.astype(np.uint64)
+        idx = np.full((max(self.degree(), 1), masks.size), self.n, dtype=np.intp)
+        for i in range(self.n):
+            has = np.nonzero((masks >> np.uint64(i)) & np.uint64(1))[0]
+            below = np.bitwise_count(masks[has] & np.uint64((1 << i) - 1)).astype(np.intp)
+            idx[below, has] = i
+        idx.flags.writeable = False
+        return idx
+
+    @cached_property
+    def _pairwise(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(A, mu) with gradient field x @ A + mu for degree <= 2, else None.  Each term's
+        coefficient is assigned, never added, at (i, j) and (j, i) of an (n + 1)^2 table, i, j
+        its index rows (pads n), so -0.0 stays; A is the C-contiguous leading block, mu row n."""
+        if self.degree() > 2:
+            return None
+        i, j = np.vstack([self._terms, np.full_like(self._terms, self.n)])[:2]
+        full = np.zeros((self.n + 1, self.n + 1))
+        full[i, j] = full[j, i] = self.coeffs
+        a, mu = full[:-1, :-1].copy(), full[-1, :-1].copy()
+        a.flags.writeable = mu.flags.writeable = False
+        return a, mu
 
 
 def add_linear(f: FourierExpansion, theta: np.ndarray, const: float = 0.0) -> FourierExpansion:
@@ -147,83 +190,19 @@ def add_linear(f: FourierExpansion, theta: np.ndarray, const: float = 0.0) -> Fo
     return FourierExpansion.from_terms(f.n, terms)
 
 
-@dataclass(frozen=True)
-class TermPlan:
-    """The terms of an expansion laid out for one batched kernel.
-
-    Column t of ``idx`` (degree x terms) holds term t's coordinates in
-    increasing order, padded to the degree with ``n``, the index of a row of
-    ones appended to the points; terms keep the expansion's mask order.
-    Points enter as columns, so each product and sum runs over whole
-    (terms x batch) slices.  Both methods walk the terms in blocks of about
-    ``_BLOCK_ENTRIES`` entries, the width being the degree for the value and
-    n + 1 for the gradient, whose shares are spread over every coordinate.
-    A running sum carries across blocks, adding the terms' shares one after
-    another in mask order from 0.0.  So each point's bits do not depend on
-    the batch around it, and they match a per-term loop that adds
-    ``coeff * prod`` (or, per coordinate, ``coeff * prefix * suffix``) into
-    a zero-initialised accumulator.
-    """
-
-    n: int
-    idx: np.ndarray
-    coeffs: np.ndarray
-
-    def _points(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """x as an array (..., n) and its points as columns (n + 1, B), the last row ones."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.n:
-            raise DimensionMismatch(f"point dimension {x.shape[-1]} != f.n = {self.n}")
-        pts = x.reshape(-1, self.n).T
-        return x, np.concatenate([pts, np.ones((1, pts.shape[1]))])
-
-    def _blocks(self, batch: int, width: int):
-        size = max(1, _BLOCK_ENTRIES // max(batch * width, 1))
-        for start in range(0, self.coeffs.size, size):
-            stop = start + size
-            yield self.idx[:, start:stop], self.coeffs[start:stop, None]
-
-    def value(self, x) -> np.ndarray:
-        """Extension values sum_S coeff(S) prod_{i in S} x_i of the points x (..., n)."""
-        x, pts = self._points(x)
-        acc = np.zeros((1, pts.shape[1]))
-        for idx, coeffs in self._blocks(pts.shape[1], self.idx.shape[0]):
-            terms = coeffs * np.multiply.accumulate(pts[idx], axis=0)[-1]
-            acc = np.add.accumulate(np.concatenate([acc, terms]), axis=0)[-1:]
-        return acc.reshape(x.shape[:-1])
-
-    def gradient(self, x) -> np.ndarray:
-        """Extension gradients of the points x (..., n): per term and coordinate
-        the exclusive prefix times the exclusive suffix product, division free."""
-        x, pts = self._points(x)
-        rows, batch = pts.shape
-        acc = np.zeros((rows, batch))
-        for idx, coeffs in self._blocks(batch, rows):
-            sub = pts[idx]
-            share = np.empty_like(sub)
-            share[0] = coeffs
-            np.multiply(coeffs, np.multiply.accumulate(sub[:-1], axis=0), out=share[1:])
-            share[:-1] *= np.multiply.accumulate(sub[:0:-1], axis=0)[::-1]
-            # Term t's shares land in layer t + 1 at its coordinates' rows (pads
-            # on row n, dropped at the end) and +0.0 everywhere else.  Adding
-            # +0.0 leaves the running sum as it is: it starts at +0.0, so it
-            # is never -0.0.
-            spread = np.zeros((idx.shape[1] + 1, rows, batch))
-            spread[0] = acc
-            spread[np.arange(1, idx.shape[1] + 1), idx] = share
-            acc = np.add.accumulate(spread, axis=0, out=spread)[-1].copy()
-        return acc[:-1].T.reshape(x.shape)
+def _points(f: FourierExpansion, x) -> tuple[np.ndarray, np.ndarray]:
+    """x as an array (..., n) and its points as columns (n + 1, B), the last row ones."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != f.n:
+        raise DimensionMismatch(f"point dimension {x.shape[-1]} != f.n = {f.n}")
+    pts = x.reshape(-1, f.n).T
+    return x, np.concatenate([pts, np.ones((1, pts.shape[1]))])
 
 
-def term_plan(f: FourierExpansion) -> TermPlan:
-    """The ``TermPlan`` of f; build it once to evaluate f at many batches."""
-    masks = f.masks.astype(np.uint64)
-    idx = np.full((max(f.degree(), 1), masks.size), f.n, dtype=np.intp)
-    for i in range(f.n):
-        has = np.nonzero((masks >> np.uint64(i)) & np.uint64(1))[0]
-        below = np.bitwise_count(masks[has] & np.uint64((1 << i) - 1)).astype(np.intp)
-        idx[below, has] = i
-    return TermPlan(f.n, idx, f.coeffs)
+def _term_blocks(f: FourierExpansion, batch: int, width: int):
+    size = max(1, _BLOCK_ENTRIES // max(batch * width, 1))
+    for start in range(0, f.coeffs.size, size):
+        yield f._terms[:, start:start + size], f.coeffs[start:start + size, None]
 
 
 def eval_extension(f: FourierExpansion, x) -> float | np.ndarray:
@@ -232,7 +211,12 @@ def eval_extension(f: FourierExpansion, x) -> float | np.ndarray:
     Accepts a single point (n,) or a batch (..., n); at vertices this equals
     the Boolean value of f.
     """
-    out = term_plan(f).value(x)
+    x, pts = _points(f, x)
+    acc = np.zeros((1, pts.shape[1]))
+    for idx, coeffs in _term_blocks(f, pts.shape[1], f._terms.shape[0]):
+        terms = coeffs * np.multiply.accumulate(pts[idx], axis=0)[-1]
+        acc = np.add.accumulate(np.concatenate([acc, terms]), axis=0)[-1:]
+    out = acc.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 
@@ -243,7 +227,29 @@ def gradient_extension(f: FourierExpansion, x) -> np.ndarray:
     coordinate flips; on the solid cube it agrees with the real partial
     derivatives of the extension.  Division-free (safe at zero coordinates).
     """
-    return term_plan(f).gradient(x)
+    x, pts = _points(f, x)
+    rows, batch = pts.shape
+    acc = np.zeros((rows, batch))
+    for idx, coeffs in _term_blocks(f, batch, rows):
+        sub = pts[idx]
+        share = np.empty_like(sub)
+        share[0] = coeffs
+        np.multiply(coeffs, np.multiply.accumulate(sub[:-1], axis=0), out=share[1:])
+        share[:-1] *= np.multiply.accumulate(sub[:0:-1], axis=0)[::-1]
+        # Term t's shares land in layer t + 1 at its coordinates' rows (pads
+        # on row n, dropped at the end) and +0.0 everywhere else.  Adding
+        # +0.0 leaves the running sum as it is: it starts at +0.0, so it
+        # is never -0.0.
+        spread = np.zeros((idx.shape[1] + 1, rows, batch))
+        spread[0] = acc
+        spread[np.arange(1, idx.shape[1] + 1), idx] = share
+        acc = np.add.accumulate(spread, axis=0, out=spread)[-1].copy()
+    return acc[:-1].T.reshape(x.shape)
+
+
+def pairwise_form(f: FourierExpansion) -> tuple[np.ndarray, np.ndarray] | None:
+    """(A, mu) of f's gradient field x @ A + mu, read-only, when f has degree <= 2; else None."""
+    return f._pairwise
 
 
 def vertex_values(f: FourierExpansion, max_n: int | None = None) -> np.ndarray:

@@ -308,8 +308,8 @@ class CurieWeissSpec(HamiltonianSpec):
 
     def _validate(self):
         self._set(beta=float(self.beta), n=_integer(self.n))
-        if self.beta <= 0:
-            raise InvalidSpec("beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise InvalidSpec(f"beta must be positive and finite, got {self.beta}")
         if self.n < 2:
             raise InvalidSpec("need at least two sites")
 
@@ -328,6 +328,8 @@ class TriangleCountSpec(HamiltonianSpec):
 
     def _validate(self):
         self._set(beta=float(self.beta), num_vertices=_integer(self.num_vertices))
+        if not math.isfinite(self.beta):
+            raise InvalidSpec(f"beta must be finite, got {self.beta}")
         if self.num_vertices < 3:
             raise InvalidSpec("need at least three graph vertices")
 
@@ -362,7 +364,9 @@ class SparseFourierSpec(HamiltonianSpec):
                 raise InvalidSpec("repeated index in subset")
             if subset and (subset[0] < 0 or subset[-1] >= n):
                 raise InvalidSpec("subset index out of range")
-            norm.append((subset, float(coeff)))
+            if not math.isfinite(coeff := float(coeff)):
+                raise InvalidSpec(f"coefficient must be finite, got {coeff}")
+            norm.append((subset, coeff))
         self._set(n=n, terms=tuple(norm))
 
     def to_dict(self) -> dict:
@@ -446,8 +450,8 @@ def curie_weiss_interaction_matrix(beta: float, n: int) -> np.ndarray:
 def build_hamiltonian(spec: HamiltonianSpec, max_n: int | None = None) -> FourierExpansion:
     """Realize a spec as its sparse expansion f.
 
-    Its gradient field is ``meanfield.as_gradient_field(f)``, which compiles
-    degree <= 2 expansions to the matrix form x @ A + mu.
+    Its gradient field is ``meanfield.as_gradient_field(f)``, which runs
+    degree <= 2 expansions as x @ A + mu with (A, mu) = ``pairwise_form(f)``.
     """
     if not isinstance(spec, HamiltonianSpec):
         raise InvalidSpec(f"unknown Hamiltonian spec {type(spec).__name__}")

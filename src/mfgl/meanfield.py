@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .boolfn import FourierExpansion, eval_extension, gradient_extension, term_plan
+from .boolfn import FourierExpansion, eval_extension, gradient_extension, pairwise_form
 from .hamiltonians import ComplexityParams
 
 DEFAULT_DAMPING = 0.5
@@ -35,24 +35,17 @@ GradientField = Callable[[np.ndarray], np.ndarray]
 def as_gradient_field(f: FourierExpansion | GradientField) -> GradientField:
     """Batched gradient callable for an expansion (or pass a callable through).
 
-    Expansions of degree at most two compile to a single matrix-vector form;
-    higher degrees build their ``TermPlan`` once and return its gradient.
-    Either way a battery step costs a few array operations, which is what
-    keeps multi-start batteries and lambda scans cheap.
+    Expansions of degree at most two run x @ A + mu on their ``pairwise_form``,
+    higher degrees ``gradient_extension``; both forms are built once per
+    expansion, so a battery step costs a few array operations, which keeps
+    multi-start batteries and lambda scans cheap.
     """
     if isinstance(f, FourierExpansion):
-        if f.degree() <= 2:
-            n = f.n
-            a = np.zeros((n, n))
-            mu = np.zeros(n)
-            for mask, coeff in zip(f.masks.tolist(), f.coeffs.tolist()):
-                idx = [i for i in range(n) if (mask >> i) & 1]
-                if len(idx) == 2:
-                    a[idx[0], idx[1]] = a[idx[1], idx[0]] = coeff
-                elif len(idx) == 1:
-                    mu[idx[0]] = coeff
-            return lambda x: np.asarray(x, dtype=np.float64) @ a + mu
-        return term_plan(f).gradient
+        form = pairwise_form(f)
+        if form is None:
+            return lambda x: gradient_extension(f, x)
+        a, mu = form
+        return lambda x: np.asarray(x, dtype=np.float64) @ a + mu
     if callable(f):
         return f
     raise TypeError("expected a FourierExpansion or a gradient field callable")

@@ -82,7 +82,7 @@ def _mask_indices(mask):
 
 
 def eval_extension_loop(f, x):
-    """The per-term extension loop the term-plan kernel replaced, kept as its oracle."""
+    """The per-term extension loop the extension kernel replaced, kept as its oracle."""
     arr = np.asarray(x, dtype=np.float64)
     out = np.zeros(arr.shape[:-1], dtype=np.float64)
     for mask, coeff in zip(f.masks.tolist(), f.coeffs.tolist()):
@@ -95,7 +95,7 @@ def eval_extension_loop(f, x):
 
 
 def gradient_extension_loop(f, x):
-    """The per-term gradient loop the term-plan kernel replaced, kept as its oracle."""
+    """The per-term gradient loop the gradient kernel replaced, kept as its oracle."""
     arr = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(arr)
     for mask, coeff in zip(f.masks.tolist(), f.coeffs.tolist()):
@@ -113,6 +113,21 @@ def gradient_extension_loop(f, x):
             suf = ones
         grad[..., idx] += coeff * pref * suf
     return grad
+
+
+def pairwise_form_loop(f):
+    """(A, mu) decoded mask by mask, as ``as_gradient_field`` once did for degree <= 2;
+    the oracle of ``pairwise_form``."""
+    n = f.n
+    a = np.zeros((n, n))
+    mu = np.zeros(n)
+    for mask, coeff in zip(f.masks.tolist(), f.coeffs.tolist()):
+        idx = [i for i in range(n) if (mask >> i) & 1]
+        if len(idx) == 2:
+            a[idx[0], idx[1]] = a[idx[1], idx[0]] = coeff
+        elif len(idx) == 1:
+            mu[idx[0]] = coeff
+    return a, mu
 
 
 def product_weights_direct(z):

@@ -1,6 +1,7 @@
 """Fourier expansions: evaluation, gradients, Lipschitz constants, composition."""
 
 import tracemalloc
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from mfgl.boolfn import (
     flip_differences,
     gradient_extension,
     lipschitz,
+    pairwise_form,
     vertex_values,
     walsh_hadamard,
 )
@@ -29,6 +31,7 @@ from mfgl.hamiltonians import (
     SmoothedCutoffSpec,
     build_hamiltonian,
 )
+from mfgl.meanfield import as_gradient_field, lambda_scan, residual_l1
 
 from conftest import (
     all_vertices,
@@ -36,6 +39,7 @@ from conftest import (
     eval_extension_loop,
     gradient_direct,
     gradient_extension_loop,
+    pairwise_form_loop,
     product_weights_direct,
     random_expansion,
 )
@@ -129,7 +133,7 @@ def _bits(a):
                np.array([0.0, -0.5, 0.25]), 1))
 @example(case=(HUB, np.ones(5), 1 << 18))
 @example(case=(HUB, np.ones((2, 5)), 7))
-def test_term_plan_matches_the_per_term_loops_bit_for_bit(case):
+def test_extension_kernels_match_the_per_term_loops_bit_for_bit(case):
     f, x, block = case
     with mock.patch.object(boolfn, "_BLOCK_ENTRIES", block):
         value, grad = eval_extension(f, x), gradient_extension(f, x)
@@ -156,9 +160,9 @@ def test_gradient_memory_is_bounded_by_the_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the plan's index table plus about six block-sized float arrays at once
-    plan_bytes = f.masks.size * f.degree() * 8
-    assert peak < plan_bytes + 8 * 8 * boolfn._BLOCK_ENTRIES
+    # the term index plus about six block-sized float arrays at once
+    index_bytes = f.masks.size * f.degree() * 8
+    assert peak < index_bytes + 8 * 8 * boolfn._BLOCK_ENTRIES
 
 
 def test_vertex_values_match_direct_eval():
@@ -179,6 +183,60 @@ def test_vertex_table_is_built_once_and_read_only(monkeypatch):
     assert sizes == [32]
     with pytest.raises(ValueError, match="read-only"):
         values[0] = 1.0
+
+
+def test_term_index_and_pairwise_form_are_built_once_and_read_only(monkeypatch):
+    builds = []
+    for name in ("_terms", "_pairwise"):
+        cached = vars(FourierExpansion)[name]
+        assert isinstance(cached, cached_property), f"{name} is not kept on the expansion"
+        monkeypatch.setattr(cached, "func", lambda self, build=cached.func, name=name:
+                            builds.append(name) or build(self))
+    f = build_hamiltonian(CurieWeissSpec(1.5, 10))
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, (3, 10))
+    eval_extension(f, x)
+    gradient_extension(f, x)
+    as_gradient_field(f)(x)
+    residual_l1(f, x[0])
+    lambda_scan(f, 0.675, 0.05, lambda_grid=np.array([0.44, 0.5]))
+    assert sorted(builds) == ["_pairwise", "_terms"]
+    a, mu = pairwise_form(f)
+    assert pairwise_form(f)[0] is a and a.flags.c_contiguous
+    for table in (f._terms, a, mu):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
+_PAIRWISE_MASKS = {n: [0] + [1 << i | 1 << j for i in range(n) for j in range(i, n)]
+                   for n in range(1, 9)}
+
+
+@st.composite
+def pairwise_expansions(draw):
+    """Degree <= 2 expansions on n <= 8 built straight from masks, so a -0.0
+    coefficient survives; the constant and singletons are among the masks."""
+    n = draw(st.integers(1, 8))
+    masks = sorted(draw(st.sets(st.sampled_from(_PAIRWISE_MASKS[n]), max_size=20)))
+    coeffs = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)),
+                           min_size=len(masks), max_size=len(masks)))
+    return FourierExpansion(n, np.array(masks, dtype=np.int64), np.array(coeffs))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(f=pairwise_expansions())
+@example(f=FourierExpansion(4))
+@example(f=FourierExpansion(3, np.array([0]), np.array([2.5])))
+@example(f=FourierExpansion(3, np.array([1, 2, 4]), np.array([-0.0, 1.5, 0.0])))
+@example(f=FourierExpansion(3, np.array([0, 3, 6]), np.array([1.0, -0.0, -2.0])))
+def test_pairwise_form_matches_the_per_mask_loop_bit_for_bit(f):
+    a, mu = pairwise_form(f)
+    a_loop, mu_loop = pairwise_form_loop(f)
+    assert a.flags.c_contiguous and a.shape == (f.n, f.n)
+    assert np.array_equal(_bits(a), _bits(a_loop)) and np.array_equal(_bits(mu), _bits(mu_loop))
+
+
+def test_pairwise_form_is_none_above_degree_two():
+    assert pairwise_form(FourierExpansion.from_terms(3, [((0, 1, 2), 1.0), ((0,), 0.5)])) is None
 
 
 def test_cap_is_checked_after_the_table_is_kept():

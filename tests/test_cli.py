@@ -94,6 +94,10 @@ MALFORMED_SPECS = [
     {"type": "sparse_fourier", "n": 3, "terms": [[0, 1]]},
     {"type": "smoothed_cutoff", "inner": {"type": "curie_weiss", "beta": 1.5, "n": 4.5},
      "t": 0.4, "delta": 0.05},
+    {"type": "curie_weiss", "beta": float("nan"), "n": 6},
+    {"type": "curie_weiss", "beta": float("inf"), "n": 6},
+    {"type": "triangle_count", "beta": float("inf"), "num_vertices": 4},
+    {"type": "sparse_fourier", "n": 3, "terms": [{"subset": [0], "coeff": float("nan")}]},
 ]
 
 
@@ -415,6 +419,18 @@ def _assert_refused(capsys, out):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["ld-scan", "--t", "0.5", "--delta", "0.1"], ["analyze"],
+                                  ["audit", "--suite", "proximity"]])
+def test_an_overflowing_vertex_table_is_one_error_line(tmp_path, capsys, argv):
+    # finite coefficients whose table is [-inf, 0, 0, inf, ...]
+    spec = _write_spec(tmp_path, {"type": "sparse_fourier", "n": 3,
+                                  "terms": [{"subset": [0], "coeff": 1e308},
+                                            {"subset": [1], "coeff": 1e308}]})
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--spec", spec, "--out", str(out)]) == 1
+    _assert_refused(capsys, out)
 
 
 @pytest.mark.parametrize("flag", [["--t", "nan", "--delta", "0.05"],
