@@ -36,7 +36,6 @@ _EXPORTS = {
     "InvalidSpec": "hamiltonians",
     "IsingSpec": "hamiltonians",
     "LinearSpec": "hamiltonians",
-    "ProductMeasure": "gibbs",
     "CubicQuinticShape": "hamiltonians",
     "ScalarShape": "hamiltonians",
     "SmoothedCutoffSpec": "hamiltonians",
@@ -47,7 +46,6 @@ _EXPORTS = {
     "compose": "boolfn",
     "composition_params": "hamiltonians",
     "curie_weiss_roots": "meanfield",
-    "densify": "gibbs",
     "eval_extension": "boolfn",
     "gaussian_width_mc": "complexity",
     "gibbs_measure": "gibbs",
@@ -59,11 +57,11 @@ _EXPORTS = {
     "mean": "gibbs",
     "mean_field_functional": "meanfield",
     "mf_iterate": "meanfield",
+    "product_law": "gibbs",
     "smoothed_cutoff_weights": "hamiltonians",
     "solve_multistart": "meanfield",
     "tilt": "gibbs",
     "tv": "gibbs",
-    "w1_exact": "gibbs",
     "structural_set_test": "meanfield",
 }
 

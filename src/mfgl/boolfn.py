@@ -263,11 +263,13 @@ def from_vertex_values(n: int, values: np.ndarray, prune: float = PRUNE_TOL) -> 
     """Inverse character transform: expansion matching the given vertex table.
 
     Coefficients below ``prune`` in absolute value are dropped to keep the
-    result sparse.
+    result sparse; non-finite values, whose NaN coefficients would be dropped, are refused.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size != (1 << n):
         raise ValueError(f"need 2^{n} vertex values, got {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("vertex values must be finite")
     signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n)) & 1)
     coeffs = walsh_hadamard(values) * signs / float(1 << n)
     keep = np.nonzero(np.abs(coeffs) > prune)[0]
@@ -383,6 +385,4 @@ def compose(f: FourierExpansion, h, max_n: int | None = None) -> FourierExpansio
     hv = np.asarray(fn(values), dtype=np.float64)
     if hv.shape != values.shape:
         raise ValueError("scalar shape did not evaluate elementwise")
-    if not np.all(np.isfinite(hv)):
-        raise ValueError("scalar shape produced non-finite values")
     return from_vertex_values(f.n, hv)

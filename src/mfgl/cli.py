@@ -369,7 +369,7 @@ def _require_spec(config: RunConfig) -> tuple[HamiltonianSpec, FourierExpansion]
 
 
 def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
-    from . import complexity, hamiltonians, meanfield
+    from . import boolfn, complexity, hamiltonians, meanfield
 
     spec, f = _require_spec(config)
     report = _new_report(config, spec.to_dict())
@@ -377,9 +377,9 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
         params = complexity.complexity_params(f, samples=config.samples,
                                               seed=config.seed, max_n=config.max_n)
     report["params"] = _params_dict(params)
-    if hasattr(spec, "matrices"):
-        report["closed_form_bounds"] = _params_dict(
-            hamiltonians.ising_complexity_bounds(*spec.matrices()))
+    form = boolfn.pairwise_form(f)
+    if form is not None:
+        report["closed_form_bounds"] = _params_dict(hamiltonians.ising_complexity_bounds(*form))
     if isinstance(spec, hamiltonians.CurieWeissSpec):
         # constant fixed points of this spec's field solve x = tanh(2 beta (n-1)/n x)
         report["scalar_roots"] = [float(r) for r in meanfield.curie_weiss_roots(

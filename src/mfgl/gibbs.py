@@ -23,14 +23,13 @@ from . import transport
 PROB_TOL = 1e-12
 
 
-def _linear_vertex_values(theta: np.ndarray) -> np.ndarray:
-    """<theta, c(v)> for every vertex v, by per-bit accumulation."""
-    n = theta.size
-    out = np.zeros(1 << n)
-    idx = np.arange(1 << n)
-    for i in range(n):
-        out += np.where((idx >> i) & 1, theta[i], -theta[i])
-    return out
+def _coordinate_table(ufunc: np.ufunc, minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """Per vertex, ufunc over minus[i] (bit i clear) or plus[i] (bit i set), folded onto its
+    identity in the order 0..n-1: each coordinate is the new top bit of one Kronecker pass."""
+    table = np.array([ufunc.identity], dtype=np.float64)
+    for pair in zip(minus, plus):
+        table = ufunc.outer(pair, table).ravel()
+    return table
 
 
 @dataclass(frozen=True)
@@ -79,30 +78,6 @@ class DenseMeasure:
         return DenseMeasure(n=n, probs=probs)
 
 
-@dataclass(frozen=True)
-class ProductMeasure:
-    """Product law on the hypercube identified by its mean vector.
-
-    Coordinate i equals +1 with probability (1 + mean_i)/2, independently.
-    """
-
-    mean: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        if mean.ndim != 1 or mean.size == 0:
-            raise ValueError("mean must be a nonempty vector")
-        if np.any(np.abs(mean) > 1.0 + PROB_TOL) or not np.all(np.isfinite(mean)):
-            raise ValueError("mean entries must lie in [-1, 1]")
-        mean = np.clip(mean, -1.0, 1.0)
-        mean.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-
-    @property
-    def n(self) -> int:
-        return self.mean.size
-
-
 def theta_in_tilt_support(theta: np.ndarray, eps: float) -> bool:
     """Whether theta lies in the ball of radius eps*sqrt(n) meeting [-1/4,1/4]^n."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -118,33 +93,34 @@ def gibbs_measure(f: FourierExpansion, max_n: int | None = None) -> DenseMeasure
     return DenseMeasure.from_log_weights(f.n, vertex_values(f, max_n))
 
 
-def densify(pm: ProductMeasure) -> DenseMeasure:
-    """Explicit 2^n probability vector of a product law (unit normalizer)."""
-    n = pm.n
-    _check_cap(n, None, "product densification")
-    probs = np.ones(1 << n)
-    idx = np.arange(1 << n)
-    for i in range(n):
-        up = (1.0 + pm.mean[i]) / 2.0
-        probs *= np.where((idx >> i) & 1, up, 1.0 - up)
-    return DenseMeasure(n=n, probs=probs)
+def product_law(mean, max_n: int | None = None) -> DenseMeasure:
+    """Explicit 2^n probabilities (unit normalizer) of the product law with the given mean:
+    coordinate i equals +1 with probability (1 + mean_i)/2, independently."""
+    mean = np.asarray(mean, dtype=np.float64)
+    if mean.ndim != 1 or mean.size == 0:
+        raise ValueError("mean must be a nonempty vector")
+    if np.any(np.abs(mean) > 1.0 + PROB_TOL) or not np.all(np.isfinite(mean)):
+        raise ValueError("mean entries must lie in [-1, 1]")
+    _check_cap(mean.size, max_n, "product densification")
+    up = (1.0 + np.clip(mean, -1.0, 1.0)) / 2.0
+    return DenseMeasure(n=mean.size, probs=_coordinate_table(np.multiply, 1.0 - up, up))
 
 
 def tilt(nu: DenseMeasure, theta) -> DenseMeasure:
-    """Exponential reweighting of nu by exp(<theta, v>), renormalized."""
+    """Exponential reweighting of nu by exp(<theta, v>), renormalized; nu itself at theta = 0."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (nu.n,):
         raise DimensionMismatch(f"theta has shape {theta.shape}, expected ({nu.n},)")
+    if not np.any(theta):
+        return nu
     with np.errstate(divide="ignore"):
-        logw = np.log(nu.probs) + _linear_vertex_values(theta)
+        logw = np.log(nu.probs) + _coordinate_table(np.add, -theta, theta)
     out = DenseMeasure.from_log_weights(nu.n, logw)
     return DenseMeasure(n=nu.n, probs=out.probs, log_norm=nu.log_norm + out.log_norm)
 
 
-def mean(measure: DenseMeasure | ProductMeasure) -> np.ndarray:
+def mean(measure: DenseMeasure) -> np.ndarray:
     """Coordinatewise expectation of the +-1 coordinates."""
-    if isinstance(measure, ProductMeasure):
-        return measure.mean.copy()
     idx = np.arange(1 << measure.n)
     out = np.empty(measure.n)
     for i in range(measure.n):
@@ -160,7 +136,7 @@ def tanh_covariance(nu: DenseMeasure,
     tilt(gibbs(f), theta) the table ``flip_differences(vertex_values(f)).T +
     theta``; the caller supplies it because the probability vector alone
     does not expose the field.  The mean is the center of the product
-    approximation ``ProductMeasure(center)``: for the measure's own effective
+    approximation ``product_law(center)``: for the measure's own effective
     field it coincides with the mean of nu (conditioning on the other
     coordinates makes each coordinate a tanh of its local field), and that
     product law is within sqrt(n tr H(nu)) of nu in Wasserstein distance.
@@ -181,18 +157,14 @@ def _check_pair(nu1: DenseMeasure, nu2: DenseMeasure) -> None:
         raise DimensionMismatch(f"dimension mismatch: {nu1.n} vs {nu2.n}")
 
 
-def w1_exact(nu1: DenseMeasure, nu2: DenseMeasure,
-             max_states: int | None = None) -> float:
-    """Exact Wasserstein-1 distance, ground cost half the coordinate one-norm.
-
-    Solved as a certified min-cost flow; see ``w1_result`` for the full
-    solver output.  Above the state cap the solver raises ``CapExceeded``.
-    """
-    return w1_result(nu1, nu2, max_states=max_states).value
-
-
 def w1_result(nu1: DenseMeasure, nu2: DenseMeasure,
               max_states: int | None = None) -> transport.TransportResult:
+    """Exact Wasserstein-1 distance, ground cost half the coordinate one-norm.
+
+    Solved as a certified min-cost flow; ``.value`` is the distance, and the
+    result carries the solver's output.  Above the state cap the solver raises
+    ``CapExceeded``.
+    """
     _check_pair(nu1, nu2)
     result = transport.solve_w1(nu1.probs, nu2.probs, nu1.n, max_states=max_states)
     if not result.certified:

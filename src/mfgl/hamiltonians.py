@@ -288,16 +288,11 @@ class IsingSpec(HamiltonianSpec):
     def n(self) -> int:
         return len(self.field)
 
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, mu): the built function's gradient field is A x + mu."""
-        return np.array(self.coupling), np.array(self.field)
-
     def build(self, max_n=None):
-        a, mu = self.matrices()
-        n = self.n
-        terms = [((i, j), a[i, j]) for i in range(n) for j in range(i + 1, n) if a[i, j] != 0.0]
-        terms += [((i,), mu[i]) for i in range(n) if mu[i] != 0.0]
-        return FourierExpansion.from_terms(n, terms)
+        terms = [((i, j), row[j]) for i, row in enumerate(self.coupling)
+                 for j in range(i + 1, self.n)]
+        terms += [((i,), c) for i, c in enumerate(self.field)]
+        return FourierExpansion.from_terms(self.n, terms)
 
 
 @dataclass(frozen=True)
@@ -313,11 +308,10 @@ class CurieWeissSpec(HamiltonianSpec):
         if self.n < 2:
             raise InvalidSpec("need at least two sites")
 
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, mu) = (2 x the interaction matrix, 0), the pairwise form of this Hamiltonian."""
-        return 2.0 * curie_weiss_interaction_matrix(self.beta, self.n), np.zeros(self.n)
-
-    build = IsingSpec.build  # the pairwise form of matrices()
+    def build(self, max_n=None):
+        c = 2.0 * (self.beta / self.n)  # not 2 beta / n, which differs for subnormal beta / n
+        return FourierExpansion.from_terms(
+            self.n, [((i, j), c) for i in range(self.n) for j in range(i + 1, self.n)])
 
 
 @dataclass(frozen=True)
@@ -459,12 +453,14 @@ def build_hamiltonian(spec: HamiltonianSpec, max_n: int | None = None) -> Fourie
 
 
 def ising_complexity_bounds(a: np.ndarray, mu: np.ndarray) -> ComplexityParams:
-    """Closed-form parameter bounds for the pairwise model with gradient A x + mu.
+    """Closed-form parameter bounds for the pairwise model with gradient A x + mu,
+    such as ``pairwise_form(f)`` of any degree <= 2 expansion, validated as an ``IsingSpec``.
 
     D <= sqrt(n tr A^2) + sqrt(n) mu_max, L1 <= mu_max + max_i sum_j |A_ij|,
     L2 <= max_i sum_j |A_ij|, with the unit floors applied.
     """
-    a, mu = IsingSpec(a, mu).matrices()
+    spec = IsingSpec(a, mu)
+    a, mu = np.array(spec.coupling), np.array(spec.field)
     n = len(mu)
     mu_max = float(np.abs(mu).max()) if n else 0.0
     row_sum = float(np.abs(a).sum(axis=1).max())

@@ -30,11 +30,10 @@ from .boolfn import (
 )
 from .gibbs import (
     DenseMeasure,
-    ProductMeasure,
-    densify,
     gibbs_measure,
     tanh_covariance,
     mean,
+    product_law,
     theta_in_tilt_support,
     tilt,
     tv,
@@ -149,9 +148,9 @@ def audit_product_proximity(f: FourierExpansion, theta_list: Sequence[np.ndarray
     rows = []
     for k, theta in enumerate(theta_list):
         theta = np.asarray(theta, dtype=np.float64)
-        tilted = tilt(nu, theta) if np.any(theta) else nu
+        tilted = tilt(nu, theta)
         center, _, trace = tanh_covariance(tilted, grad + theta)
-        w1 = w1_result(tilted, densify(ProductMeasure(center)), max_states=max_states)
+        w1 = w1_result(tilted, product_law(center, max_n), max_states=max_states)
         bound = math.sqrt(f.n * max(trace, 0.0))
         inst = dict(base_instance, tilt_index=k, theta_norm=float(np.linalg.norm(theta)),
                     trace=trace, mass_error_bound=w1.mass_error_bound)
@@ -202,12 +201,12 @@ def audit_main_residuals(f: FourierExpansion, theta_list: Sequence[np.ndarray],
     rows = []
     for k, theta in enumerate(theta_list):
         theta = np.asarray(theta, dtype=np.float64)
-        tilted = tilt(nu, theta) if np.any(theta) else nu
+        tilted = tilt(nu, theta)
         _, _, trace = tanh_covariance(tilted, grad + theta)
         in_good_set = trace <= trace_cap + PASS_SLACK
         center = mean(tilted)
         resid = float(np.abs(center - np.tanh(gradient_extension(f, center))).sum())
-        weights = densify(ProductMeasure(center)).probs
+        weights = product_law(center, max_n).probs
         spread = float(weights @ np.abs(tanh_grad - center).sum(axis=1))
         inst = dict(base_instance, tilt_index=k,
                     theta_norm=float(np.linalg.norm(theta)),
@@ -298,7 +297,7 @@ def audit_chain_rule_and_moments(f: FourierExpansion, h: ScalarShape,
     rows.append(make_row("chain_rule_extension_defect_l1", dict(base, points=len(product_means)),
                          worst_ext, 2.0 * b2 * lip**2 * n**1.5))
     for k, z in enumerate(means):
-        weights = densify(ProductMeasure(z)).probs
+        weights = product_law(z, max_n).probs
         f_at_mean = float(f_at_means[k])
         inst = dict(base, mean_index=k)
         rows.append(make_row("product_law_concentration", inst,

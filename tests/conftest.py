@@ -130,6 +130,29 @@ def pairwise_form_loop(f):
     return a, mu
 
 
+def product_law_loop(mean):
+    """The per-bit product-law loop ``product_law`` replaced, on a mean already clipped
+    to [-1, 1]; kept as its bit-for-bit oracle."""
+    n = len(mean)
+    probs = np.ones(1 << n)
+    idx = np.arange(1 << n)
+    for i in range(n):
+        up = (1.0 + mean[i]) / 2.0
+        probs *= np.where((idx >> i) & 1, up, 1.0 - up)
+    return probs
+
+
+def linear_vertex_values_loop(theta):
+    """<theta, v> for every vertex v by per-bit accumulation, the loop ``tilt``'s table
+    replaced; kept as its bit-for-bit oracle."""
+    n = theta.size
+    out = np.zeros(1 << n)
+    idx = np.arange(1 << n)
+    for i in range(n):
+        out += np.where((idx >> i) & 1, theta[i], -theta[i])
+    return out
+
+
 def product_weights_direct(z):
     """Explicit product-law weights over all vertices via itertools enumeration."""
     n = len(z)

@@ -19,7 +19,7 @@ from mfgl.boolfn import (
     vertex_values,
 )
 from mfgl.complexity import GradientCloud, gaussian_width_mc
-from mfgl.gibbs import ProductMeasure, densify, gibbs_measure
+from mfgl.gibbs import gibbs_measure, product_law
 from mfgl.hamiltonians import (
     CurieWeissSpec,
     CutoffShape,
@@ -59,7 +59,7 @@ def test_criterion_01_product_law_exactness():
     for _ in range(20):
         theta = rng.uniform(-1.5, 1.5, 6)
         nu = gibbs_measure(build_hamiltonian(LinearSpec(tuple(theta))))
-        pm = densify(ProductMeasure(np.tanh(theta)))
+        pm = product_law(np.tanh(theta))
         worst = max(worst, float(np.abs(nu.probs - pm.probs).max()))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12, f"worst entrywise gap {worst:.3e}"
@@ -75,7 +75,7 @@ def test_criterion_02_expectation_swap_equality():
         n = int(rng.integers(3, 11))
         f = random_expansion(rng, n, degree=3)
         z = rng.uniform(-0.95, 0.95, n)
-        weights = densify(ProductMeasure(z)).probs
+        weights = product_law(z).probs
         exhaustive = float(weights @ vertex_values(f))
         worst = max(worst, abs(exhaustive - float(eval_extension(f, z))))
     elapsed = time.perf_counter() - start
@@ -222,7 +222,7 @@ def test_criterion_10_product_law_concentration():
         f = random_expansion(rng, n, degree=3)
         lip = lipschitz(f)[0]
         z = rng.uniform(-0.95, 0.95, n)
-        weights = densify(ProductMeasure(z)).probs
+        weights = product_law(z).probs
         deviation = float(weights @ np.abs(vertex_values(f) - float(eval_extension(f, z))))
         bound = math.sqrt(n) * lip
         assert deviation <= bound + 1e-9, f"E|f(Y)-f(EY)| = {deviation:.4f} > {bound:.4f}"

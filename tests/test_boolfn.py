@@ -384,6 +384,18 @@ def test_compose_identity_preserves_truth_table():
     assert vertex_values(g) == pytest.approx(vertex_values(f), abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_values_are_refused(bad):
+    # a NaN coefficient fails the pruning test, so the table would become the zero function
+    values = np.arange(8.0)
+    values[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        from_vertex_values(3, values)
+    f = FourierExpansion.from_terms(3, [((0,), 1.0)])
+    with pytest.raises(ValueError, match="finite"):
+        compose(f, lambda x: np.where(x > 0, bad, x))
+
+
 def test_compose_constant_function():
     f = FourierExpansion.from_terms(4, [((), -0.7)])
     g = compose(f, CutoffShape())

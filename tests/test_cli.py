@@ -320,6 +320,23 @@ def test_analyze_ising_reports_closed_form_bounds(tmp_path):
     assert report["params"]["l2"] <= bounds["l2"] + 1e-12
 
 
+@pytest.mark.parametrize("payload", [
+    {"type": "linear", "theta": [0.3, -0.2, 0.5]},
+    {"type": "sparse_fourier", "n": 3,
+     "terms": [{"subset": [0, 1], "coeff": 0.4}, {"subset": [2], "coeff": -0.1}]},
+], ids=["linear", "sparse_fourier"])
+def test_analyze_reports_closed_form_bounds_for_every_pairwise_expansion(tmp_path, payload):
+    spec = _write_spec(tmp_path, payload)
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--spec", spec, "--out", str(out), "--samples", "2000"]) == 0
+    bounds = json.loads(out.read_text())["closed_form_bounds"]
+    assert bounds["d_provenance"] == "closed_form_bound"
+    if payload["type"] == "linear":
+        # A = 0, so D <= sqrt(n) max |mu|, and L1, L2 sit at their unit floors
+        assert bounds["d"] == np.sqrt(3) * 0.5
+        assert (bounds["l1"], bounds["l2"]) == (1.0, 1.0)
+
+
 def test_fixed_points_command(tmp_path):
     spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 0.5, "n": 5})
     out = tmp_path / "fp.json"
@@ -518,6 +535,18 @@ def test_default_transport_cap_covers_1024_states(tmp_path):
     assert all(r["pass"] and r["instance"]["mass_error_bound"] < 4e-11 for r in rows)
     spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 11}, "cw11.json")
     assert cli.main(["audit", "--suite", "proximity", "--spec", spec]) == 1
+
+
+@pytest.mark.parametrize("suite", ["main", "proximity"])
+def test_audit_product_law_obeys_the_raised_cap(tmp_path, monkeypatch, suite):
+    # with the library's default cap at 6, --max-n 8 admits n = 8 for the product law too
+    import mfgl.boolfn as boolfn
+
+    monkeypatch.setattr(boolfn, "DEFAULT_ENUM_CAP", 6)
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 2.0, "n": 8})
+    out = tmp_path / "audit.json"
+    assert cli.main(["audit", "--suite", suite, "--spec", spec, "--max-n", "8",
+                     "--out", str(out)]) == 0
 
 
 def test_audit_failure_exits_two(tmp_path, monkeypatch):

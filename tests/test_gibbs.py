@@ -16,21 +16,25 @@ from mfgl.boolfn import (
 )
 from mfgl.gibbs import (
     DenseMeasure,
-    ProductMeasure,
-    densify,
     gibbs_measure,
+    product_law,
     tanh_covariance,
     mean,
     theta_in_tilt_support,
     tilt,
     tv,
-    w1_exact,
     w1_result,
 )
 from mfgl.hamiltonians import LinearSpec, build_hamiltonian
 from mfgl.transport import mass_scale, solve_w1
 
-from conftest import all_vertices, random_expansion, w1_ssp
+from conftest import (
+    all_vertices,
+    linear_vertex_values_loop,
+    product_law_loop,
+    random_expansion,
+    w1_ssp,
+)
 
 
 def _linear(theta):
@@ -47,7 +51,7 @@ def test_gibbs_of_linear_is_product_law():
     rng = np.random.default_rng(2)
     theta = rng.uniform(-1, 1, 6)
     nu = gibbs_measure(_linear(theta))
-    pm = densify(ProductMeasure(np.tanh(theta)))
+    pm = product_law(np.tanh(theta))
     assert np.abs(nu.probs - pm.probs).max() < 1e-14
 
 
@@ -64,7 +68,7 @@ def test_tilt_identity_and_gibbs_consistency():
     rng = np.random.default_rng(4)
     f = random_expansion(rng, 5, degree=3)
     nu = gibbs_measure(f)
-    assert tilt(nu, np.zeros(5)).probs == pytest.approx(nu.probs, abs=1e-15)
+    assert tilt(nu, np.zeros(5)) is nu and tilt(nu, np.array([0.0, -0.0, 0.0, -0.0, 0.0])) is nu
     theta = rng.uniform(-0.5, 0.5, 5)
     direct = gibbs_measure(add_linear(f, theta))
     tilted = tilt(nu, theta)
@@ -82,21 +86,48 @@ def test_tilt_shifts_the_gradient_field():
     assert mean(tilted) == pytest.approx(tilted.probs @ np.tanh(field), abs=1e-12)
 
 
-def test_densify_matches_itertools_oracle():
+def test_product_law_matches_itertools_oracle():
     from conftest import product_weights_direct
 
     rng = np.random.default_rng(55)
     for _ in range(5):
         n = int(rng.integers(2, 7))
         z = rng.uniform(-0.95, 0.95, n)
-        dense = densify(ProductMeasure(z))
+        dense = product_law(z)
         assert dense.probs == pytest.approx(product_weights_direct(z), abs=1e-14)
+
+
+_MEAN_ENTRY = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.0, -0.0, 1.0 + 5e-13, -1.0 - 5e-13]),
+    st.floats(-1.0, 1.0),
+)
+# entries from 1e-300 to 1e3 in size, signed zeros among them
+_THETA_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda x, e: x * 10.0**e, st.floats(-1.0, 1.0), st.integers(-300, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(1, 10))
+def test_product_law_and_tilt_match_the_per_bit_loops_bit_for_bit(data, n):
+    m = np.array(data.draw(st.lists(_MEAN_ENTRY, min_size=n, max_size=n)))
+    nu = product_law(m)
+    assert nu.probs.tobytes() == product_law_loop(np.clip(m, -1.0, 1.0)).tobytes()
+    assert nu.log_norm == 0.0
+    theta = np.array(data.draw(st.lists(_THETA_ENTRY, min_size=n, max_size=n)))
+    tilted = tilt(nu, theta)
+    if not np.any(theta):
+        assert tilted is nu
+        return
+    with np.errstate(divide="ignore"):
+        ref = DenseMeasure.from_log_weights(n, np.log(nu.probs) + linear_vertex_values_loop(theta))
+    assert tilted.probs.tobytes() == ref.probs.tobytes()
+    assert tilted.log_norm == nu.log_norm + ref.log_norm
 
 
 def test_mean_uniform_and_product():
     assert mean(gibbs_measure(FourierExpansion(5))) == pytest.approx(np.zeros(5), abs=1e-15)
-    z = np.array([0.3, -0.9, 0.0])
-    assert np.array_equal(mean(ProductMeasure(z)), z)
 
 
 def test_mean_matches_enumeration_oracle():
@@ -149,10 +180,9 @@ def test_product_approx_exact_for_product_laws():
     f = _linear(theta)
     nu = gibbs_measure(f)
     center, _, _ = tanh_covariance(nu, flip_differences(vertex_values(f)).T)
-    approx = ProductMeasure(center)
-    assert approx.mean == pytest.approx(np.tanh(theta), abs=1e-14)
-    assert np.abs(densify(approx).probs - nu.probs).max() < 1e-13
-    assert np.all(np.abs(approx.mean) < 1.0)
+    assert center == pytest.approx(np.tanh(theta), abs=1e-14)
+    assert np.abs(product_law(center).probs - nu.probs).max() < 1e-13
+    assert np.all(np.abs(center) < 1.0)
 
 
 def test_product_approx_idempotent_on_product_laws():
@@ -160,9 +190,8 @@ def test_product_approx_idempotent_on_product_laws():
     f = _linear(np.arctanh(z))
     nu = gibbs_measure(f)
     field = flip_differences(vertex_values(f)).T
-    center, _, _ = tanh_covariance(densify(ProductMeasure(z)), field)
-    again = ProductMeasure(center)
-    assert again.mean == pytest.approx(z, abs=1e-10)
+    center, _, _ = tanh_covariance(product_law(z), field)
+    assert center == pytest.approx(z, abs=1e-10)
 
 
 def test_product_approx_w1_within_trace_bound():
@@ -173,8 +202,8 @@ def test_product_approx_w1_within_trace_bound():
         nu = gibbs_measure(f)
         field = flip_differences(vertex_values(f)).T
         center, _, trace = tanh_covariance(nu, field)
-        xi = densify(ProductMeasure(center))
-        assert w1_exact(nu, xi) <= np.sqrt(n * max(trace, 0.0)) + 1e-9
+        xi = product_law(center)
+        assert w1_result(nu, xi).value <= np.sqrt(n * max(trace, 0.0)) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +214,13 @@ def test_product_approx_w1_within_trace_bound():
 def test_w1_self_distance_zero():
     rng = np.random.default_rng(10)
     nu = gibbs_measure(random_expansion(rng, 5, degree=2))
-    assert w1_exact(nu, nu) == 0.0
+    assert w1_result(nu, nu).value == 0.0
 
 
 def test_w1_antipodal_point_masses():
     a = DenseMeasure.point_mass(5, 0)
     b = DenseMeasure.point_mass(5, 31)
-    assert w1_exact(a, b) == 5.0
+    assert w1_result(a, b).value == 5.0
 
 
 def _lp_w1(p, q, n):
@@ -221,17 +250,17 @@ def test_w1_matches_lp_oracle():
     for _ in range(5):
         nu1 = gibbs_measure(random_expansion(rng, 4, degree=2))
         nu2 = gibbs_measure(random_expansion(rng, 4, degree=3))
-        assert abs(w1_exact(nu1, nu2) - _lp_w1(nu1.probs, nu2.probs, 4)) < 1e-9
+        assert abs(w1_result(nu1, nu2).value - _lp_w1(nu1.probs, nu2.probs, 4)) < 1e-9
 
 
 def test_w1_metric_properties():
     rng = np.random.default_rng(12)
     n = 4
     trio = [gibbs_measure(random_expansion(rng, n, degree=2)) for _ in range(3)]
-    d01 = w1_exact(trio[0], trio[1])
-    d10 = w1_exact(trio[1], trio[0])
-    d02 = w1_exact(trio[0], trio[2])
-    d12 = w1_exact(trio[1], trio[2])
+    d01 = w1_result(trio[0], trio[1]).value
+    d10 = w1_result(trio[1], trio[0]).value
+    d02 = w1_result(trio[0], trio[2]).value
+    d12 = w1_result(trio[1], trio[2]).value
     assert d01 == pytest.approx(d10, abs=1e-12)
     assert d02 <= d01 + d12 + 1e-9
     assert max(d01, d02, d12) <= n
@@ -242,7 +271,7 @@ def test_w1_below_n_times_tv():
     for _ in range(5):
         nu1 = gibbs_measure(random_expansion(rng, 4, degree=2))
         nu2 = gibbs_measure(random_expansion(rng, 4, degree=2))
-        assert w1_exact(nu1, nu2) <= 4 * tv(nu1, nu2) + 1e-9
+        assert w1_result(nu1, nu2).value <= 4 * tv(nu1, nu2) + 1e-9
 
 
 def test_w1_certificate_and_error_bound():
@@ -314,7 +343,7 @@ def test_w1_refuses_above_the_cap():
     nu1 = gibbs_measure(random_expansion(rng, 5, degree=2))
     nu2 = gibbs_measure(random_expansion(rng, 5, degree=2))
     with pytest.raises(CapExceeded):
-        w1_exact(nu1, nu2, max_states=16)
+        w1_result(nu1, nu2, max_states=16).value
 
 
 def test_tv_extremes_and_dimension_check():
@@ -335,11 +364,11 @@ def test_dense_measure_validation():
         DenseMeasure.from_log_weights(2, np.full(4, -np.inf))
 
 
-def test_product_measure_validation():
+def test_product_law_validation():
     with pytest.raises(ValueError):
-        ProductMeasure(np.array([1.5, 0.0]))
-    pm = ProductMeasure(np.array([1.0, -1.0]))
-    assert densify(pm).probs[np.array([1])] == pytest.approx(1.0)
+        product_law(np.array([1.5, 0.0]))
+    pm = product_law(np.array([1.0, -1.0]))
+    assert pm.probs[np.array([1])] == pytest.approx(1.0)
 
 
 def test_tilt_support_box_and_ball():

@@ -15,6 +15,7 @@ from mfgl.boolfn import (
     gradient_extension,
     lipschitz,
     compose,
+    pairwise_form,
     vertex_values,
 )
 from mfgl.complexity import GradientCloud, gaussian_width_mc
@@ -233,7 +234,7 @@ def test_spec_json_round_trip_and_build(kind, data):
 @settings(max_examples=50, deadline=None, database=None)
 @given(spec=st.builds(CurieWeissSpec, st.floats(0.01, 4.0), st.integers(2, 21)))
 def test_curie_weiss_builds_two_beta_over_n_on_every_pair(spec):
-    # built from matrices() by the ising builder: 2 (beta / n) is 2 beta / n bit for bit
+    # built with 2 (beta / n), which is 2 beta / n bit for bit at these beta and n
     f = build_hamiltonian(spec)
     n = spec.n
     pairs = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
@@ -249,7 +250,7 @@ def test_every_spec_type_is_registered():
 def test_curie_weiss_matrices_match_literal_pair_coefficient():
     # twice the interaction matrix is bit-identical to 2 beta / n off the diagonal
     for beta, n in [(1.5, 10), (2.0, 6), (0.3, 7), (1.0 / 3.0, 13)]:
-        a, mu = CurieWeissSpec(beta, n).matrices()
+        a, mu = pairwise_form(build_hamiltonian(CurieWeissSpec(beta, n)))
         assert np.array_equal(a, 2.0 * beta / n * (np.ones((n, n)) - np.eye(n)))
         assert np.array_equal(mu, np.zeros(n))
 
