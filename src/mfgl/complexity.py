@@ -14,25 +14,33 @@ where the winner set A, a subset of K, holds the rows that attain the
 supremum on a seeded pilot of ``PILOT_DRAWS`` draws over K.
 Level 0 is ``width_samples(A, samples, seed)``: every requested draw, on
 A alone.  Level 1 takes ``LEVEL1_DRAWS`` independent draws on all of K;
-its samples are >= 0 draw by draw, and zero unless a draw's maximiser lies
-outside A.  The pilot and level 1 draw from the two children spawned by
-``SeedSequence(seed)``.
+its samples are sup_K - sup_A, zero unless a draw's maximiser lies outside
+A.  They are >= 0 only up to rounding: the two sups take the same row's
+product in differently shaped blocks, which may round apart, so a draw can
+read a few ulps below zero (triangle_count n = 21, seed 7: 14 of 4,096
+draws, down to -2.1e-14).  The pilot and level 1 draw from the two children
+spawned by ``SeedSequence(seed)``.
 Few rows of a gradient cloud ever attain a supremum, so level 0 is cheap
 and level 1 is mostly zeros.  When the pilot and level 1 together would
 take at least as many draws as requested, A = K and the estimate is plain
 Monte Carlo over ``width_samples``.
 
-A cloud is either a ``GradientCloud`` of explicit rows or the ``VertexCloud``
-of a vertex table F, whose row v is the gradient at vertex v.  Every sup
+A cloud is a ``GradientCloud`` of explicit rows, the ``VertexCloud`` of a
+vertex table F, whose row v is the gradient at vertex v, or the
+``PairwiseCloud`` of a degree <= 2 expansion.  A sup over the first two
 walks the cloud in row blocks; a ``VertexCloud`` builds them from F as it
 goes, in slabs that are the flip blocks of ``boolfn.flip_blocks``, so
 ``complexity_params`` never holds the (n, 2^n) gradient tables.  Duplicate
-rows never change a supremum, so K is not deduplicated.
+rows never change a supremum, so K is not deduplicated.  A pairwise
+gradient field x @ A + mu has a coordinate i that does not depend on x_i,
+so sup_x <x @ A + mu, g> = ||A g||_1 + <mu, g> exactly: a ``PairwiseCloud``
+stores no row, and its width always takes the plain path.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
@@ -127,7 +135,31 @@ class VertexCloud:
         return flip_rows(self.values, index)
 
 
-Cloud = GradientCloud | VertexCloud
+@dataclass(frozen=True)
+class PairwiseCloud:
+    """The 2^n vertex gradients x @ A + mu of a pairwise form (A symmetric, zero
+    diagonal), as ``boolfn.pairwise_form`` returns it; no row is ever built."""
+
+    a: np.ndarray  # (n, n)
+    mu: np.ndarray  # (n,)
+
+    @property
+    def size(self) -> int:
+        return 1 << self.n
+
+    @property
+    def n(self) -> int:
+        return self.mu.size
+
+    def lipschitz(self) -> tuple[float, float]:
+        """(L1, L2), both exact: with row_i = sum_j |A_ij|, L1 = max_i(row_i + |mu_i|) and
+        L2 = max_i row_i, the one-norm of the gradient change under flipping x_i,
+        halved (A is symmetric, so row sums are column sums)."""
+        row = np.abs(self.a).sum(axis=1)
+        return float((row + np.abs(self.mu)).max()), float(row.max())
+
+
+Cloud = GradientCloud | VertexCloud | PairwiseCloud
 
 
 def _sups(cloud: Cloud, draws: np.ndarray,
@@ -137,8 +169,12 @@ def _sups(cloud: Cloud, draws: np.ndarray,
     The running maximum starts at the origin's 0 and carries the sup across
     blocks, each of about ``_BLOCK_ENTRIES`` products.  With ``winners``
     also return, per draw, the first row that beats the origin's 0 and
-    attains the sup, or -1 where none does.
+    attains the sup, or -1 where none does.  A ``PairwiseCloud`` takes its
+    sup in closed form, max(||g @ A||_1 + <g, mu>, 0), and names no winner.
     """
+    if isinstance(cloud, PairwiseCloud):
+        sups = np.abs(draws @ cloud.a).sum(axis=1) + draws @ cloud.mu
+        return np.maximum(sups, 0.0, out=sups), None
     m = draws.shape[0]
     best = np.zeros(m)
     where = np.full(m, -1, dtype=np.intp) if winners else None
@@ -205,13 +241,15 @@ def gaussian_width_mc(cloud: Cloud, samples: int = DEFAULT_SAMPLES,
     ``samples`` draws go to level 0 on the winner set A and ``LEVEL1_DRAWS``
     to level 1 on the full cloud, with SE = sqrt(var0/samples + var1/LEVEL1_DRAWS);
     see the module docstring for the seeding.  When ``samples`` is at most
-    ``PILOT_DRAWS + LEVEL1_DRAWS`` the estimate is plain Monte Carlo: the
-    mean and ddof=1 standard error of ``width_samples(cloud, samples, seed)``.
-    Bit-identical for identical (cloud, samples, seed).
+    ``PILOT_DRAWS + LEVEL1_DRAWS``, or the cloud is a ``PairwiseCloud``,
+    whose draw costs O(n^2) on any number of rows, the estimate is plain
+    Monte Carlo: the mean and ddof=1 standard error of
+    ``width_samples(cloud, samples, seed)``.  Bit-identical for identical
+    (cloud, samples, seed).
     """
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
-    if PILOT_DRAWS + LEVEL1_DRAWS >= samples:
+    if isinstance(cloud, PairwiseCloud) or PILOT_DRAWS + LEVEL1_DRAWS >= samples:
         sups = width_samples(cloud, samples, seed)
         stderr = float(sups.std(ddof=1) / np.sqrt(samples))
         width = WidthEstimate(estimate=float(sups.mean()), stderr=stderr,
@@ -239,17 +277,36 @@ def gaussian_width_mc(cloud: Cloud, samples: int = DEFAULT_SAMPLES,
     return width
 
 
+def _coefficient_mass(f: FourierExpansion) -> float:
+    """sum_S |c_S|, a bound on every |F(v)|, exactly rounded; inf when it overflows."""
+    try:
+        return math.fsum(np.abs(f.coeffs))
+    except OverflowError:
+        return math.inf
+
+
 def complexity_params(f: FourierExpansion, samples: int = DEFAULT_SAMPLES,
                       seed: int | None = 0, max_n: int | None = None) -> ComplexityParams:
-    """Monte-Carlo D plus exact floored Lipschitz parameters for f, from its one vertex table.
+    """Monte-Carlo D plus exact floored Lipschitz parameters for f.
 
-    The width walks the undeduplicated ``VertexCloud`` of F, and L1 and L2
-    come from one walk over F's flip blocks, so no (n, 2^n) array is built.
+    A degree <= 2 expansion whose coefficients sum to at most
+    ``_MAX_VERTEX_VALUE`` in absolute value, a bound on every |F(v)|, needs
+    no vertex table and no cap: its width and L1 and L2 come in closed form
+    from the ``PairwiseCloud`` of ``boolfn.pairwise_form(f)``.  Any other f
+    goes through its one vertex table F: the width walks the undeduplicated
+    ``VertexCloud`` of F, and L1 and L2 come from one walk over F's flip
+    blocks, so no (n, 2^n) array is built.
     """
-    width = gaussian_width_mc(VertexCloud(vertex_values(f, max_n)), samples=samples, seed=seed)
+    form = boolfn.pairwise_form(f)
+    if form is not None and _coefficient_mass(f) <= _MAX_VERTEX_VALUE:
+        cloud = PairwiseCloud(*form)
+        lips = cloud.lipschitz()
+    else:
+        cloud, lips = VertexCloud(vertex_values(f, max_n)), lipschitz(f, max_n)
+    width = gaussian_width_mc(cloud, samples=samples, seed=seed)
     return ComplexityParams.from_raw(
         width.estimate,
-        *lipschitz(f, max_n),
+        *lips,
         d_stderr=width.stderr,
         d_provenance="monte_carlo",
         d_levels=width.levels(),

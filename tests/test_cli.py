@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfgl import cli, meanfield, verify
+from mfgl import cli, complexity, meanfield, verify
 from mfgl.hamiltonians import (
     SPEC_TYPES,
     CurieWeissSpec,
@@ -289,19 +289,58 @@ def test_analyze_curie_weiss(tmp_path):
 
 
 def test_analyze_reports_width_levels(tmp_path):
-    # a dyadic linear field has one gradient, bit for bit: the winners are its
-    # first row and the origin, and the level-1 correction is exactly zero
-    spec = _write_spec(tmp_path, {"type": "linear", "theta": [0.5, 0.25, -0.75]})
+    # x0 x1 x2 / 2 has four gradients, each at two vertices: the winners are
+    # their first vertices and the origin, and the level-1 correction is exactly zero
+    spec = _write_spec(tmp_path, {"type": "sparse_fourier", "n": 3,
+                                  "terms": [{"subset": [0, 1, 2], "coeff": 0.5}]})
     out = tmp_path / "report.json"
     assert cli.main(["analyze", "--spec", spec, "--out", str(out), "--samples", "10000"]) == 0
     params = json.loads(out.read_text())["params"]
     assert list(params)[:3] == ["d", "d_stderr", "d_levels"]
     assert params["d_levels"] == {
-        "pilot_draws": 4096, "winners": 2, "level0_draws": 10000,
+        "pilot_draws": 4096, "winners": 5, "level0_draws": 10000,
         "level0_stderr": params["d_stderr"], "level1_draws": 4096, "level1_stderr": 0.0,
+        "level1_nonzero": 0}
+    rows = 0.5 * np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+    plain = complexity.width_samples(complexity.GradientCloud(rows), 10_000, seed=1)
+    plain_se = plain.std(ddof=1) / np.sqrt(plain.size)
+    assert params["d"] == pytest.approx(plain.mean(), abs=4 * np.hypot(params["d_stderr"], plain_se))
+
+
+def test_analyze_takes_the_plain_width_on_a_linear_spec(tmp_path):
+    # degree <= 2: no pilot and no level 1, whatever the draws; A = K, all 8 rows
+    spec = _write_spec(tmp_path, {"type": "linear", "theta": [0.5, 0.25, -0.75]})
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--spec", spec, "--out", str(out), "--samples", "10000"]) == 0
+    params = json.loads(out.read_text())["params"]
+    assert params["d_levels"] == {
+        "pilot_draws": 0, "winners": 9, "level0_draws": 10000,
+        "level0_stderr": params["d_stderr"], "level1_draws": 0, "level1_stderr": 0.0,
         "level1_nonzero": 0}
     assert params["d"] == pytest.approx(np.linalg.norm([0.5, 0.25, -0.75]) / np.sqrt(2 * np.pi),
                                         abs=4 * params["d_stderr"])
+
+
+def _random_ising(rng, n):
+    upper = np.triu(rng.normal(0.0, 1.0 / np.sqrt(n), (n, n)), 1)
+    return {"type": "ising", "coupling": (upper + upper.T).tolist(),
+            "field": rng.normal(0.0, 0.1, n).tolist()}
+
+
+@pytest.mark.parametrize("spec", [
+    *(_random_ising(np.random.default_rng(seed), n) for seed, n in ((0, 3), (1, 12), (2, 40))),
+    {"type": "curie_weiss", "beta": 1.5, "n": 18}, {"type": "curie_weiss", "beta": 0.75, "n": 63}])
+def test_analyze_closed_form_lipschitz_bounds_hold_exactly(tmp_path, spec):
+    # L2 = max_i sum_j |A_ij| is exact, so the closed form is the reported value bit
+    # for bit; the closed-form L1 adds max |mu| to it and can only be larger
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--spec", _write_spec(tmp_path, spec), "--out", str(out),
+                     "--samples", "200"]) == 0
+    report = json.loads(out.read_text())
+    params, bounds = report["params"], report["closed_form_bounds"]
+    assert params["l2"] == bounds["l2"]
+    assert params["l1"] <= bounds["l1"]
+    assert params["d_levels"]["pilot_draws"] == 0
 
 
 def test_analyze_ising_reports_closed_form_bounds(tmp_path):

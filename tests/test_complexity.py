@@ -15,6 +15,7 @@ from mfgl.complexity import (
     LEVEL1_DRAWS,
     PILOT_DRAWS,
     GradientCloud,
+    PairwiseCloud,
     VertexCloud,
     complexity_params,
     gaussian_width_mc,
@@ -139,9 +140,8 @@ def test_width_input_validation():
 
 
 def test_complexity_params_zero_function():
-    # plain Monte Carlo counts all 16 rows and the origin; at 10,000 draws
-    # no row beats the origin on the pilot, so the winner set A is empty
-    for samples, winners in ((100, 17), (10_000, 1)):
+    # degree 0 <= 2: plain Monte Carlo over all 16 rows and the origin, at any draws
+    for samples, winners in ((100, 17), (10_000, 17)):
         p = complexity_params(FourierExpansion(4), samples=samples, seed=0)
         assert (p.d, p.d_stderr, p.l1, p.l2) == (0.0, 0.0, 1.0, 1.0)
         assert p.d_levels["winners"] == winners
@@ -178,8 +178,9 @@ def test_complexity_params_builds_tables_once(monkeypatch):
 
 def test_complexity_params_never_holds_the_gradient_tables():
     # the tables alone take n 2^n 8 bytes (37.7 MB); the width, L1 and L2 stay
-    # under half of that, the vertex table F included
-    f = build_hamiltonian(CurieWeissSpec(1.5, 18))
+    # under half of that, the vertex table F included (degree 3, so F is built)
+    f = random_expansion(np.random.default_rng(5), 18, degree=3)
+    assert f.degree() == 3
     tracemalloc.start()
     try:
         complexity_params(f, samples=200, seed=0)
@@ -190,9 +191,10 @@ def test_complexity_params_never_holds_the_gradient_tables():
 
 
 @st.composite
-def sparse_fourier_specs(draw, max_n=10):
+def sparse_fourier_specs(draw, max_n=10, max_degree=4):
     n = draw(st.integers(1, max_n))
-    subsets = st.sets(st.integers(0, n - 1), max_size=min(n, 4)).map(lambda s: tuple(sorted(s)))
+    subsets = st.sets(st.integers(0, n - 1), max_size=min(n, max_degree)).map(
+        lambda s: tuple(sorted(s)))
     terms = draw(st.lists(st.tuples(subsets, st.floats(-10.0, 10.0, allow_nan=False)),
                           max_size=12))
     return SparseFourierSpec(n, tuple(terms))
@@ -226,6 +228,44 @@ def test_streamed_cloud_matches_the_gradient_tables(spec, data):
         mp.setattr(complexity, "LEVEL1_DRAWS", draws)
         assert (gaussian_width_mc(streamed, samples=4 * draws, seed=draws)
                 == gaussian_width_mc(oracle, samples=4 * draws, seed=draws))
+
+
+@st.composite
+def ising_specs(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    entries = st.floats(-10.0, 10.0, allow_nan=False)
+    upper = np.triu(np.reshape(draw(st.lists(entries, min_size=n * n, max_size=n * n)), (n, n)), 1)
+    field = draw(st.lists(entries, min_size=n, max_size=n))
+    return IsingSpec(tuple(map(tuple, (upper + upper.T).tolist())), tuple(field))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(spec=st.one_of(ising_specs(), sparse_fourier_specs(max_n=12, max_degree=2)),
+       draws=st.integers(1, 9))
+def test_pairwise_cloud_matches_the_vertex_table(spec, draws):
+    f = build_hamiltonian(spec)
+    values = vertex_values(f)
+    cloud = PairwiseCloud(*boolfn.pairwise_form(f))
+    assert (cloud.n, cloud.size) == (f.n, values.size)
+    # relative to the coefficient mass sum |c_S|, the scale of every F value
+    # and flip difference: both sides round at that scale
+    mass = math.fsum(np.abs(f.coeffs))
+    g = np.random.default_rng(draws).standard_normal((draws, f.n))
+    sups = complexity._sups(cloud, g)[0]
+    want = complexity._sups(VertexCloud(values), g)[0]
+    assert np.all(np.abs(sups - want) <= 1e-12 * mass * np.abs(g).sum(axis=1))
+    for got, exact in zip(cloud.lipschitz(), lipschitz(f)):
+        assert abs(got - exact) <= 1e-12 * mass
+
+
+def test_pairwise_width_is_plain_monte_carlo_over_the_width_draws():
+    f = build_hamiltonian(CurieWeissSpec(1.5, 63))
+    cloud = PairwiseCloud(*boolfn.pairwise_form(f))
+    width = gaussian_width_mc(cloud, samples=20_000, seed=3)
+    sups = width_samples(cloud, 20_000, seed=3)
+    assert (width.estimate, width.stderr) == (float(sups.mean()),
+                                              float(sups.std(ddof=1) / np.sqrt(sups.size)))
+    assert (width.pilot_draws, width.winners, width.level1_draws) == (0, (1 << 63) + 1, 0)
 
 
 def test_vertex_cloud_refuses_tables_whose_flips_overflow():
