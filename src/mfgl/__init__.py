@@ -12,14 +12,39 @@ name loads its defining module on first access (PEP 562), so
 imports, and nothing else.
 """
 
+import contextlib
+import contextvars
 import importlib
 
 __version__ = "0.1.0"
 
-# Largest state space `transport.solve_w1` solves by default.  It lives here,
-# not in `transport`, so that the command-line front can read it without
-# loading numpy.
+# The two size caps by default: no dense 2^n table above n = DEFAULT_ENUM_CAP
+# and no transport above DEFAULT_TRANSPORT_STATES states.  They live here, not
+# in the layers, so that the command-line front can read them without loading
+# numpy.
+DEFAULT_ENUM_CAP = 20
 DEFAULT_TRANSPORT_STATES = 1024
+
+_SIZE_CAPS = contextvars.ContextVar("mfgl_size_caps")
+
+
+@contextlib.contextmanager
+def size_caps(max_n: int = DEFAULT_ENUM_CAP, transport_states: int = DEFAULT_TRANSPORT_STATES):
+    """Hold the size caps for the ``with`` body: a dense 2^n table with n above the
+    first cap, or a transport of more states than the second, raises
+    ``CapExceeded``.  Blocks nest; leaving one, by an exception too, restores
+    the caps that held before it."""
+    token = _SIZE_CAPS.set((int(max_n), int(transport_states)))
+    try:
+        yield
+    finally:
+        _SIZE_CAPS.reset(token)
+
+
+def _caps_in_force() -> tuple[int, int]:
+    """The two caps of the innermost ``size_caps``, else the defaults."""
+    return _SIZE_CAPS.get((DEFAULT_ENUM_CAP, DEFAULT_TRANSPORT_STATES))
+
 
 # Exported name -> the module of this package that defines it.
 _EXPORTS = {

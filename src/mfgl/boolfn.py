@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-DEFAULT_ENUM_CAP = 20
+from . import _caps_in_force
+
 MAX_DIMENSION = 63  # int64 subset masks hold coordinates 0..62
 PRUNE_TOL = 1e-14
 _BLOCK_ENTRIES = 1 << 18  # entries per (width x terms x batch) block of the term kernel: 2 MB
@@ -34,12 +35,9 @@ class CapExceeded(ValueError):
     """A dense 2^n enumeration was requested above the configured cap."""
 
 
-def _resolve_cap(max_n: int | None) -> int:
-    return DEFAULT_ENUM_CAP if max_n is None else int(max_n)
-
-
-def _check_cap(n: int, max_n: int | None, what: str) -> None:
-    cap = _resolve_cap(max_n)
+def _check_cap(n: int, what: str) -> None:
+    """Refuse a dense table of 2^n states above the cap in force (``mfgl.size_caps``)."""
+    cap = _caps_in_force()[0]
     if n > cap:
         raise CapExceeded(f"{what} needs 2^{n} states but the cap is n <= {cap}")
 
@@ -252,10 +250,10 @@ def pairwise_form(f: FourierExpansion) -> tuple[np.ndarray, np.ndarray] | None:
     return f._pairwise
 
 
-def vertex_values(f: FourierExpansion, max_n: int | None = None) -> np.ndarray:
+def vertex_values(f: FourierExpansion) -> np.ndarray:
     """Dense table of f over all 2^n vertices (index = bit encoding), built once
     per expansion and returned read-only; the cap is checked on every call."""
-    _check_cap(f.n, max_n, "vertex table")
+    _check_cap(f.n, "vertex table")
     return f._vertex_table
 
 
@@ -333,7 +331,7 @@ def flip_rows(values: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     return out
 
 
-def lipschitz(f: FourierExpansion, max_n: int | None = None) -> tuple[float, float]:
+def lipschitz(f: FourierExpansion) -> tuple[float, float]:
     """(L1, L2) of f by exact enumeration, in one walk over the flip blocks of F.
 
     L1 is the max over coordinates and vertices of |partial_i f|, read off
@@ -348,7 +346,7 @@ def lipschitz(f: FourierExpansion, max_n: int | None = None) -> tuple[float, flo
     inside a block pairs its own columns, and a higher flip pairs the block
     with the partner block above it.
     """
-    values = vertex_values(f, max_n)
+    values = vertex_values(f)
     l1 = l2 = 0.0
     shape = (f.n, min(values.size, _FLIP_BLOCK))
     partner, buf = np.empty(shape), np.empty(shape)
@@ -373,14 +371,14 @@ def lipschitz(f: FourierExpansion, max_n: int | None = None) -> tuple[float, flo
     return l1, l2
 
 
-def compose(f: FourierExpansion, h, max_n: int | None = None) -> FourierExpansion:
+def compose(f: FourierExpansion, h) -> FourierExpansion:
     """Expansion of the vertex map v -> h(f(v)) via a full truth table.
 
     ``h`` is a scalar shape (anything with a vectorized ``value``) or a
     plain callable.  Exact at every vertex up to the 1e-14 coefficient
     pruning applied after the transform.
     """
-    values = vertex_values(f, max_n)
+    values = vertex_values(f)
     fn: Callable = h.value if hasattr(h, "value") else h
     hv = np.asarray(fn(values), dtype=np.float64)
     if hv.shape != values.shape:

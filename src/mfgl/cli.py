@@ -23,6 +23,9 @@ n, num_vertices and subset indices are integers (6.0 reads as 6, 6.9 is refused)
 Every flag but --timings can be defaulted through an environment variable
 with the MFGL_ prefix (e.g. MFGL_SEED, MFGL_SAMPLES, MFGL_MAX_N); explicit
 flags win.
+--max-n and --transport-max-states set the two size caps: ``run`` holds
+them in ``mfgl.size_caps`` around the command, and every table and
+transport the command builds reads them there.
 Numbers in reports are emitted with 17 significant digits and reports are
 written atomically (temp file + rename), so identical configs and seeds
 produce byte-identical files.  Exit codes: 0 success, 1 input error,
@@ -52,7 +55,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import DEFAULT_TRANSPORT_STATES, __version__
+from . import DEFAULT_ENUM_CAP, DEFAULT_TRANSPORT_STATES, __version__, size_caps
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,7 +94,7 @@ class RunConfig:
     epsilon: float = 0.2
     t: Optional[float] = None
     delta: Optional[float] = None
-    max_n: int = 20
+    max_n: int = DEFAULT_ENUM_CAP
     transport_max_states: int = DEFAULT_TRANSPORT_STATES
     suite: str = "all"
     lambda_grid: str = "1e-2:1e2:64"
@@ -365,7 +368,7 @@ def _require_spec(config: RunConfig) -> tuple[HamiltonianSpec, FourierExpansion]
     if not config.spec_path:
         raise InputError(f"command {config.command!r} requires --spec")
     spec = load_spec(config.spec_path)
-    return spec, hamiltonians.build_hamiltonian(spec, config.max_n)
+    return spec, hamiltonians.build_hamiltonian(spec)
 
 
 def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
@@ -374,8 +377,7 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
     spec, f = _require_spec(config)
     report = _new_report(config, spec.to_dict())
     with _timed(config, report, "complexity"):
-        params = complexity.complexity_params(f, samples=config.samples,
-                                              seed=config.seed, max_n=config.max_n)
+        params = complexity.complexity_params(f, samples=config.samples, seed=config.seed)
     report["params"] = _params_dict(params)
     form = boolfn.pairwise_form(f)
     if form is not None:
@@ -413,7 +415,7 @@ def _cmd_ld_scan(config: RunConfig) -> tuple[int, dict]:
     if config.t is None or config.delta is None:
         raise InputError("ld-scan requires --t and --delta")
     report = _new_report(config, spec.to_dict())
-    cutoff = hamiltonians.smoothed_cutoff_weights(f, config.t, config.delta, config.max_n)
+    cutoff = hamiltonians.smoothed_cutoff_weights(f, config.t, config.delta)
     rows = verify.audit_large_deviations(cutoff, instance={"spec": config.spec_path})
     report["audits"] = [r.as_dict() for r in rows]
     if rows and rows[0].kind == "error":
@@ -478,7 +480,7 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
             for k, f in _default_random_instances(config.seed + 2, 3, n_range=(6, 8), degree=2):
                 means = [rng.uniform(-0.9, 0.9, f.n) for _ in range(4)]
                 rows.extend(verify.audit_chain_rule_and_moments(
-                    f, hamiltonians.CutoffShape(), means, seed=config.seed, max_n=config.max_n,
+                    f, hamiltonians.CutoffShape(), means, seed=config.seed,
                     instance={"suite_instance": k}))
             t_rows, _ = verify.tightness_demo([16, 64, 256])
             rows.extend(t_rows)
@@ -491,8 +493,7 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
                 thetas = [np.zeros(f.n)] + list(verify.sample_tilts(
                     f.n, config.epsilon, 4, seed=config.seed + 10 + k))
                 rows.extend(verify.audit_product_proximity(
-                    f, thetas, max_states=config.transport_max_states, max_n=config.max_n,
-                    instance={"suite_instance": k}))
+                    f, thetas, instance={"suite_instance": k}))
 
     if "main" in suites:
         from . import complexity
@@ -501,10 +502,9 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
             f = built if built is not None else hamiltonians.build_hamiltonian(
                 hamiltonians.CurieWeissSpec(2.0, 8))
             params = complexity.complexity_params(f, samples=min(config.samples, 20_000),
-                                                  seed=config.seed, max_n=config.max_n)
+                                                  seed=config.seed)
             thetas = verify.sample_tilts(f.n, config.epsilon, 8, seed=config.seed + 20)
             rows.extend(verify.audit_main_residuals(f, thetas, config.epsilon, params,
-                                                    max_n=config.max_n,
                                                     instance={"spec": config.spec_path}))
 
     if "ld" in suites:
@@ -515,7 +515,7 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
                 f = hamiltonians.build_hamiltonian(hamiltonians.CurieWeissSpec(1.5, 10))
                 t, delta, spec_path = 0.675, 0.05, None
             rows.extend(verify.audit_large_deviations(
-                hamiltonians.smoothed_cutoff_weights(f, t, delta, config.max_n),
+                hamiltonians.smoothed_cutoff_weights(f, t, delta),
                 instance={"spec": spec_path}))
 
     if "tightness" in suites:
@@ -574,9 +574,10 @@ _COMMANDS = {
 
 
 def run(config: RunConfig) -> tuple[int, dict | None]:
-    """Execute one command; returns (exit status, report)."""
+    """Execute one command under the config's size caps; returns (exit status, report)."""
     config.validate()
-    code, report = _COMMANDS[config.command](config)
+    with size_caps(config.max_n, config.transport_max_states):
+        code, report = _COMMANDS[config.command](config)
     payload = serialize_report(report, config.fmt)
     if config.out_path:
         try:

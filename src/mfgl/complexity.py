@@ -286,7 +286,7 @@ def _coefficient_mass(f: FourierExpansion) -> float:
 
 
 def complexity_params(f: FourierExpansion, samples: int = DEFAULT_SAMPLES,
-                      seed: int | None = 0, max_n: int | None = None) -> ComplexityParams:
+                      seed: int | None = 0) -> ComplexityParams:
     """Monte-Carlo D plus exact floored Lipschitz parameters for f.
 
     A degree <= 2 expansion whose coefficients sum to at most
@@ -302,7 +302,7 @@ def complexity_params(f: FourierExpansion, samples: int = DEFAULT_SAMPLES,
         cloud = PairwiseCloud(*form)
         lips = cloud.lipschitz()
     else:
-        cloud, lips = VertexCloud(vertex_values(f, max_n)), lipschitz(f, max_n)
+        cloud, lips = VertexCloud(vertex_values(f)), lipschitz(f)
     width = gaussian_width_mc(cloud, samples=samples, seed=seed)
     return ComplexityParams.from_raw(
         width.estimate,

@@ -88,12 +88,12 @@ def theta_in_tilt_support(theta: np.ndarray, eps: float) -> bool:
     )
 
 
-def gibbs_measure(f: FourierExpansion, max_n: int | None = None) -> DenseMeasure:
+def gibbs_measure(f: FourierExpansion) -> DenseMeasure:
     """Measure with probabilities proportional to exp(f(v))."""
-    return DenseMeasure.from_log_weights(f.n, vertex_values(f, max_n))
+    return DenseMeasure.from_log_weights(f.n, vertex_values(f))
 
 
-def product_law(mean, max_n: int | None = None) -> DenseMeasure:
+def product_law(mean) -> DenseMeasure:
     """Explicit 2^n probabilities (unit normalizer) of the product law with the given mean:
     coordinate i equals +1 with probability (1 + mean_i)/2, independently."""
     mean = np.asarray(mean, dtype=np.float64)
@@ -101,7 +101,7 @@ def product_law(mean, max_n: int | None = None) -> DenseMeasure:
         raise ValueError("mean must be a nonempty vector")
     if np.any(np.abs(mean) > 1.0 + PROB_TOL) or not np.all(np.isfinite(mean)):
         raise ValueError("mean entries must lie in [-1, 1]")
-    _check_cap(mean.size, max_n, "product densification")
+    _check_cap(mean.size, "product densification")
     up = (1.0 + np.clip(mean, -1.0, 1.0)) / 2.0
     return DenseMeasure(n=mean.size, probs=_coordinate_table(np.multiply, 1.0 - up, up))
 
@@ -157,8 +157,7 @@ def _check_pair(nu1: DenseMeasure, nu2: DenseMeasure) -> None:
         raise DimensionMismatch(f"dimension mismatch: {nu1.n} vs {nu2.n}")
 
 
-def w1_result(nu1: DenseMeasure, nu2: DenseMeasure,
-              max_states: int | None = None) -> transport.TransportResult:
+def w1_result(nu1: DenseMeasure, nu2: DenseMeasure) -> transport.TransportResult:
     """Exact Wasserstein-1 distance, ground cost half the coordinate one-norm.
 
     Solved as a certified min-cost flow; ``.value`` is the distance, and the
@@ -166,7 +165,7 @@ def w1_result(nu1: DenseMeasure, nu2: DenseMeasure,
     ``CapExceeded``.
     """
     _check_pair(nu1, nu2)
-    result = transport.solve_w1(nu1.probs, nu2.probs, nu1.n, max_states=max_states)
+    result = transport.solve_w1(nu1.probs, nu2.probs, nu1.n)
     if not result.certified:
         raise RuntimeError("transport dual certificate failed")
     return result

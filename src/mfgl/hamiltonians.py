@@ -216,7 +216,7 @@ class HamiltonianSpec:
     fields, and ``__post_init__`` then refuses a dimension n above
     ``MAX_DIMENSION``, which the int64 subset masks cannot hold.  So every
     route into a spec (JSON or Python) is checked the same way, before
-    anything is built.  Each type's ``build(max_n)`` returns its
+    anything is built.  Each type's ``build()`` returns its
     ``FourierExpansion`` for ``build_hamiltonian``.
     """
 
@@ -253,7 +253,7 @@ class LinearSpec(HamiltonianSpec):
     def n(self) -> int:
         return len(self.theta)
 
-    def build(self, max_n=None):
+    def build(self):
         return FourierExpansion.from_terms(self.n, [((i,), c) for i, c in enumerate(self.theta)])
 
 
@@ -288,7 +288,7 @@ class IsingSpec(HamiltonianSpec):
     def n(self) -> int:
         return len(self.field)
 
-    def build(self, max_n=None):
+    def build(self):
         terms = [((i, j), row[j]) for i, row in enumerate(self.coupling)
                  for j in range(i + 1, self.n)]
         terms += [((i,), c) for i, c in enumerate(self.field)]
@@ -308,7 +308,7 @@ class CurieWeissSpec(HamiltonianSpec):
         if self.n < 2:
             raise InvalidSpec("need at least two sites")
 
-    def build(self, max_n=None):
+    def build(self):
         c = 2.0 * (self.beta / self.n)  # not 2 beta / n, which differs for subnormal beta / n
         return FourierExpansion.from_terms(
             self.n, [((i, j), c) for i in range(self.n) for j in range(i + 1, self.n)])
@@ -331,7 +331,7 @@ class TriangleCountSpec(HamiltonianSpec):
     def n(self) -> int:
         return self.num_vertices * (self.num_vertices - 1) // 2
 
-    def build(self, max_n=None):
+    def build(self):
         nv = self.num_vertices
         edges = edge_index_map(nv)
         coeff = 6.0 * self.beta / nv  # pairwise-distinct ordered triples: 3! per triangle
@@ -371,7 +371,7 @@ class SparseFourierSpec(HamiltonianSpec):
     def from_dict(cls, data: dict) -> "SparseFourierSpec":
         return cls(data["n"], tuple((t["subset"], t["coeff"]) for t in data["terms"]))
 
-    def build(self, max_n=None):
+    def build(self):
         return FourierExpansion.from_terms(self.n, self.terms)
 
 
@@ -399,9 +399,9 @@ class SmoothedCutoffSpec(HamiltonianSpec):
     def from_dict(cls, data: dict) -> "SmoothedCutoffSpec":
         return cls(spec_from_dict(data["inner"]), data["t"], data["delta"])
 
-    def build(self, max_n=None):
-        inner = build_hamiltonian(self.inner, max_n)
-        return compose(inner, CutoffShape(inner.n, self.t, self.delta), max_n)
+    def build(self):
+        inner = build_hamiltonian(self.inner)
+        return compose(inner, CutoffShape(inner.n, self.t, self.delta))
 
 
 SPEC_TYPES = {cls.type: cls for cls in (LinearSpec, IsingSpec, CurieWeissSpec, TriangleCountSpec,
@@ -441,7 +441,7 @@ def curie_weiss_interaction_matrix(beta: float, n: int) -> np.ndarray:
     return a
 
 
-def build_hamiltonian(spec: HamiltonianSpec, max_n: int | None = None) -> FourierExpansion:
+def build_hamiltonian(spec: HamiltonianSpec) -> FourierExpansion:
     """Realize a spec as its sparse expansion f.
 
     Its gradient field is ``meanfield.as_gradient_field(f)``, which runs
@@ -449,7 +449,7 @@ def build_hamiltonian(spec: HamiltonianSpec, max_n: int | None = None) -> Fourie
     """
     if not isinstance(spec, HamiltonianSpec):
         raise InvalidSpec(f"unknown Hamiltonian spec {type(spec).__name__}")
-    return spec.build(max_n)
+    return spec.build()
 
 
 def ising_complexity_bounds(a: np.ndarray, mu: np.ndarray) -> ComplexityParams:
@@ -503,8 +503,7 @@ class SmoothedCutoff:
 DELTA_PRIME_FACTOR = (math.log(4.0) + 1.0) / 2.0
 
 
-def smoothed_cutoff_weights(f: FourierExpansion, t: float, delta: float,
-                            max_n: int | None = None) -> SmoothedCutoff:
+def smoothed_cutoff_weights(f: FourierExpansion, t: float, delta: float) -> SmoothedCutoff:
     """Tabulate g = psi∘f, log phi and delta' for level t and smoothing width delta.
 
     One vertex table of f gives every field; no expansion of g is built
@@ -516,7 +515,7 @@ def smoothed_cutoff_weights(f: FourierExpansion, t: float, delta: float,
     n = f.n
     delta_prime = DELTA_PRIME_FACTOR * delta
     psi = CutoffShape(n, t, delta)
-    fvals = vertex_values(f, max_n)
+    fvals = vertex_values(f)
     gvals = np.asarray(psi.value(fvals), dtype=np.float64)
     zero = fvals < (t - delta_prime) * n
     top = fvals >= t * n

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DEFAULT_TRANSPORT_STATES
+from . import _caps_in_force
 from .boolfn import CapExceeded
 
 logger = logging.getLogger(__name__)
@@ -63,11 +63,11 @@ def _integer_supplies(p: np.ndarray, q: np.ndarray, scale: int) -> np.ndarray:
     return supply
 
 
-def solve_w1(p: np.ndarray, q: np.ndarray, n: int, *,
-             max_states: int | None = None) -> TransportResult:
-    """Exact optimal transport between two probability vectors over 2^n vertices."""
+def solve_w1(p: np.ndarray, q: np.ndarray, n: int) -> TransportResult:
+    """Exact optimal transport between two probability vectors over 2^n vertices,
+    refused above the transport cap in force (``mfgl.size_caps``)."""
     states = 1 << n
-    cap = DEFAULT_TRANSPORT_STATES if max_states is None else int(max_states)
+    cap = _caps_in_force()[1]
     if states > cap:
         raise CapExceeded(f"transport needs {states} states but the cap is {cap}")
     p = np.asarray(p, dtype=np.float64)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .boolfn import (
     FourierExpansion,
+    compose,
     eval_extension,
     flip_differences,
     gradient_extension,
@@ -40,7 +41,6 @@ from .gibbs import (
     w1_result,
 )
 from .hamiltonians import ComplexityParams, ScalarShape, SmoothedCutoff
-from .boolfn import compose
 
 PASS_SLACK = 1e-9
 MAX_TILT_TRIES = 100_000
@@ -137,20 +137,19 @@ def sample_tilts(n: int, eps: float, count: int, seed: int | None = 0) -> np.nda
 
 
 def audit_product_proximity(f: FourierExpansion, theta_list: Sequence[np.ndarray], *,
-                            max_states: int | None = None, max_n: int | None = None,
                             instance: dict | None = None) -> list[AuditRow]:
     """W1 to the centered product law against sqrt(n tr H), per tilt.
 
     theta = 0 rows audit the base Gibbs measure itself.
     """
     base_instance = dict(instance or {})
-    nu, grad = gibbs_measure(f, max_n), flip_differences(vertex_values(f, max_n)).T.copy()
+    nu, grad = gibbs_measure(f), flip_differences(vertex_values(f)).T.copy()
     rows = []
     for k, theta in enumerate(theta_list):
         theta = np.asarray(theta, dtype=np.float64)
         tilted = tilt(nu, theta)
         center, _, trace = tanh_covariance(tilted, grad + theta)
-        w1 = w1_result(tilted, product_law(center, max_n), max_states=max_states)
+        w1 = w1_result(tilted, product_law(center))
         bound = math.sqrt(f.n * max(trace, 0.0))
         inst = dict(base_instance, tilt_index=k, theta_norm=float(np.linalg.norm(theta)),
                     trace=trace, mass_error_bound=w1.mass_error_bound)
@@ -175,7 +174,6 @@ def eps_upper_limit(n: int, d: float) -> float:
 
 def audit_main_residuals(f: FourierExpansion, theta_list: Sequence[np.ndarray],
                          eps: float, params: ComplexityParams, *,
-                         max_n: int | None = None,
                          instance: dict | None = None) -> list[AuditRow]:
     """Fixed-point residual of the tilt means against the displayed bounds.
 
@@ -192,7 +190,7 @@ def audit_main_residuals(f: FourierExpansion, theta_list: Sequence[np.ndarray],
     if not (0.0 < eps < limit):
         raise ValueError(f"eps must lie in (0, {limit:.6g}) for D = {params.d:.6g}")
     base_instance = dict(instance or {}, eps=eps, d=params.d, l1=params.l1, l2=params.l2)
-    nu, grad = gibbs_measure(f, max_n), flip_differences(vertex_values(f, max_n)).T.copy()
+    nu, grad = gibbs_measure(f), flip_differences(vertex_values(f)).T.copy()
     tanh_grad = np.tanh(grad)
     trace_cap = 256.0 * n ** (1.0 / 3.0) * params.d ** (2.0 / 3.0) / eps ** (2.0 / 3.0)
     scale = n ** (2.0 / 3.0) * params.d ** (1.0 / 3.0) / eps ** (1.0 / 3.0)
@@ -206,7 +204,7 @@ def audit_main_residuals(f: FourierExpansion, theta_list: Sequence[np.ndarray],
         in_good_set = trace <= trace_cap + PASS_SLACK
         center = mean(tilted)
         resid = float(np.abs(center - np.tanh(gradient_extension(f, center))).sum())
-        weights = product_law(center, max_n).probs
+        weights = product_law(center).probs
         spread = float(weights @ np.abs(tanh_grad - center).sum(axis=1))
         inst = dict(base_instance, tilt_index=k,
                     theta_norm=float(np.linalg.norm(theta)),
@@ -261,7 +259,6 @@ def audit_tanh_mean_swap(trials: int, l_range: tuple[float, float] = (1.0, 5.0),
 def audit_chain_rule_and_moments(f: FourierExpansion, h: ScalarShape,
                                  product_means: Sequence[np.ndarray],
                                  seed: int | None = None, *,
-                                 max_n: int | None = None,
                                  instance: dict | None = None) -> list[AuditRow]:
     """Chain-rule defects, product-law concentration, and the expectation swap.
 
@@ -275,14 +272,14 @@ def audit_chain_rule_and_moments(f: FourierExpansion, h: ScalarShape,
         raise ValueError("shape must carry a second-derivative bound")
     n = f.n
     base = dict(instance or {}, shape=h.name, seed=seed)
-    fvals = vertex_values(f, max_n)
+    fvals = vertex_values(f)
     grad_f = flip_differences(fvals)
     lip = float(np.abs(grad_f).max())
     b2 = float(h.d2_bound)
     # the vertex defect reads h(F) exactly; hf, built from that same table and
     # pruned, serves the interior points
     hvals = np.asarray(h.value(fvals))
-    hf = compose(f, lambda _: hvals, max_n)
+    hf = compose(f, lambda _: hvals)
     defect = flip_differences(hvals) - np.asarray(h.deriv1(fvals)) * grad_f
     rows = [
         make_row("chain_rule_vertex_defect_l1", dict(base),
@@ -297,7 +294,7 @@ def audit_chain_rule_and_moments(f: FourierExpansion, h: ScalarShape,
     rows.append(make_row("chain_rule_extension_defect_l1", dict(base, points=len(product_means)),
                          worst_ext, 2.0 * b2 * lip**2 * n**1.5))
     for k, z in enumerate(means):
-        weights = product_law(z, max_n).probs
+        weights = product_law(z).probs
         f_at_mean = float(f_at_means[k])
         inst = dict(base, mean_index=k)
         rows.append(make_row("product_law_concentration", inst,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mfgl import boolfn
+from mfgl import DEFAULT_ENUM_CAP, boolfn, size_caps
 from mfgl.boolfn import (
     CapExceeded,
     DimensionMismatch,
@@ -25,13 +25,18 @@ from mfgl.boolfn import (
     vertex_values,
     walsh_hadamard,
 )
+from mfgl.complexity import complexity_params
+from mfgl.gibbs import gibbs_measure, product_law
 from mfgl.hamiltonians import (
     CurieWeissSpec,
     CutoffShape,
     SmoothedCutoffSpec,
+    SparseFourierSpec,
     build_hamiltonian,
+    smoothed_cutoff_weights,
 )
 from mfgl.meanfield import as_gradient_field, lambda_scan, residual_l1
+from mfgl.transport import solve_w1
 
 from conftest import (
     all_vertices,
@@ -240,15 +245,31 @@ def test_pairwise_form_is_none_above_degree_two():
 
 
 def test_cap_is_checked_after_the_table_is_kept():
-    from mfgl.gibbs import gibbs_measure
-
     f = random_expansion(np.random.default_rng(6), 6, degree=2)
     vertex_values(f)
     gibbs_measure(f)
-    with pytest.raises(CapExceeded):
-        vertex_values(f, max_n=f.n - 1)
-    with pytest.raises(CapExceeded):
-        gibbs_measure(f, max_n=f.n - 1)
+    with size_caps(f.n - 1):
+        with pytest.raises(CapExceeded):
+            vertex_values(f)
+        with pytest.raises(CapExceeded):
+            gibbs_measure(f)
+
+
+def test_size_caps_nest_and_restore_the_outer_caps():
+    f = random_expansion(np.random.default_rng(6), 6, degree=2)
+    with size_caps(f.n - 1, 8):
+        with size_caps(f.n):
+            vertex_values(f)
+        with pytest.raises(CapExceeded):
+            vertex_values(f)
+        with pytest.raises(RuntimeError), size_caps(f.n):
+            raise RuntimeError("leaves the inner block")
+        with pytest.raises(CapExceeded):
+            vertex_values(f)
+        with pytest.raises(CapExceeded, match="cap is 8"):
+            solve_w1(np.full(16, 1 / 16), np.full(16, 1 / 16), 4)
+    vertex_values(f)
+    assert solve_w1(np.full(16, 1 / 16), np.full(16, 1 / 16), 4).value == 0.0
 
 
 def test_transform_round_trip():
@@ -435,16 +456,30 @@ def test_dimension_mismatch_errors():
         gradient_extension(f, np.zeros(5))
 
 
-def test_enumeration_cap():
-    f = FourierExpansion.from_terms(25, [((0,), 1.0)])
+# Every entry point that builds a 2^n table, called on a degree-3 spec
+TABLE_ENTRY_POINTS = {
+    "vertex_values": lambda spec: vertex_values(build_hamiltonian(spec)),
+    "lipschitz": lambda spec: lipschitz(build_hamiltonian(spec)),
+    "compose": lambda spec: compose(build_hamiltonian(spec), np.tanh),
+    "gibbs_measure": lambda spec: gibbs_measure(build_hamiltonian(spec)),
+    "product_law": lambda spec: product_law(np.zeros(spec.n)),
+    "smoothed_cutoff_weights":
+        lambda spec: smoothed_cutoff_weights(build_hamiltonian(spec), 0.0, 0.5),
+    "SmoothedCutoffSpec.build": lambda spec: SmoothedCutoffSpec(spec, 0.0, 0.5).build(),
+    "complexity_params": lambda spec: complexity_params(build_hamiltonian(spec), samples=64),
+}
+
+
+@pytest.mark.parametrize("entry", list(TABLE_ENTRY_POINTS))
+def test_enumeration_cap(entry):
+    build = TABLE_ENTRY_POINTS[entry]
+    terms = (((0, 1, 2), 0.5), ((1,), -1.0))
     with pytest.raises(CapExceeded):
-        vertex_values(f)
-    with pytest.raises(CapExceeded):
-        lipschitz(f)
-    # configurable
-    g = FourierExpansion.from_terms(6, [((0,), 1.0)])
-    with pytest.raises(CapExceeded):
-        vertex_values(g, max_n=5)
+        build(SparseFourierSpec(DEFAULT_ENUM_CAP + 1, terms))
+    spec = SparseFourierSpec(6, terms)
+    build(spec)
+    with size_caps(spec.n - 1), pytest.raises(CapExceeded):
+        build(spec)
 
 
 def test_term_validation():

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mfgl
 from mfgl import cli, complexity, meanfield, verify
 from mfgl.hamiltonians import (
     SPEC_TYPES,
@@ -576,12 +577,21 @@ def test_default_transport_cap_covers_1024_states(tmp_path):
     assert cli.main(["audit", "--suite", "proximity", "--spec", spec]) == 1
 
 
+def test_a_raised_transport_cap_covers_2048_states(tmp_path):
+    # every solve is certified, or w1_result raises and the command fails
+    out = tmp_path / "audit.json"
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 11})
+    assert cli.main(["audit", "--suite", "proximity", "--spec", spec, "--out", str(out),
+                     "--transport-max-states", "2048"]) == 0
+    rows = json.loads(out.read_text())["audits"]
+    assert [r["check_id"] for r in rows] == ["w1_vs_trace_bound"] * 5
+    assert all(r["pass"] for r in rows)
+
+
 @pytest.mark.parametrize("suite", ["main", "proximity"])
 def test_audit_product_law_obeys_the_raised_cap(tmp_path, monkeypatch, suite):
     # with the library's default cap at 6, --max-n 8 admits n = 8 for the product law too
-    import mfgl.boolfn as boolfn
-
-    monkeypatch.setattr(boolfn, "DEFAULT_ENUM_CAP", 6)
+    monkeypatch.setattr(mfgl, "DEFAULT_ENUM_CAP", 6)
     spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 2.0, "n": 8})
     out = tmp_path / "audit.json"
     assert cli.main(["audit", "--suite", suite, "--spec", spec, "--max-n", "8",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mfgl.boolfn as boolfn
+from mfgl import size_caps
 import mfgl.complexity as complexity
 from mfgl.boolfn import FourierExpansion, flip_differences, lipschitz, vertex_values
 from mfgl.complexity import (
@@ -282,8 +283,9 @@ def test_triangle_count_parameters_bounded():
     # N = 7 graph vertices, n = 21 coordinates; exact Lipschitz parameters
     # stay under the 200|beta| envelope and everything is finite
     beta = 1.0
-    f = build_hamiltonian(TriangleCountSpec(beta, 7), max_n=21)
-    p = complexity_params(f, samples=64, seed=11, max_n=21)
+    with size_caps(21):
+        f = build_hamiltonian(TriangleCountSpec(beta, 7))
+        p = complexity_params(f, samples=64, seed=11)
     assert math.isfinite(p.d) and p.d > 0
     assert p.l1 <= 200 * abs(beta)
     assert p.l2 <= 200 * abs(beta)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mfgl import size_caps
 from mfgl.boolfn import (
     CapExceeded,
     DimensionMismatch,
@@ -342,8 +343,8 @@ def test_w1_refuses_above_the_cap():
     rng = np.random.default_rng(15)
     nu1 = gibbs_measure(random_expansion(rng, 5, degree=2))
     nu2 = gibbs_measure(random_expansion(rng, 5, degree=2))
-    with pytest.raises(CapExceeded):
-        w1_result(nu1, nu2, max_states=16).value
+    with size_caps(transport_states=16), pytest.raises(CapExceeded):
+        w1_result(nu1, nu2).value
 
 
 def test_tv_extremes_and_dimension_check():
