@@ -18,7 +18,8 @@ Hamiltonian spec JSON schema (one object, dispatch on "type"):
     {"type": "sparse_fourier", "n": 6, "terms": [{"subset": [0, 2], "coeff": 1.5}]}
     {"type": "smoothed_cutoff", "inner": {...}, "t": 0.5, "delta": 0.05}
 Matrices are row-major nested arrays; subsets are sorted index lists;
-n, num_vertices and subset indices are integers (6.0 reads as 6, 6.9 is refused).
+n, num_vertices and subset indices are integers (6.0 reads as 6, 6.9 is refused);
+every number must be a JSON number, not a string or a boolean.
 
 Every flag but --timings can be defaulted through an environment variable
 with the MFGL_ prefix (e.g. MFGL_SEED, MFGL_SAMPLES, MFGL_MAX_N); explicit

@@ -13,6 +13,7 @@ i.e. pair coefficient 2*beta/n; the two conventions differ by that factor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -201,11 +202,27 @@ def composition_params(b1: float, b2: float, base: ComplexityParams, n: int) -> 
 # ---------------------------------------------------------------------------
 
 
+def _number(value) -> float:
+    """``value`` as a float; a bool, a string or any other non-number is refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidSpec(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidSpec("expected a number in the float range") from None
+
+
 def _integer(value) -> int:
     """``value`` as an int; a fractional or non-finite number is refused, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    if not _number(value).is_integer():
         raise InvalidSpec(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _numbers(value) -> np.ndarray:
+    """``value``, nested sequences of numbers, as a float64 array; ``_number`` checks each entry."""
+    entries = np.asarray(value, dtype=object)
+    return np.array([_number(x) for x in entries.flat], dtype=np.float64).reshape(entries.shape)
 
 
 class HamiltonianSpec:
@@ -244,7 +261,7 @@ class LinearSpec(HamiltonianSpec):
     theta: tuple
 
     def _validate(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
+        theta = _numbers(self.theta)
         if theta.ndim != 1 or theta.size == 0 or not np.all(np.isfinite(theta)):
             raise InvalidSpec("linear field must be a finite nonempty vector")
         self._set(theta=tuple(theta.tolist()))
@@ -270,18 +287,17 @@ class IsingSpec(HamiltonianSpec):
     field: tuple
 
     def _validate(self):
-        a = np.asarray(self.coupling, dtype=np.float64)
-        mu = np.asarray(self.field, dtype=np.float64)
+        a, mu = _numbers(self.coupling), _numbers(self.field)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidSpec("coupling must be a square matrix")
         if mu.shape != (a.shape[0],):
             raise InvalidSpec("field length must match the coupling size")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(mu))):
+            raise InvalidSpec("non-finite entries")
         if not np.allclose(a, a.T, rtol=0, atol=0):
             raise InvalidSpec("coupling must be symmetric")
         if np.any(np.diag(a) != 0.0):
             raise InvalidSpec("coupling must have a zero diagonal")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(mu))):
-            raise InvalidSpec("non-finite entries")
         self._set(coupling=tuple(map(tuple, a.tolist())), field=tuple(mu.tolist()))
 
     @property
@@ -302,7 +318,7 @@ class CurieWeissSpec(HamiltonianSpec):
     n: int
 
     def _validate(self):
-        self._set(beta=float(self.beta), n=_integer(self.n))
+        self._set(beta=_number(self.beta), n=_integer(self.n))
         if not 0.0 < self.beta < math.inf:
             raise InvalidSpec(f"beta must be positive and finite, got {self.beta}")
         if self.n < 2:
@@ -321,7 +337,7 @@ class TriangleCountSpec(HamiltonianSpec):
     num_vertices: int
 
     def _validate(self):
-        self._set(beta=float(self.beta), num_vertices=_integer(self.num_vertices))
+        self._set(beta=_number(self.beta), num_vertices=_integer(self.num_vertices))
         if not math.isfinite(self.beta):
             raise InvalidSpec(f"beta must be finite, got {self.beta}")
         if self.num_vertices < 3:
@@ -353,12 +369,14 @@ class SparseFourierSpec(HamiltonianSpec):
         norm = []
         n = _integer(self.n)
         for subset, coeff in self.terms:
+            if not isinstance(subset, (list, tuple, set, frozenset)):
+                raise InvalidSpec(f"subset must be a list of indices, got {subset!r}")
             subset = tuple(sorted(_integer(i) for i in subset))
             if len(set(subset)) != len(subset):
                 raise InvalidSpec("repeated index in subset")
             if subset and (subset[0] < 0 or subset[-1] >= n):
                 raise InvalidSpec("subset index out of range")
-            if not math.isfinite(coeff := float(coeff)):
+            if not math.isfinite(coeff := _number(coeff)):
                 raise InvalidSpec(f"coefficient must be finite, got {coeff}")
             norm.append((subset, coeff))
         self._set(n=n, terms=tuple(norm))
@@ -385,7 +403,7 @@ class SmoothedCutoffSpec(HamiltonianSpec):
     def _validate(self):
         if not isinstance(self.inner, HamiltonianSpec):
             raise InvalidSpec(f"unknown inner Hamiltonian spec {type(self.inner).__name__}")
-        self._set(t=float(self.t), delta=float(self.delta))
+        self._set(t=_number(self.t), delta=_number(self.delta))
         _check_level(self.t, self.delta)
 
     @property

@@ -130,6 +130,37 @@ def test_a_dimension_above_the_masks_is_one_error_line(tmp_path, capsys, data):
     assert err.startswith("error: ") and err.count("\n") == 1 and "exceeds 63" in err
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"type": "sparse_fourier", "n": 4, "terms": [{"subset": "01", "coeff": 1}]},
+     "subset must be a list of indices, got '01'"),
+    ({"type": "sparse_fourier", "n": 4, "terms": [{"subset": [0, "1"], "coeff": 1}]},
+     "expected a number, got '1'"),
+    ({"type": "sparse_fourier", "n": 4, "terms": [{"subset": [0], "coeff": "1"}]},
+     "expected a number, got '1'"),
+    ({"type": "curie_weiss", "beta": 1.5, "n": "6"}, "expected a number, got '6'"),
+    ({"type": "curie_weiss", "beta": True, "n": 6}, "expected a number, got True"),
+    ({"type": "curie_weiss", "beta": 10**400, "n": 6}, "expected a number in the float range"),
+    ({"type": "triangle_count", "beta": 1.0, "num_vertices": False},
+     "expected a number, got False"),
+    ({"type": "linear", "theta": [0.5, True]}, "expected a number, got True"),
+    ({"type": "ising", "coupling": [[0, "1"], ["1", 0]], "field": [0, 0]},
+     "expected a number, got '1'"),
+    ({"type": "ising", "coupling": [[0, 1], [1, 0]], "field": ["0", 0]},
+     "expected a number, got '0'"),
+    ({"type": "ising", "coupling": [[0, float("nan")], [1, 0]], "field": [0, 0]},
+     "non-finite entries"),
+    ({"type": "smoothed_cutoff", "inner": {"type": "curie_weiss", "beta": 1.5, "n": 4},
+      "t": "0.5", "delta": 0.05}, "expected a number, got '0.5'"),
+])
+def test_a_spec_value_of_the_wrong_json_type_is_one_error_line(tmp_path, capsys, data, message):
+    spec = _write_spec(tmp_path, data)
+    out = tmp_path / "fp.json"
+    assert cli.main(["fixed-points", "--spec", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(f"{message}\n")
+    assert not out.exists()
+
+
 def test_spec_schema_docs_match_registry():
     # the README's spec block parses and the --help text lists the same types
     readme = (Path(__file__).parents[1] / "README.md").read_text()
