@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mfgl.boolfn as boolfn
-from mfgl import size_caps
 import mfgl.complexity as complexity
+from mfgl import size_caps
 from mfgl.boolfn import FourierExpansion, flip_differences, lipschitz, vertex_values
 from mfgl.complexity import (
     LEVEL1_DRAWS,
