@@ -18,12 +18,15 @@ import importlib
 
 __version__ = "0.1.0"
 
-# The two size caps by default: no dense 2^n table above n = DEFAULT_ENUM_CAP
-# and no transport above DEFAULT_TRANSPORT_STATES states.  They live here, not
-# in the layers, so that the command-line front can read them without loading
-# numpy.
+# Run defaults, here and not in the layers so that the command-line front reads
+# them without loading numpy: the two size caps (no dense 2^n table above
+# n = DEFAULT_ENUM_CAP, no transport above DEFAULT_TRANSPORT_STATES states), the
+# Monte-Carlo draws of the width, and the fixed-point iteration's tol and damping.
 DEFAULT_ENUM_CAP = 20
 DEFAULT_TRANSPORT_STATES = 1024
+DEFAULT_SAMPLES = 100_000
+DEFAULT_TOL = 1e-10
+DEFAULT_DAMPING = 0.5
 
 _SIZE_CAPS = contextvars.ContextVar("mfgl_size_caps")
 

@@ -23,7 +23,7 @@ from . import _caps_in_force
 
 MAX_DIMENSION = 63  # int64 subset masks hold coordinates 0..62
 PRUNE_TOL = 1e-14
-_BLOCK_ENTRIES = 1 << 18  # entries per (width x terms x batch) block of the term kernel: 2 MB
+_BLOCK_ENTRIES = 1 << 18  # entries per block of the term kernel and of complexity's width: 2 MB
 _FLIP_BLOCK = 1 << 14  # vertices per flip block of F (Lipschitz walk, cloud slabs): 2.6 MB at n = 20
 
 

@@ -56,7 +56,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import DEFAULT_ENUM_CAP, DEFAULT_TRANSPORT_STATES, __version__, size_caps
+from . import (DEFAULT_DAMPING, DEFAULT_ENUM_CAP, DEFAULT_SAMPLES, DEFAULT_TOL,
+               DEFAULT_TRANSPORT_STATES, __version__, size_caps)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -89,9 +90,9 @@ class RunConfig:
     out_path: Optional[str] = None
     fmt: str = "json"
     seed: int = 0
-    samples: int = 100_000
-    tol: float = 1e-10
-    damping: float = 0.5
+    samples: int = DEFAULT_SAMPLES
+    tol: float = DEFAULT_TOL
+    damping: float = DEFAULT_DAMPING
     epsilon: float = 0.2
     t: Optional[float] = None
     delta: Optional[float] = None
@@ -384,9 +385,8 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
     if form is not None:
         report["closed_form_bounds"] = _params_dict(hamiltonians.ising_complexity_bounds(*form))
     if isinstance(spec, hamiltonians.CurieWeissSpec):
-        # constant fixed points of this spec's field solve x = tanh(2 beta (n-1)/n x)
         report["scalar_roots"] = [float(r) for r in meanfield.curie_weiss_roots(
-            2.0 * spec.beta * (spec.n - 1) / spec.n)]
+            spec.scalar_slope)]
     with _timed(config, report, "fixed_points"):
         sols = meanfield.solve_multistart(f, f.n, lam=1.0, seed=config.seed,
                                           damping=config.damping, tol=config.tol)
@@ -431,7 +431,7 @@ def _cmd_ld_scan(config: RunConfig) -> tuple[int, dict]:
         "delta_prime": cutoff.delta_prime,
         "two_delta_upper_bound": 2.0 * config.delta,
         "delta_prime_within_two_delta": cutoff.delta_prime <= 2.0 * config.delta,
-        "window": [(config.t - 6.0 * config.delta) * f.n, config.t * f.n],
+        "window": list(meanfield.conditioning_window(config.t, config.delta, f.n)),
         "zero_band_states": int(cutoff.zero_mask.sum()),
         "mid_band_states": int(cutoff.mid_mask.sum()),
         "top_band_states": int(cutoff.top_mask.sum()),

@@ -46,14 +46,12 @@ from typing import Iterator
 
 import numpy as np
 
-from . import boolfn
+from . import DEFAULT_SAMPLES, boolfn
 from .boolfn import FourierExpansion, flip_blocks, flip_rows, lipschitz, vertex_values
 from .hamiltonians import ComplexityParams
 
-DEFAULT_SAMPLES = 100_000
 PILOT_DRAWS = 4096
 LEVEL1_DRAWS = 4096
-_BLOCK_ENTRIES = 1 << 18  # entries per (rows x draws) product block: 2 MB
 
 logger = logging.getLogger(__name__)
 
@@ -65,14 +63,12 @@ class GradientCloud:
     points: np.ndarray  # (k, n), k >= 0
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64)
         if pts.ndim != 2:
             raise ValueError("cloud must be a (k, n) array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("cloud points must be finite")
-        if pts.flags.writeable:  # a read-only array is kept as it is, without a copy
-            pts = pts.copy()
-            pts.flags.writeable = False
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
@@ -103,8 +99,8 @@ class VertexCloud:
     The rows are built from F a slab at a time and never stored whole.  A
     slab is a flip block of ``boolfn._FLIP_BLOCK`` vertices, the block size of
     the Lipschitz walk, read at call time; so a sup over K holds one slab and
-    one block of about ``_BLOCK_ENTRIES`` products.  Blocks hold a power of
-    two of rows, at most the rows asked for.
+    one block of about ``boolfn._BLOCK_ENTRIES`` products.  Blocks hold a
+    power of two of rows, at most the rows asked for.
     """
 
     values: np.ndarray  # (2^n,)
@@ -167,7 +163,7 @@ def _sups(cloud: Cloud, draws: np.ndarray,
     """Per-draw sup of <x, g> over the cloud's rows x and the origin, walking the rows in blocks.
 
     The running maximum starts at the origin's 0 and carries the sup across
-    blocks, each of about ``_BLOCK_ENTRIES`` products.  With ``winners``
+    blocks, each of about ``boolfn._BLOCK_ENTRIES`` products.  With ``winners``
     also return, per draw, the first row that beats the origin's 0 and
     attains the sup, or -1 where none does.  A ``PairwiseCloud`` takes its
     sup in closed form, max(||g @ A||_1 + <g, mu>, 0), and names no winner.
@@ -178,7 +174,7 @@ def _sups(cloud: Cloud, draws: np.ndarray,
     m = draws.shape[0]
     best = np.zeros(m)
     where = np.full(m, -1, dtype=np.intp) if winners else None
-    for start, rows in cloud.blocks(max(1, _BLOCK_ENTRIES // m)):
+    for start, rows in cloud.blocks(max(1, boolfn._BLOCK_ENTRIES // m)):
         block = rows @ draws.T
         top = block.max(axis=0)
         if winners:
@@ -201,7 +197,7 @@ def width_samples(cloud: Cloud, samples: int, seed: int | None = 0) -> np.ndarra
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    chunk = max(1, _BLOCK_ENTRIES // max(cloud.n, 1))
+    chunk = max(1, boolfn._BLOCK_ENTRIES // max(cloud.n, 1))
     sups = np.empty(samples)
     for done in range(0, samples, chunk):
         g = rng.standard_normal((min(chunk, samples - done), cloud.n))
@@ -295,7 +291,8 @@ def complexity_params(f: FourierExpansion, samples: int = DEFAULT_SAMPLES,
     from the ``PairwiseCloud`` of ``boolfn.pairwise_form(f)``.  Any other f
     goes through its one vertex table F: the width walks the undeduplicated
     ``VertexCloud`` of F, and L1 and L2 come from one walk over F's flip
-    blocks, so no (n, 2^n) array is built.
+    blocks, so no (n, 2^n) array is built.  A width or standard error that
+    overflows is refused (``ComplexityParams`` takes finite values only).
     """
     form = boolfn.pairwise_form(f)
     if form is not None and _coefficient_mass(f) <= _MAX_VERTEX_VALUE:
@@ -303,7 +300,8 @@ def complexity_params(f: FourierExpansion, samples: int = DEFAULT_SAMPLES,
         lips = cloud.lipschitz()
     else:
         cloud, lips = VertexCloud(vertex_values(f)), lipschitz(f)
-    width = gaussian_width_mc(cloud, samples=samples, seed=seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = gaussian_width_mc(cloud, samples=samples, seed=seed)
     return ComplexityParams.from_raw(
         width.estimate,
         *lips,

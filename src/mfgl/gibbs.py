@@ -78,16 +78,6 @@ class DenseMeasure:
         return DenseMeasure(n=n, probs=probs)
 
 
-def theta_in_tilt_support(theta: np.ndarray, eps: float) -> bool:
-    """Whether theta lies in the ball of radius eps*sqrt(n) meeting [-1/4,1/4]^n."""
-    theta = np.asarray(theta, dtype=np.float64)
-    n = theta.size
-    return bool(
-        np.linalg.norm(theta) <= eps * np.sqrt(n) + 1e-12
-        and np.abs(theta).max(initial=0.0) <= 0.25 + 1e-12
-    )
-
-
 def gibbs_measure(f: FourierExpansion) -> DenseMeasure:
     """Measure with probabilities proportional to exp(f(v))."""
     return DenseMeasure.from_log_weights(f.n, vertex_values(f))

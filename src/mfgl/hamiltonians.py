@@ -8,6 +8,8 @@ discrete gradient field is exactly A x + mu and the closed-form complexity
 bounds below are valid for the function actually built.  ``curie_weiss``
 encodes the ordered double sum (beta/n) sum_{i != j} x_i x_j literally,
 i.e. pair coefficient 2*beta/n; the two conventions differ by that factor.
+``CurieWeissSpec.scalar_slope`` holds the slope beta_eff of the scalar
+equation x = tanh(beta_eff x) that its constant fixed points solve.
 """
 
 from __future__ import annotations
@@ -154,6 +156,9 @@ class ComplexityParams:
     d_levels: Optional[dict] = field(default=None, hash=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.d, self.d_stderr or 0.0, self.l1, self.l2))):
+            raise ValueError(f"complexity parameters must be finite, got D = {self.d} with "
+                             f"standard error {self.d_stderr}, L1 = {self.l1}, L2 = {self.l2}")
         if self.d < 0:
             raise ValueError("gradient complexity must be nonnegative")
         if self.l1 < 1.0 or self.l2 < 1.0:
@@ -329,6 +334,12 @@ class CurieWeissSpec(HamiltonianSpec):
         return FourierExpansion.from_terms(
             self.n, [((i, j), c) for i in range(self.n) for j in range(i + 1, self.n)])
 
+    @property
+    def scalar_slope(self) -> float:
+        """beta_eff = 2 beta (n - 1)/n: at a constant point x each coordinate's field sums
+        n - 1 pair terms 2 beta/n x, so constant fixed points solve x = tanh(beta_eff x)."""
+        return 2.0 * self.beta * (self.n - 1) / self.n
+
 
 @dataclass(frozen=True)
 class TriangleCountSpec(HamiltonianSpec):
@@ -445,20 +456,6 @@ def edge_index_map(num_vertices: int) -> dict[tuple[int, int], int]:
     return {p: k for k, p in enumerate(pairs)}
 
 
-def curie_weiss_interaction_matrix(beta: float, n: int) -> np.ndarray:
-    """Interaction matrix with off-diagonal beta/n and zero diagonal.
-
-    ``ising`` built from this matrix has gradient field A x, the form under
-    which the classical magnetization analysis (constant solutions of
-    x = tanh(beta x) up to the (n-1)/n finite-size factor) and the
-    width bound beta*sqrt(n) are stated.  The literal ``curie_weiss``
-    Hamiltonian corresponds to twice this matrix.
-    """
-    a = np.full((n, n), beta / n)
-    np.fill_diagonal(a, 0.0)
-    return a
-
-
 def build_hamiltonian(spec: HamiltonianSpec) -> FourierExpansion:
     """Realize a spec as its sparse expansion f.
 
@@ -481,8 +478,9 @@ def ising_complexity_bounds(a: np.ndarray, mu: np.ndarray) -> ComplexityParams:
     a, mu = np.array(spec.coupling), np.array(spec.field)
     n = len(mu)
     mu_max = float(np.abs(mu).max()) if n else 0.0
-    row_sum = float(np.abs(a).sum(axis=1).max())
-    d = math.sqrt(n * float((a * a).sum())) + math.sqrt(n) * mu_max
+    with np.errstate(over="ignore"):  # ComplexityParams refuses a bound that overflows
+        row_sum = float(np.abs(a).sum(axis=1).max())
+        d = math.sqrt(n * float((a * a).sum())) + math.sqrt(n) * mu_max
     return ComplexityParams.from_raw(
         d, mu_max + row_sum, row_sum,
         d_provenance="closed_form_bound",

@@ -3,7 +3,9 @@
 The damped iteration, the membership test against the structural threshold
 5000 L1 L2^(3/4) D^(1/4) n^(3/4), the variational functional whose critical
 points are exactly the fixed points, the scalar ferromagnet analysis, and
-the lambda scan used for smoothed-cutoff conditioning all live here.
+the lambda scan used for smoothed-cutoff conditioning all live here, and
+so does the conditioning window [(t - 6 delta) n, t n] that the scan filters
+with and ``ld-scan`` reports.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import DEFAULT_DAMPING, DEFAULT_TOL
 from .boolfn import FourierExpansion, eval_extension, gradient_extension, pairwise_form
 from .hamiltonians import ComplexityParams
 
-DEFAULT_DAMPING = 0.5
-DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 DEDUP_SOLUTION_TOL = 1e-6
 
@@ -169,12 +170,11 @@ def multistart_points(n: int, seed: int = 0) -> list[tuple[str, np.ndarray]]:
     return starts
 
 
-def dedupe_solutions(solutions: Sequence[FixedPointSolution],
-                     tol: float = DEDUP_SOLUTION_TOL) -> list[FixedPointSolution]:
-    """Drop solutions within one-norm ``tol`` of an earlier one (first wins)."""
+def dedupe_solutions(solutions: Sequence[FixedPointSolution]) -> list[FixedPointSolution]:
+    """Drop solutions within one-norm ``DEDUP_SOLUTION_TOL`` of an earlier one (first wins)."""
     kept: list[FixedPointSolution] = []
     for sol in solutions:
-        if all(np.abs(sol.point - k.point).sum() > tol for k in kept):
+        if all(np.abs(sol.point - k.point).sum() > DEDUP_SOLUTION_TOL for k in kept):
             kept.append(sol)
     return kept
 
@@ -200,9 +200,10 @@ class StructuralSetReport:
     residual_over_n: float
 
 
-def structural_set_test(f: FourierExpansion | GradientField, x, params: ComplexityParams,
-            n: int | None = None, lam: float = 1.0) -> StructuralSetReport:
-    """Membership in the structural set: residual against the stated threshold.
+def structural_set_test(f: FourierExpansion | GradientField, x,
+                        params: ComplexityParams) -> StructuralSetReport:
+    """Membership in the structural set: residual of x = tanh(grad f(x)) at the n = x.size
+    coordinates of x, against the stated threshold.
 
     The threshold 5000 L1 L2^(3/4) D^(1/4) n^(3/4) exceeds the trivial
     diameter 2n at desk scale, making membership vacuous for small systems,
@@ -210,11 +211,8 @@ def structural_set_test(f: FourierExpansion | GradientField, x, params: Complexi
     scientifically informative number, the threshold the literal one.
     """
     x = np.asarray(x, dtype=np.float64)
-    if isinstance(f, FourierExpansion):
-        n = f.n
-    elif n is None:
-        n = x.size
-    resid = residual_l1(f, x, lam)
+    n = x.size
+    resid = residual_l1(f, x)
     threshold = 5000.0 * params.l1 * params.l2**0.75 * params.d**0.25 * n**0.75
     return StructuralSetReport(threshold=threshold, residual=resid,
                     member=resid <= threshold, residual_over_n=resid / n)
@@ -244,22 +242,19 @@ def mean_field_functional_gradient(f: FourierExpansion, x) -> np.ndarray:
     return gradient_extension(f, x) - np.arctanh(x)
 
 
-def curie_weiss_roots(beta: float, tol: float = 1e-12) -> np.ndarray:
+def curie_weiss_roots(beta: float) -> np.ndarray:
     """All roots of x = tanh(beta x) in [-1, 1], sorted.
 
     {0} when beta <= 1; for beta > 1 the positive root is bracketed on
-    [tol, 1) and found by bisection.
+    [1e-12, 1), which holds it for every float beta > 1, and found by
+    bisection to width 1e-12.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if beta <= 1.0:
         return np.array([0.0])
-    lo, hi = tol, 1.0
-    if math.tanh(beta * lo) - lo <= 0:
-        raise ValueError("tol too large to bracket the positive root")
-    while hi - lo > tol:
+    lo, hi = 1e-12, 1.0
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2.0
         if math.tanh(beta * mid) - mid > 0:
             lo = mid
@@ -284,16 +279,21 @@ def curie_weiss_field(beta: float, n: int) -> GradientField:
     return field
 
 
-def default_lambda_grid(count: int = 64, lo: float = 1e-2, hi: float = 1e2) -> np.ndarray:
+def default_lambda_grid(count: int, lo: float, hi: float) -> np.ndarray:
     """Geometric grid on [lo, hi] plus zero and sign-flipped copies."""
     pos = np.geomspace(lo, hi, count)
     return np.unique(np.concatenate([-pos[::-1], [0.0], pos]))
 
 
-def lambda_scan(f: FourierExpansion, t: float, delta: float, *,
-                lambda_grid: np.ndarray | None = None, seed: int = 0, tol: float = 1e-8,
-                damping: float = DEFAULT_DAMPING, max_iter: int = DEFAULT_MAX_ITER) -> list[FixedPointSolution]:
-    """Scan scales lambda for fixed points with f(X) in [(t - 6 delta) n, t n].
+def conditioning_window(t: float, delta: float, n: int) -> tuple[float, float]:
+    """The window [(t - 6 delta) n, t n] of f values that the conditioned law keeps."""
+    return (t - 6.0 * delta) * n, t * n
+
+
+def lambda_scan(f: FourierExpansion, t: float, delta: float, *, lambda_grid: np.ndarray,
+                seed: int = 0, tol: float = 1e-8, damping: float = DEFAULT_DAMPING,
+                max_iter: int = DEFAULT_MAX_ITER) -> list[FixedPointSolution]:
+    """Scan scales lambda for fixed points with f(X) in the ``conditioning_window``.
 
     For each lambda every start of the seeded battery (plus warm starts
     carried over from the previous lambda) is iterated on the gradient field
@@ -301,13 +301,12 @@ def lambda_scan(f: FourierExpansion, t: float, delta: float, *,
     in the window.  Output is ordered by (lambda, start) and deterministic
     for a fixed seed.
     """
-    grid = default_lambda_grid() if lambda_grid is None else np.asarray(lambda_grid, dtype=np.float64)
+    grid = np.asarray(lambda_grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
     starts = multistart_points(f.n, seed)
     grad = as_gradient_field(f)
-    n = f.n
-    lo_val, hi_val = (t - 6.0 * delta) * n, t * n
+    lo_val, hi_val = conditioning_window(t, delta, f.n)
     kept: list[FixedPointSolution] = []
     warm: list[np.ndarray] = []
     for lam in np.sort(grid):

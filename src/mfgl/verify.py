@@ -10,7 +10,8 @@ and hypothesis checks themselves are emitted as informational rows.
 Tilt sampling note: the mixture decomposition only guarantees existence of
 a tilt measure supported on the ball of radius eps*sqrt(n) inside the
 [-1/4, 1/4] box; that measure is not constructible here, so audits sample
-tilts uniformly from the support set instead.
+tilts uniformly from the support set instead.  The support set lives here
+alone: ``sample_tilts`` draws from it and ``theta_in_tilt_support`` tests it.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import numpy as np
 
 from .boolfn import (
     FourierExpansion,
-    compose,
     eval_extension,
     flip_differences,
+    from_vertex_values,
     gradient_extension,
     vertex_values,
 )
@@ -35,12 +36,11 @@ from .gibbs import (
     tanh_covariance,
     mean,
     product_law,
-    theta_in_tilt_support,
     tilt,
     tv,
     w1_result,
 )
-from .hamiltonians import ComplexityParams, ScalarShape, SmoothedCutoff
+from .hamiltonians import ComplexityParams, CubicQuinticShape, ScalarShape, SmoothedCutoff
 
 PASS_SLACK = 1e-9
 MAX_TILT_TRIES = 100_000
@@ -97,6 +97,16 @@ def make_row(check_id: str, instance: dict, measured: float, bound: float,
 def failures(rows: Sequence[AuditRow]) -> list[AuditRow]:
     """Bound-kind rows with met hypotheses that did not pass."""
     return [r for r in rows if r.kind == "bound" and r.hypothesis_met and not r.passed]
+
+
+def theta_in_tilt_support(theta: np.ndarray, eps: float) -> bool:
+    """Whether theta lies in the ball of radius eps*sqrt(n) meeting [-1/4,1/4]^n."""
+    theta = np.asarray(theta, dtype=np.float64)
+    n = theta.size
+    return bool(
+        np.linalg.norm(theta) <= eps * np.sqrt(n) + 1e-12
+        and np.abs(theta).max(initial=0.0) <= 0.25 + 1e-12
+    )
 
 
 def sample_tilts(n: int, eps: float, count: int, seed: int | None = 0) -> np.ndarray:
@@ -279,7 +289,7 @@ def audit_chain_rule_and_moments(f: FourierExpansion, h: ScalarShape,
     # the vertex defect reads h(F) exactly; hf, built from that same table and
     # pruned, serves the interior points
     hvals = np.asarray(h.value(fvals))
-    hf = compose(f, lambda _: hvals)
+    hf = from_vertex_values(n, hvals)
     defect = flip_differences(hvals) - np.asarray(h.deriv1(fvals)) * grad_f
     rows = [
         make_row("chain_rule_vertex_defect_l1", dict(base),
@@ -346,8 +356,9 @@ def audit_large_deviations(cutoff: SmoothedCutoff, *,
 # ---------------------------------------------------------------------------
 
 
-def counting_composition_gradient_norm(n: int, shape: ScalarShape | None = None) -> float:
-    """||grad(h∘f)(0)||_1 for the counting function f(x) = sum x_i, exactly.
+def counting_composition_gradient_norm(n: int) -> float:
+    """||grad(h∘f)(0)||_1 for the counting function f(x) = sum x_i and the
+    cubic-quintic h, exactly.
 
     h∘f depends only on the coordinate sum, so the extension gradient at the
     origin reduces to a binomial-weighted sum over the sum S of the other
@@ -355,9 +366,7 @@ def counting_composition_gradient_norm(n: int, shape: ScalarShape | None = None)
     all n coordinates agree by symmetry.  Exact without any 2^n table, so n
     can reach thousands.
     """
-    from .hamiltonians import CubicQuinticShape
-
-    shape = shape or CubicQuinticShape()
+    shape = CubicQuinticShape()
     ks = np.arange(n)
     s = 2.0 * ks - (n - 1)
     # int / int true division is correctly rounded, so each Binomial(n-1, 1/2) mass is exact
@@ -366,8 +375,7 @@ def counting_composition_gradient_norm(n: int, shape: ScalarShape | None = None)
     return n * abs(float(pmf @ halves))
 
 
-def tightness_demo(n_list: Sequence[int], shape: ScalarShape | None = None
-                   ) -> tuple[list[AuditRow], float]:
+def tightness_demo(n_list: Sequence[int]) -> tuple[list[AuditRow], float]:
     """Log-log growth rate of the counting-composition gradient norm.
 
     Comparing against the zero vector h'(f(0)) grad f(0) (the shape has
@@ -377,7 +385,7 @@ def tightness_demo(n_list: Sequence[int], shape: ScalarShape | None = None
     n_list = [int(n) for n in n_list]
     if any(n < 8 for n in n_list) or len(n_list) < 2:
         raise ValueError("need at least two sizes, all >= 8")
-    norms = [counting_composition_gradient_norm(n, shape) for n in n_list]
+    norms = [counting_composition_gradient_norm(n) for n in n_list]
     slope = float(np.polyfit(np.log(n_list), np.log(norms), 1)[0])
     rows = [make_row("counting_growth_norm", {"n": n}, c, math.inf, kind="hypothesis")
             for n, c in zip(n_list, norms)]

@@ -26,7 +26,6 @@ from mfgl.hamiltonians import (
     IsingSpec,
     LinearSpec,
     build_hamiltonian,
-    curie_weiss_interaction_matrix,
     smoothed_cutoff_weights,
 )
 from mfgl.meanfield import (
@@ -116,7 +115,8 @@ def test_criterion_04_gaussian_width():
         worst_sigma = max(worst_sigma, abs(est - truth) / se)
     assert worst_sigma <= 3.0, f"width estimate off by {worst_sigma:.2f} standard errors"
     beta, n = 1.5, 8
-    a = curie_weiss_interaction_matrix(beta, n)
+    a = np.full((n, n), beta / n)
+    np.fill_diagonal(a, 0.0)
     built = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(np.zeros(n))))
     width = gaussian_width_mc(GradientCloud(flip_differences(vertex_values(built)).T),
                               samples=100_000, seed=105)

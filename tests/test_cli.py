@@ -12,6 +12,7 @@ import pytest
 
 import mfgl
 from mfgl import cli, complexity, meanfield, verify
+from mfgl.boolfn import eval_extension
 from mfgl.hamiltonians import (
     SPEC_TYPES,
     CurieWeissSpec,
@@ -21,6 +22,7 @@ from mfgl.hamiltonians import (
     SmoothedCutoffSpec,
     SparseFourierSpec,
     TriangleCountSpec,
+    build_hamiltonian,
     spec_from_dict,
 )
 from mfgl.verify import make_row
@@ -420,7 +422,7 @@ def test_fixed_points_command(tmp_path):
 def test_ld_scan_with_witness(tmp_path):
     spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 8})
     out = tmp_path / "ld.json"
-    code = cli.main(["ld-scan", "--spec", spec, "--out", str(out), "--t", "0.5",
+    code = cli.main(["ld-scan", "--spec", spec, "--out", str(out), "--t", "1.05",
                      "--delta", "0.05", "--lambda-grid", "0.2:2:6", "--seed", "2"])
     assert code == 0
     report = json.loads(out.read_text())
@@ -428,6 +430,12 @@ def test_ld_scan_with_witness(tmp_path):
     assert report["cutoff"]["delta_prime_within_two_delta"] is True
     ids = [r["check_id"] for r in report["audits"]]
     assert "cutoff_tail_mass" in ids and "cutoff_total_variation" in ids
+    # the scan keeps exactly the solutions whose f lies in the window it reports
+    f = build_hamiltonian(CurieWeissSpec(1.5, 8))
+    lo, hi = report["cutoff"]["window"]
+    assert report["solutions"]
+    for sol in report["solutions"]:
+        assert lo <= eval_extension(f, np.array(sol["point"])) <= hi
 
 
 def test_ld_scan_witness_missing_exits_one(tmp_path, capsys):
@@ -518,6 +526,19 @@ def test_an_overflowing_vertex_table_is_one_error_line(tmp_path, capsys, argv):
                                             {"subset": [1], "coeff": 1e308}]})
     out = tmp_path / "out.json"
     assert cli.main([*argv, "--spec", spec, "--out", str(out)]) == 1
+    _assert_refused(capsys, out)
+
+
+@pytest.mark.parametrize("spec", [
+    # degree 2, no vertex table: the width's standard error and the closed-form D overflow
+    {"type": "sparse_fourier", "n": 3, "terms": [{"subset": [0, 1], "coeff": 1e154},
+                                                 {"subset": [1, 2], "coeff": 1e154}]},
+    # degree 3, the vertex-table path: the width's standard error overflows
+    {"type": "sparse_fourier", "n": 4, "terms": [{"subset": [0, 1, 2], "coeff": 1e154},
+                                                 {"subset": [1, 2, 3], "coeff": 1e154}]}])
+def test_an_overflowing_width_is_one_error_line(tmp_path, capsys, spec):
+    out = tmp_path / "out.json"
+    assert cli.main(["analyze", "--spec", _write_spec(tmp_path, spec), "--out", str(out)]) == 1
     _assert_refused(capsys, out)
 
 

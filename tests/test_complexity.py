@@ -28,7 +28,6 @@ from mfgl.hamiltonians import (
     SparseFourierSpec,
     TriangleCountSpec,
     build_hamiltonian,
-    curie_weiss_interaction_matrix,
     IsingSpec,
 )
 from conftest import flip_lipschitz_tables, random_expansion
@@ -55,7 +54,8 @@ def test_width_two_point_cloud_analytic():
 
 def test_width_curie_weiss_within_closed_form():
     beta, n = 1.2, 8
-    a = curie_weiss_interaction_matrix(beta, n)
+    a = np.full((n, n), beta / n)
+    np.fill_diagonal(a, 0.0)
     f = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(np.zeros(n))))
     width = gaussian_width_mc(GradientCloud(flip_differences(vertex_values(f)).T),
                               samples=50_000, seed=3)
@@ -215,7 +215,7 @@ def test_streamed_cloud_matches_the_gradient_tables(spec, data):
     draws = data.draw(st.integers(2, 9), label="draws")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boolfn, "_FLIP_BLOCK", flip_block)
-        mp.setattr(complexity, "_BLOCK_ENTRIES", rows * draws)
+        mp.setattr(boolfn, "_BLOCK_ENTRIES", rows * draws)
         assert lipschitz(f) == (float(np.abs(tables).max()), flip_lipschitz_tables(tables))
         streamed, oracle = VertexCloud(values), GradientCloud(tables.T)
         g = np.random.default_rng(draws).standard_normal((draws, n))

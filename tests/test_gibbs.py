@@ -21,13 +21,13 @@ from mfgl.gibbs import (
     product_law,
     tanh_covariance,
     mean,
-    theta_in_tilt_support,
     tilt,
     tv,
     w1_result,
 )
 from mfgl.hamiltonians import LinearSpec, build_hamiltonian
 from mfgl.transport import mass_scale, solve_w1
+from mfgl.verify import theta_in_tilt_support
 
 from conftest import (
     all_vertices,

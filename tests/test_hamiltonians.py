@@ -34,7 +34,6 @@ from mfgl.hamiltonians import (
     TriangleCountSpec,
     build_hamiltonian,
     composition_params,
-    curie_weiss_interaction_matrix,
     edge_index_map,
     ising_complexity_bounds,
     smoothed_cutoff_weights,
@@ -268,7 +267,8 @@ def test_ising_bounds_trivial_instance():
 
 def test_curie_weiss_as_ising_width_bound():
     beta, n = 1.4, 8
-    a = curie_weiss_interaction_matrix(beta, n)
+    a = np.full((n, n), beta / n)
+    np.fill_diagonal(a, 0.0)
     p = ising_complexity_bounds(a, np.zeros(n))
     expected = beta * math.sqrt(n) * math.sqrt(1.0 - 1.0 / n)
     assert p.d == pytest.approx(expected)

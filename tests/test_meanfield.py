@@ -188,7 +188,7 @@ def test_structural_set_exact_root_is_member():
 
 def test_structural_set_threshold_formula():
     report = structural_set_test(lambda x: np.zeros_like(x), np.zeros(16),
-                     ComplexityParams(1.0, 1.0, 1.0), n=16)
+                     ComplexityParams(1.0, 1.0, 1.0))
     assert report.threshold == pytest.approx(40_000.0)
     assert report.residual_over_n == 0.0
 
@@ -294,7 +294,7 @@ def test_dedupe_keeps_first():
 
 
 def test_default_lambda_grid_shape():
-    grid = default_lambda_grid()
+    grid = default_lambda_grid(64, 1e-2, 1e2)
     assert grid.size == 129
     assert 0.0 in grid
     assert grid[0] == -grid[-1]
@@ -329,7 +329,7 @@ def test_lambda_scan_filter_soundness():
     f = build_hamiltonian(TriangleCountSpec(0.8, 5))
     fmax = float(eval_extension(f, np.ones(f.n)))
     t, delta = 0.4 * fmax / f.n, 0.1
-    grid = default_lambda_grid(count=8)
+    grid = default_lambda_grid(8, 1e-2, 1e2)
     sols = lambda_scan(f, t, delta, lambda_grid=grid, seed=9, tol=1e-8, max_iter=1500)
     for sol in sols:
         assert sol.converged

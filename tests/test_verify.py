@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mfgl.boolfn import FourierExpansion, vertex_values
-from mfgl.gibbs import theta_in_tilt_support
 from mfgl.hamiltonians import (
     CurieWeissSpec,
     CutoffShape,
@@ -28,6 +27,7 @@ from mfgl.verify import (
     failures,
     make_row,
     sample_tilts,
+    theta_in_tilt_support,
     tightness_demo,
 )
 
@@ -268,7 +268,7 @@ def test_counting_composition_matches_bruteforce_gradient():
     hf = compose(f, shape)
     g0 = grad(hf, np.zeros(n))
     assert np.allclose(g0, g0[0])  # permutation symmetry
-    assert n * abs(g0[0]) == pytest.approx(counting_composition_gradient_norm(n, shape), abs=1e-9)
+    assert n * abs(g0[0]) == pytest.approx(counting_composition_gradient_norm(n), abs=1e-9)
 
 
 def test_counting_composition_pmf_matches_scipy_binomial():
@@ -280,7 +280,7 @@ def test_counting_composition_pmf_matches_scipy_binomial():
         ks = np.arange(n)
         s = 2.0 * ks - (n - 1)
         halves = 0.5 * (shape.value(s + 1.0) - shape.value(s - 1.0))
-        norm = counting_composition_gradient_norm(n, shape)
+        norm = counting_composition_gradient_norm(n)
         assert norm == pytest.approx(n * abs(float(stats.binom.pmf(ks, n - 1, 0.5) @ halves)),
                                      rel=1e-15)
         if n == 16:  # every product and partial sum is dyadic, so the norm is exact
