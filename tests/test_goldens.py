@@ -52,6 +52,7 @@ SPECS = {
     "cutoff6.json": {"type": "smoothed_cutoff",
                      "inner": {"type": "curie_weiss", "beta": 1.5, "n": 6},
                      "t": 0.4, "delta": 0.05},
+    "cw8.json": {"type": "curie_weiss", "beta": 2.0, "n": 8},
 }
 
 # Golden file name -> argv (its ``--out`` is the file name).  ``report``
@@ -79,6 +80,9 @@ GOLDENS = {
                             "--delta", "0.05", "--lambda-grid", "0.5:5:4", "--seed", "2"],
     "audit_all.json": ["audit", "--suite", "all", "--seed", "0"],
     "audit_all.csv": ["report", "--spec", "audit_all.json", "--format", "csv"],
+    # The --spec branches of the proximity, main and ld suites.
+    "audit_spec.json": ["audit", "--suite", "all", "--spec", "specs/cw8.json",
+                        "--t", "0.675", "--delta", "0.05", "--seed", "0"],
 }
 
 
