@@ -119,10 +119,6 @@ class FourierExpansion:
             return 0
         return int(np.bitwise_count(self.masks.astype(np.uint64)).max())
 
-    def shift(self, c: float) -> "FourierExpansion":
-        """f + c as a new expansion."""
-        return add_linear(self, np.zeros(self.n), c)
-
     @cached_property
     def _vertex_table(self) -> np.ndarray:
         """F on all 2^n vertices: built once, read-only, refused unless finite."""
@@ -174,18 +170,6 @@ class FourierExpansion:
         a, mu = full[:-1, :-1].copy(), full[-1, :-1].copy()
         a.flags.writeable = mu.flags.writeable = False
         return a, mu
-
-
-def add_linear(f: FourierExpansion, theta: np.ndarray, const: float = 0.0) -> FourierExpansion:
-    """f + <theta, x> + const as a new expansion."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (f.n,):
-        raise DimensionMismatch(f"theta has shape {theta.shape}, expected ({f.n},)")
-    terms = list(zip(f.masks.tolist(), f.coeffs.tolist()))
-    terms.extend((1 << i, theta[i]) for i in range(f.n) if theta[i] != 0.0)
-    if const != 0.0:
-        terms.append((0, const))
-    return FourierExpansion.from_terms(f.n, terms)
 
 
 def _points(f: FourierExpansion, x) -> tuple[np.ndarray, np.ndarray]:

@@ -67,8 +67,6 @@ if TYPE_CHECKING:
     from .meanfield import FixedPointSolution
     from .verify import AuditRow
 
-SUITES = ("appendix", "proximity", "main", "ld", "tightness", "all")
-
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_AUDIT_FAILED = 2
@@ -117,6 +115,9 @@ class RunConfig:
             raise InputError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if (self.t is None) != (self.delta is None):
             raise InputError("--t and --delta must be given together")
+        if (self.command == "audit" and self.suite in ("ld", "all") and self.t is not None
+                and not self.spec_path):
+            raise InputError("--t and --delta need --spec for the ld suite")
 
     def parsed_lambda_grid(self) -> np.ndarray:
         try:
@@ -462,68 +463,89 @@ def _default_random_instances(seed: int, count: int, n_range=(4, 8), degree=3):
     return out
 
 
-def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
+def _suite_appendix(config: RunConfig, built: FourierExpansion | None) -> list[AuditRow]:
     import numpy as np
 
     from . import hamiltonians, verify
 
+    rows = [verify.audit_tanh_mean_swap(2000, (1.0, 5.0), seed=config.seed)]
+    rng = np.random.default_rng(config.seed + 1)
+    for k, f in _default_random_instances(config.seed + 2, 3, n_range=(6, 8), degree=2):
+        means = [rng.uniform(-0.9, 0.9, f.n) for _ in range(4)]
+        rows.extend(verify.audit_chain_rule_and_moments(
+            f, hamiltonians.CutoffShape(), means, seed=config.seed,
+            instance={"suite_instance": k}))
+    t_rows, _ = verify.tightness_demo([16, 64, 256])
+    return rows + t_rows
+
+
+def _suite_proximity(config: RunConfig, built: FourierExpansion | None) -> list[AuditRow]:
+    import numpy as np
+
+    from . import verify
+
+    instances = ([(0, built)] if built is not None
+                 else _default_random_instances(config.seed + 3, 4, n_range=(4, 6)))
+    rows = []
+    for k, f in instances:
+        thetas = [np.zeros(f.n)] + list(verify.sample_tilts(
+            f.n, config.epsilon, 4, seed=config.seed + 10 + k))
+        rows.extend(verify.audit_product_proximity(f, thetas, instance={"suite_instance": k}))
+    return rows
+
+
+def _suite_main(config: RunConfig, built: FourierExpansion | None) -> list[AuditRow]:
+    from . import complexity, hamiltonians, verify
+
+    f = built if built is not None else hamiltonians.build_hamiltonian(
+        hamiltonians.CurieWeissSpec(2.0, 8))
+    params = complexity.complexity_params(f, samples=min(config.samples, 20_000),
+                                          seed=config.seed)
+    thetas = verify.sample_tilts(f.n, config.epsilon, 8, seed=config.seed + 20)
+    return verify.audit_main_residuals(f, thetas, config.epsilon, params,
+                                       instance={"spec": config.spec_path})
+
+
+def _suite_ld(config: RunConfig, built: FourierExpansion | None) -> list[AuditRow]:
+    from . import hamiltonians, verify
+
+    if config.t is not None:
+        f, t, delta, spec_path = built, config.t, config.delta, config.spec_path
+    else:
+        f = hamiltonians.build_hamiltonian(hamiltonians.CurieWeissSpec(1.5, 10))
+        t, delta, spec_path = 0.675, 0.05, None
+    return verify.audit_large_deviations(hamiltonians.smoothed_cutoff_weights(f, t, delta),
+                                         instance={"spec": spec_path})
+
+
+def _suite_tightness(config: RunConfig, built: FourierExpansion | None) -> list[AuditRow]:
+    from . import verify
+
+    rows, _ = verify.tightness_demo([16, 64, 256, 1024])
+    return rows
+
+
+# Each suite maps (config, the --spec expansion or None) to its rows; ``all``
+# runs them in this order.
+_SUITES = {
+    "appendix": _suite_appendix,
+    "proximity": _suite_proximity,
+    "main": _suite_main,
+    "ld": _suite_ld,
+    "tightness": _suite_tightness,
+}
+SUITES = (*_SUITES, "all")
+
+
+def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
+    from . import verify
+
     spec, built = _require_spec(config) if config.spec_path else (None, None)
     report = _new_report(config, spec.to_dict() if spec else None)
     rows: list[AuditRow] = []
-    suites = SUITES[:-1] if config.suite == "all" else (config.suite,)
-    if "ld" in suites and config.t is not None and built is None:
-        raise InputError("--t and --delta need --spec for the ld suite")
-
-    if "appendix" in suites:
-        with _timed(config, report, "appendix"):
-            rows.append(verify.audit_tanh_mean_swap(2000, (1.0, 5.0), seed=config.seed))
-            rng = np.random.default_rng(config.seed + 1)
-            for k, f in _default_random_instances(config.seed + 2, 3, n_range=(6, 8), degree=2):
-                means = [rng.uniform(-0.9, 0.9, f.n) for _ in range(4)]
-                rows.extend(verify.audit_chain_rule_and_moments(
-                    f, hamiltonians.CutoffShape(), means, seed=config.seed,
-                    instance={"suite_instance": k}))
-            t_rows, _ = verify.tightness_demo([16, 64, 256])
-            rows.extend(t_rows)
-
-    if "proximity" in suites:
-        with _timed(config, report, "proximity"):
-            instances = ([(0, built)] if built is not None
-                         else _default_random_instances(config.seed + 3, 4, n_range=(4, 6)))
-            for k, f in instances:
-                thetas = [np.zeros(f.n)] + list(verify.sample_tilts(
-                    f.n, config.epsilon, 4, seed=config.seed + 10 + k))
-                rows.extend(verify.audit_product_proximity(
-                    f, thetas, instance={"suite_instance": k}))
-
-    if "main" in suites:
-        from . import complexity
-
-        with _timed(config, report, "main"):
-            f = built if built is not None else hamiltonians.build_hamiltonian(
-                hamiltonians.CurieWeissSpec(2.0, 8))
-            params = complexity.complexity_params(f, samples=min(config.samples, 20_000),
-                                                  seed=config.seed)
-            thetas = verify.sample_tilts(f.n, config.epsilon, 8, seed=config.seed + 20)
-            rows.extend(verify.audit_main_residuals(f, thetas, config.epsilon, params,
-                                                    instance={"spec": config.spec_path}))
-
-    if "ld" in suites:
-        with _timed(config, report, "ld"):
-            if config.t is not None:
-                f, t, delta, spec_path = built, config.t, config.delta, config.spec_path
-            else:
-                f = hamiltonians.build_hamiltonian(hamiltonians.CurieWeissSpec(1.5, 10))
-                t, delta, spec_path = 0.675, 0.05, None
-            rows.extend(verify.audit_large_deviations(
-                hamiltonians.smoothed_cutoff_weights(f, t, delta),
-                instance={"spec": spec_path}))
-
-    if "tightness" in suites:
-        with _timed(config, report, "tightness"):
-            t_rows, _ = verify.tightness_demo([16, 64, 256, 1024])
-            rows.extend(t_rows)
-
+    for name in _SUITES if config.suite == "all" else (config.suite,):
+        with _timed(config, report, name):
+            rows.extend(_SUITES[name](config, built))
     report["audits"] = [r.as_dict() for r in rows]
     bad = verify.failures(rows)
     errors = [r for r in rows if r.kind == "error"]

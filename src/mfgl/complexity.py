@@ -209,14 +209,16 @@ def width_samples(cloud: Cloud, samples: int, seed: int | None = 0) -> np.ndarra
 class WidthEstimate:
     """A Monte-Carlo width, its standard error, and the draws behind it.
 
-    ``winners`` is |A| + 1, counting the origin.  On the plain path A = K,
-    no pilot or level-1 draw is taken, and level 0 is the whole estimate.
+    ``winners`` is |A| + 1, counting the origin, or None when that count
+    exceeds 2^63 - 1, the largest int64, as the 2^63 + 1 of a plain path at
+    n = 63 does.  On the plain path A = K, no pilot or level-1 draw is
+    taken, and level 0 is the whole estimate.
     """
 
     estimate: float
     stderr: float
     pilot_draws: int
-    winners: int
+    winners: int | None
     level0_draws: int
     level0_stderr: float
     level1_draws: int
@@ -248,8 +250,9 @@ def gaussian_width_mc(cloud: Cloud, samples: int = DEFAULT_SAMPLES,
     if isinstance(cloud, PairwiseCloud) or PILOT_DRAWS + LEVEL1_DRAWS >= samples:
         sups = width_samples(cloud, samples, seed)
         stderr = float(sups.std(ddof=1) / np.sqrt(samples))
-        width = WidthEstimate(estimate=float(sups.mean()), stderr=stderr,
-                              pilot_draws=0, winners=cloud.size + 1,
+        winners = cloud.size + 1
+        width = WidthEstimate(estimate=float(sups.mean()), stderr=stderr, pilot_draws=0,
+                              winners=winners if winners <= np.iinfo(np.int64).max else None,
                               level0_draws=samples, level0_stderr=stderr,
                               level1_draws=0, level1_stderr=0.0, level1_nonzero=0)
     else:
@@ -267,7 +270,7 @@ def gaussian_width_mc(cloud: Cloud, samples: int = DEFAULT_SAMPLES,
                               level0_draws=samples, level0_stderr=float(np.sqrt(sq0)),
                               level1_draws=LEVEL1_DRAWS, level1_stderr=float(np.sqrt(sq1)),
                               level1_nonzero=int(np.count_nonzero(level1)))
-    logger.debug("width over %d points: %d winners from %d pilot draws; level 0 %d draws, "
+    logger.debug("width over %d points: %s winners from %d pilot draws; level 0 %d draws, "
                  "level 1 %d draws with %d nonzero", cloud.size + 1, width.winners,
                  width.pilot_draws, width.level0_draws, width.level1_draws, width.level1_nonzero)
     return width

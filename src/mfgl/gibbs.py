@@ -71,12 +71,6 @@ class DenseMeasure:
         total = float(w.sum())
         return DenseMeasure(n=n, probs=w / total, log_norm=m + float(np.log(total)))
 
-    @staticmethod
-    def point_mass(n: int, vertex: int) -> "DenseMeasure":
-        probs = np.zeros(1 << n)
-        probs[vertex] = 1.0
-        return DenseMeasure(n=n, probs=probs)
-
 
 def gibbs_measure(f: FourierExpansion) -> DenseMeasure:
     """Measure with probabilities proportional to exp(f(v))."""

@@ -82,7 +82,9 @@ class CutoffShape(ScalarShape):
 
     def value(self, x):
         u = self._u(x)
-        return self.n * np.where(u <= -1.0, 2.0 * u + 1.0, np.where(u < 0.0, -u * u, 0.0))
+        # the square reads u clipped to [-1, 0], where it is kept, so a far u cannot overflow
+        v = np.clip(u, -1.0, 0.0)
+        return self.n * np.where(u <= -1.0, 2.0 * u + 1.0, np.where(u < 0.0, -v * v, 0.0))
 
     def deriv1(self, x):
         u = self._u(x)

@@ -235,13 +235,6 @@ def mean_field_functional(f: FourierExpansion, x) -> float:
     return float(eval_extension(f, x)) + float(_binary_entropy((1.0 + x) / 2.0).sum())
 
 
-def mean_field_functional_gradient(f: FourierExpansion, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(x) >= 1.0):
-        raise ValueError("functional requires a strictly interior point")
-    return gradient_extension(f, x) - np.arctanh(x)
-
-
 def curie_weiss_roots(beta: float) -> np.ndarray:
     """All roots of x = tanh(beta x) in [-1, 1], sorted.
 
@@ -264,21 +257,6 @@ def curie_weiss_roots(beta: float) -> np.ndarray:
     return np.array([-root, 0.0, root])
 
 
-def curie_weiss_field(beta: float, n: int) -> GradientField:
-    """The all-ones-coupling map X -> (beta/n) * sum(X) * 1.
-
-    Constant vectors are its exact fixed points up to the scalar equation
-    x = tanh(beta x), independent of n, and the map contracts the one-norm
-    by a factor beta.
-    """
-    def field(x):
-        x = np.asarray(x, dtype=np.float64)
-        s = x.sum(axis=-1, keepdims=True)
-        return (beta / n) * s * np.ones_like(x)
-
-    return field
-
-
 def default_lambda_grid(count: int, lo: float, hi: float) -> np.ndarray:
     """Geometric grid on [lo, hi] plus zero and sign-flipped copies."""
     pos = np.geomspace(lo, hi, count)
@@ -291,7 +269,7 @@ def conditioning_window(t: float, delta: float, n: int) -> tuple[float, float]:
 
 
 def lambda_scan(f: FourierExpansion, t: float, delta: float, *, lambda_grid: np.ndarray,
-                seed: int = 0, tol: float = 1e-8, damping: float = DEFAULT_DAMPING,
+                tol: float, seed: int = 0, damping: float = DEFAULT_DAMPING,
                 max_iter: int = DEFAULT_MAX_ITER) -> list[FixedPointSolution]:
     """Scan scales lambda for fixed points with f(X) in the ``conditioning_window``.
 

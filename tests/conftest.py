@@ -1,5 +1,6 @@
-"""Shared helpers for the test suite: random instances, independent oracles
-and a fresh-interpreter run of the command-line tool."""
+"""Shared helpers for the test suite: random instances, constructors that
+only tests need, independent oracles and a fresh-interpreter run of the
+command-line tool."""
 
 import itertools
 import json
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from mfgl.boolfn import FourierExpansion
+from mfgl.boolfn import DimensionMismatch, FourierExpansion, gradient_extension
+from mfgl.gibbs import DenseMeasure
 from mfgl.meanfield import FixedPointSolution
 from mfgl.transport import _certify, _integer_supplies
 
@@ -25,6 +27,53 @@ def random_expansion(rng, n, degree=3, num_terms=None, scale=1.0):
         subset = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
         terms.append((subset, scale * float(rng.normal())))
     return FourierExpansion.from_terms(n, terms)
+
+
+def add_linear(f, theta, const=0.0):
+    """f + <theta, x> + const as a new expansion."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (f.n,):
+        raise DimensionMismatch(f"theta has shape {theta.shape}, expected ({f.n},)")
+    terms = list(zip(f.masks.tolist(), f.coeffs.tolist()))
+    terms.extend((1 << i, theta[i]) for i in range(f.n) if theta[i] != 0.0)
+    if const != 0.0:
+        terms.append((0, const))
+    return FourierExpansion.from_terms(f.n, terms)
+
+
+def shift(f, c):
+    """f + c as a new expansion."""
+    return add_linear(f, np.zeros(f.n), c)
+
+
+def point_mass(n, vertex):
+    """The dense measure with all its mass on one vertex."""
+    probs = np.zeros(1 << n)
+    probs[vertex] = 1.0
+    return DenseMeasure(n=n, probs=probs)
+
+
+def mean_field_functional_gradient(f, x):
+    """The coordinate gradient grad f(X) - atanh(X) of ``mean_field_functional``."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(np.abs(x) >= 1.0):
+        raise ValueError("functional requires a strictly interior point")
+    return gradient_extension(f, x) - np.arctanh(x)
+
+
+def curie_weiss_field(beta, n):
+    """The all-ones-coupling map X -> (beta/n) * sum(X) * 1.
+
+    Constant vectors are its exact fixed points up to the scalar equation
+    x = tanh(beta x), independent of n, and the map contracts the one-norm
+    by a factor beta.
+    """
+    def field(x):
+        x = np.asarray(x, dtype=np.float64)
+        s = x.sum(axis=-1, keepdims=True)
+        return (beta / n) * s * np.ones_like(x)
+
+    return field
 
 
 def all_vertices(n):

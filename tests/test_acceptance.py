@@ -29,9 +29,7 @@ from mfgl.hamiltonians import (
     smoothed_cutoff_weights,
 )
 from mfgl.meanfield import (
-    curie_weiss_field,
     curie_weiss_roots,
-    mean_field_functional_gradient,
     mf_iterate,
     solve_multistart,
 )
@@ -43,7 +41,7 @@ from mfgl.verify import (
     tightness_demo,
 )
 
-from conftest import random_expansion
+from conftest import curie_weiss_field, mean_field_functional_gradient, random_expansion
 from test_goldens import GOLDEN_DIR, run_golden
 
 

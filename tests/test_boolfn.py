@@ -14,7 +14,6 @@ from mfgl.boolfn import (
     CapExceeded,
     DimensionMismatch,
     FourierExpansion,
-    add_linear,
     compose,
     eval_extension,
     from_vertex_values,
@@ -39,6 +38,7 @@ from mfgl.meanfield import as_gradient_field, lambda_scan, residual_l1
 from mfgl.transport import solve_w1
 
 from conftest import (
+    add_linear,
     all_vertices,
     eval_direct,
     eval_extension_loop,
@@ -203,7 +203,7 @@ def test_term_index_and_pairwise_form_are_built_once_and_read_only(monkeypatch):
     gradient_extension(f, x)
     as_gradient_field(f)(x)
     residual_l1(f, x[0])
-    lambda_scan(f, 0.675, 0.05, lambda_grid=np.array([0.44, 0.5]))
+    lambda_scan(f, 0.675, 0.05, lambda_grid=np.array([0.44, 0.5]), tol=1e-8)
     assert sorted(builds) == ["_pairwise", "_terms"]
     a, mu = pairwise_form(f)
     assert pairwise_form(f)[0] is a and a.flags.c_contiguous

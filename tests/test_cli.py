@@ -176,6 +176,15 @@ def test_spec_schema_docs_match_registry():
     assert re.findall(r'^ +\{"type": "(\w+)"', cli.__doc__, re.M) == list(SPEC_TYPES)
 
 
+def test_suite_docs_match_the_suite_table():
+    # the README's usage paragraph and the --help text list the suites --suite takes
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"`audit` \(suites: (.*?)\)", readme, re.S).group(1)
+    assert tuple(re.findall(r"`(\w+)`", listed)) == cli.SUITES
+    line = re.search(r"^audit +named audit suites \((.*)\)$", cli.__doc__, re.M).group(1)
+    assert tuple(line.split(", ")) == cli.SUITES
+
+
 def test_cli_import_leaves_scipy_out():
     # The front and the package import no numpy (nor scipy, nor any layer).
     golden = str(GOLDEN_DIR / "audit_all.json")
@@ -540,6 +549,29 @@ def test_an_overflowing_width_is_one_error_line(tmp_path, capsys, spec):
     out = tmp_path / "out.json"
     assert cli.main(["analyze", "--spec", _write_spec(tmp_path, spec), "--out", str(out)]) == 1
     _assert_refused(capsys, out)
+
+
+def test_ld_scan_far_below_the_level_runs_with_no_warning(tmp_path):
+    # f reaches -2e154, so u = (f/n - t)/delta is about -7e154 and squaring it would
+    # overflow; the cutoff is finite there, and any warning fails the test
+    spec = _write_spec(tmp_path, {"type": "sparse_fourier", "n": 3,
+                                  "terms": [{"subset": [0, 1], "coeff": 1e154},
+                                            {"subset": [1, 2], "coeff": 1e154}]})
+    out = tmp_path / "ld.json"
+    assert cli.main(["ld-scan", "--spec", spec, "--t", "0.5", "--delta", "0.1",
+                     "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["audits"]
+    tail = next(r for r in rows if r["check_id"] == "cutoff_tail_mass")
+    assert tail["pass"] and 0.0 <= tail["measured"] < 1e-11
+
+
+def test_analyze_at_n63_reports_the_winner_count_as_null(tmp_path):
+    # the plain path's |K| + 1 = 2^63 + 1 is no int64
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 63})
+    out = tmp_path / "cw63.json"
+    assert cli.main(["analyze", "--spec", spec, "--out", str(out), "--samples", "2000"]) == 0
+    levels = json.loads(out.read_text())["params"]["d_levels"]
+    assert levels["winners"] is None and levels["pilot_draws"] == 0
 
 
 @pytest.mark.parametrize("flag", [["--t", "nan", "--delta", "0.05"],

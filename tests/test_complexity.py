@@ -266,7 +266,7 @@ def test_pairwise_width_is_plain_monte_carlo_over_the_width_draws():
     sups = width_samples(cloud, 20_000, seed=3)
     assert (width.estimate, width.stderr) == (float(sups.mean()),
                                               float(sups.std(ddof=1) / np.sqrt(sups.size)))
-    assert (width.pilot_draws, width.winners, width.level1_draws) == (0, (1 << 63) + 1, 0)
+    assert (width.pilot_draws, width.winners, width.level1_draws) == (0, None, 0)
 
 
 def test_vertex_cloud_refuses_tables_whose_flips_overflow():

@@ -11,7 +11,6 @@ from mfgl.boolfn import (
     CapExceeded,
     DimensionMismatch,
     FourierExpansion,
-    add_linear,
     flip_differences,
     vertex_values,
 )
@@ -30,10 +29,13 @@ from mfgl.transport import mass_scale, solve_w1
 from mfgl.verify import theta_in_tilt_support
 
 from conftest import (
+    add_linear,
     all_vertices,
     linear_vertex_values_loop,
+    point_mass,
     product_law_loop,
     random_expansion,
+    shift,
     w1_ssp,
 )
 
@@ -60,7 +62,7 @@ def test_gibbs_shift_invariance():
     rng = np.random.default_rng(3)
     f = random_expansion(rng, 5, degree=2)
     nu = gibbs_measure(f)
-    nu17 = gibbs_measure(f.shift(17.0))
+    nu17 = gibbs_measure(shift(f, 17.0))
     assert nu17.probs == pytest.approx(nu.probs, abs=1e-13)
     assert nu17.log_norm == pytest.approx(nu.log_norm + 17.0)
 
@@ -219,8 +221,8 @@ def test_w1_self_distance_zero():
 
 
 def test_w1_antipodal_point_masses():
-    a = DenseMeasure.point_mass(5, 0)
-    b = DenseMeasure.point_mass(5, 31)
+    a = point_mass(5, 0)
+    b = point_mass(5, 31)
     assert w1_result(a, b).value == 5.0
 
 
@@ -327,8 +329,8 @@ def test_w1_primal_dual_matches_successive_shortest_paths(pair):
 
 
 def test_w1_logs_one_debug_line(caplog):
-    p = DenseMeasure.point_mass(3, 0).probs
-    q = DenseMeasure.point_mass(3, 7).probs
+    p = point_mass(3, 0).probs
+    q = point_mass(3, 7).probs
     solve_w1(p, q, 3)
     assert not [r for r in caplog.records if r.name == "mfgl.transport"]
     caplog.set_level(logging.DEBUG, logger="mfgl.transport")
@@ -348,12 +350,12 @@ def test_w1_refuses_above_the_cap():
 
 
 def test_tv_extremes_and_dimension_check():
-    a = DenseMeasure.point_mass(3, 0)
-    b = DenseMeasure.point_mass(3, 5)
+    a = point_mass(3, 0)
+    b = point_mass(3, 5)
     assert tv(a, a) == 0.0
     assert tv(a, b) == 1.0
     with pytest.raises(DimensionMismatch):
-        tv(a, DenseMeasure.point_mass(4, 0))
+        tv(a, point_mass(4, 0))
 
 
 def test_dense_measure_validation():

@@ -18,13 +18,11 @@ from mfgl.hamiltonians import (
 from mfgl.meanfield import (
     _iterate_batch,
     as_gradient_field,
-    curie_weiss_field,
     curie_weiss_roots,
     default_lambda_grid,
     dedupe_solutions,
     lambda_scan,
     mean_field_functional,
-    mean_field_functional_gradient,
     mf_iterate,
     multistart_points,
     residual_l1,
@@ -32,7 +30,12 @@ from mfgl.meanfield import (
     structural_set_test,
 )
 
-from conftest import iterate_plain, random_expansion
+from conftest import (
+    curie_weiss_field,
+    iterate_plain,
+    mean_field_functional_gradient,
+    random_expansion,
+)
 
 CUTOFF6 = SmoothedCutoffSpec(CurieWeissSpec(1.5, 6), 0.4, 0.05)
 
@@ -87,7 +90,8 @@ def test_iteration_inputs_validated_at_every_entry_point(kwargs):
     f = build_hamiltonian(CurieWeissSpec(1.5, 4))
     calls = [lambda: mf_iterate(f, np.zeros(4), **kwargs),
              lambda: solve_multistart(f, 4, **kwargs),
-             lambda: lambda_scan(f, 0.5, 0.05, lambda_grid=np.array([1.0]), **kwargs)]
+             lambda: lambda_scan(f, 0.5, 0.05, lambda_grid=np.array([1.0]),
+                                 **{"tol": 1e-8, **kwargs})]
     for call in calls:
         with pytest.raises(ValueError):
             call()
@@ -340,4 +344,4 @@ def test_lambda_scan_filter_soundness():
 
 def test_lambda_scan_rejects_empty_grid():
     with pytest.raises(ValueError):
-        lambda_scan(FourierExpansion(3), 0.0, 0.1, lambda_grid=np.array([]))
+        lambda_scan(FourierExpansion(3), 0.0, 0.1, lambda_grid=np.array([]), tol=1e-8)

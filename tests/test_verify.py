@@ -31,7 +31,7 @@ from mfgl.verify import (
     tightness_demo,
 )
 
-from conftest import random_expansion
+from conftest import random_expansion, shift
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def test_chain_rule_block_affine_shape_has_zero_defects():
     # shifted to vertex values <= -2, f only meets the cutoff's affine branch 2x+1
     rng = np.random.default_rng(14)
     f = random_expansion(rng, 6, degree=2)
-    f = f.shift(-2.0 - float(vertex_values(f).max()))
+    f = shift(f, -2.0 - float(vertex_values(f).max()))
     means = [rng.uniform(-0.8, 0.8, 6) for _ in range(3)]
     rows = audit_chain_rule_and_moments(f, CutoffShape(), means)
     by_id = {r.check_id: r for r in rows}
