@@ -82,7 +82,8 @@ class CutoffShape(ScalarShape):
 
     def value(self, x):
         u = self._u(x)
-        # the square reads u clipped to [-1, 0], where it is kept, so a far u cannot overflow
+        # square u clipped to [-1, 0], the only range where the square is kept, so a
+        # far u cannot overflow
         v = np.clip(u, -1.0, 0.0)
         return self.n * np.where(u <= -1.0, 2.0 * u + 1.0, np.where(u < 0.0, -v * v, 0.0))
 

@@ -566,7 +566,7 @@ def test_ld_scan_far_below_the_level_runs_with_no_warning(tmp_path):
 
 
 def test_analyze_at_n63_reports_the_winner_count_as_null(tmp_path):
-    # the plain path's |K| + 1 = 2^63 + 1 is no int64
+    # the plain path's |K| + 1 = 2^63 + 1 does not fit an int64
     spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 63})
     out = tmp_path / "cw63.json"
     assert cli.main(["analyze", "--spec", spec, "--out", str(out), "--samples", "2000"]) == 0
