@@ -23,13 +23,19 @@ from .hamiltonians import ComplexityParams
 
 DEFAULT_MAX_ITER = 10_000
 DEDUP_SOLUTION_TOL = 1e-6
+# The most rows one ``lambda_scan`` battery holds: the seeded starts of 15
+# consecutive grid points, so its memory does not grow with the grid.
+_SCAN_BATTERY_ROWS = 256
 
 logger = logging.getLogger(__name__)
 
 # A batched gradient: rows of the input are points, rows of the output their
 # gradients.  It must be deterministic and row-wise, so that an output row's
-# bits depend only on that input row's bits (for a fixed batch shape); the
-# iteration relies on this to fast-forward rows that cycle.
+# bits depend only on that input row's bits, for any batch of two or more
+# rows.  The iteration relies on this to fast-forward rows that cycle, to drop
+# finished rows from a battery and to batch a lambda scan's grid points, and
+# it never calls the field on a single row.  (OpenBLAS rounds a one-row
+# x @ A, a gemv, differently from the same row inside a gemm.)
 GradientField = Callable[[np.ndarray], np.ndarray]
 
 
@@ -58,6 +64,8 @@ class FixedPointSolution:
 
     ``residual_l1`` is ||X - tanh(lambda * grad f(X))||_1 at ``point``;
     ``converged`` implies residual_l1 <= the tolerance of the run.
+    ``period`` is the length of the exact cycle an unconverged start was
+    found in, and 0 when none was found.
     """
 
     point: np.ndarray
@@ -66,6 +74,14 @@ class FixedPointSolution:
     iterations: int
     converged: bool
     start_id: str
+    period: int = 0
+
+    @property
+    def status(self) -> str:
+        """``converged``, ``cycle`` (stuck in an exact cycle) or ``max_iter``."""
+        if self.converged:
+            return "converged"
+        return "cycle" if self.period else "max_iter"
 
     def __post_init__(self):
         pt = np.asarray(self.point, dtype=np.float64).copy()
@@ -87,8 +103,9 @@ def mf_iterate(f: FourierExpansion | GradientField, x0, *, lam: float = 1.0,
     Iterates stay inside [-1,1]^n (tanh range plus convex combination).
     Damping does not rule out cycles: with gamma = 0.5 the stuck starts of a
     Curie-Weiss scan at negative lambda settle into exact period-2 cycles,
-    which ``_iterate_batch`` fast-forwards to ``max_iter``.  This is the
-    one-start battery of ``_iterate_batch``.
+    which ``_iterate_rows`` fast-forwards to ``max_iter``.  This is the
+    one-start battery of ``_iterate_batch``, so the point is bit for bit the
+    one the start reaches inside any larger battery.
     """
     x = np.asarray(x0, dtype=np.float64)
     if x.ndim != 1:
@@ -97,20 +114,28 @@ def mf_iterate(f: FourierExpansion | GradientField, x0, *, lam: float = 1.0,
                           damping=damping, tol=tol, max_iter=max_iter)[0]
 
 
-def _iterate_batch(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
-                   lam: float, damping: float, tol: float,
-                   max_iter: int) -> list[FixedPointSolution]:
-    """Synchronous damped iteration of a whole start battery.
+def _iterate_rows(field: GradientField, x0: np.ndarray, *, lam: float | np.ndarray,
+                  damping: float, tol: float, max_iter: int):
+    """Synchronous damped iteration of a whole start battery, on arrays.
 
-    Rows freeze at their first convergence, so each row reproduces the
-    single-start iteration exactly while the gradient work is batched.
+    ``lam`` is one scale for every row or one per row, so a battery may mix
+    grid points.  Returns the final points, residuals, iteration counts,
+    convergence flags and cycle periods, one entry per row of ``x0``.
 
-    A row whose state repeats bit for bit is periodic from then on, because
-    the field is deterministic and row-wise and the battery keeps its shape.
-    Such a row never converges, and its state at ``max_iter`` is the one at
-    the first later step in phase with the cap, so it ends there with
-    ``iterations = max_iter``.  Repeats are found Brent style, against one
-    copy of the battery saved at the steps that are powers of two.
+    A row stops at its first convergence and is then written out and
+    dropped from the working arrays, so each step evaluates the field on the
+    live rows only; a step where no row stops costs one ``any`` and one
+    compare against the earliest pending cap step on top of the update.  The
+    working set never holds fewer than two rows: a lone row iterates beside
+    a copy of itself.  With a field that is row-wise on every batch of two or
+    more rows, each row thus ends bit for bit as it would in any battery.
+
+    A row whose state repeats bit for bit is periodic from then on.  Such a
+    row never converges, and its state at ``max_iter`` is the one at the
+    first later step in phase with the cap, so it ends there with
+    ``iterations = max_iter`` and its period.  Repeats are found Brent
+    style, against one copy of the live rows saved at the steps that are
+    powers of two.
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError("damping must lie in (0, 1]")
@@ -120,35 +145,56 @@ def _iterate_batch(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
         raise ValueError("tol must be positive")
     if not math.isfinite(tol):
         raise ValueError("tol must be finite")
-    x = np.array(x0, dtype=np.float64)
-    m = x.shape[0]
-    live = np.ones(m, dtype=bool)
+    x0 = np.asarray(x0, dtype=np.float64)
+    m = x0.shape[0]
+    out = np.empty_like(x0)
+    resid = np.empty(m)
+    iters = np.empty(m, dtype=np.int64)
     done = np.zeros(m, dtype=bool)
-    iters = np.zeros(m, dtype=np.int64)
-    resid = np.full(m, np.inf)
     period = np.zeros(m, dtype=np.int64)
-    end = np.full(m, max_iter, dtype=np.int64)
+    if m == 0:
+        return out, resid, iters, done, period
+    # Working arrays, one entry per live row: its row of x0, state, scale,
+    # period (0 until found) and the step it stops at unless it converges.
+    rows = np.arange(m) if m > 1 else np.zeros(2, dtype=np.int64)
+    x = x0[rows]
+    scale = np.broadcast_to(np.asarray(lam, dtype=np.float64), (m,))[rows, None]
+    cyc = np.zeros(rows.size, dtype=np.int64)
+    end = np.full(rows.size, max_iter, dtype=np.int64)
+    next_end = max_iter
     saved, saved_step = x.view(np.int64).copy(), 0
     step = 0
     while True:
         g = field(x)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("non-finite gradient during iteration")
-        target = np.tanh(lam * g)
+        target = np.tanh(scale * g)
         r = np.abs(x - target).sum(axis=1)
-        done |= live & (r <= tol)
-        stop = live & (done | (end == step))
-        resid[stop] = r[stop]
-        iters[stop] = np.where(done[stop], step, max_iter)
-        live &= ~stop
-        if not live.any():
-            break
-        x[live] = (1.0 - damping) * x[live] + damping * target[live]
+        hit = r <= tol
+        if step == next_end or hit.any():
+            stop = hit | (end == step)
+            k = rows[stop]
+            out[k], resid[k], done[k], period[k] = x[stop], r[stop], hit[stop], cyc[stop]
+            iters[k] = np.where(hit[stop], step, max_iter)
+            keep = np.flatnonzero(~stop)
+            if keep.size == 0:
+                break
+            if keep.size == 1:
+                keep = np.repeat(keep, 2)
+            x, target, rows, scale, cyc, end, saved = (
+                a[keep] for a in (x, target, rows, scale, cyc, end, saved))
+            next_end = int(end.min())
+        x *= 1.0 - damping
+        target *= damping
+        x += target
         step += 1
         bits = x.view(np.int64)
-        repeat = live & (period == 0) & np.all(bits == saved, axis=1)
-        period[repeat] = step - saved_step
-        end[repeat] = step + (max_iter - step) % period[repeat]
+        repeat = (bits == saved).all(axis=1)
+        if repeat.any():
+            repeat &= cyc == 0
+            cyc[repeat] = step - saved_step
+            end[repeat] = step + (max_iter - step) % cyc[repeat]
+            next_end = int(end.min())
         if step & (step - 1) == 0:
             saved, saved_step = bits.copy(), step
     if logger.isEnabledFor(logging.DEBUG):
@@ -157,8 +203,17 @@ def _iterate_batch(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
                      "(period: rows %s), %d at the cap", m, step, int(done.sum()),
                      int((period > 0).sum()), dict(zip(*(c.tolist() for c in cycles))),
                      int((~done & (period == 0)).sum()))
-    return [FixedPointSolution(x[k], lam, float(resid[k]), int(iters[k]),
-                               bool(done[k]), ids[k]) for k in range(m)]
+    return out, resid, iters, done, period
+
+
+def _iterate_batch(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
+                   lam: float, damping: float, tol: float,
+                   max_iter: int) -> list[FixedPointSolution]:
+    """The start battery ``x0`` run by ``_iterate_rows``, one solution per row in order."""
+    x, resid, iters, done, period = _iterate_rows(field, x0, lam=lam, damping=damping,
+                                                  tol=tol, max_iter=max_iter)
+    return [FixedPointSolution(x[k], float(lam), float(resid[k]), int(iters[k]),
+                               bool(done[k]), ids[k], int(period[k])) for k in range(len(x))]
 
 
 def multistart_points(n: int, seed: int = 0) -> list[tuple[str, np.ndarray]]:
@@ -278,23 +333,43 @@ def lambda_scan(f: FourierExpansion, t: float, delta: float, *, lambda_grid: np.
     of f; converged solutions are kept only when the extension value lands
     in the window.  Output is ordered by (lambda, start) and deterministic
     for a fixed seed.
+
+    The seeded starts of consecutive lambdas run as one battery, as many
+    lambdas as fit ``_SCAN_BATTERY_ROWS`` rows, so a converged row leaves
+    the battery while slower ones go on.  Each lambda's warm starts depend
+    on the one before, so they run as their own battery and their results go
+    after the seeded ones, as in a single battery of seeded plus warm rows.
     """
-    grid = np.asarray(lambda_grid, dtype=np.float64)
+    grid = np.sort(np.asarray(lambda_grid, dtype=np.float64))
     if grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
     starts = multistart_points(f.n, seed)
+    x0 = np.stack([x for _, x in starts])
+    ids = [sid for sid, _ in starts]
+    per = max(1, _SCAN_BATTERY_ROWS // len(starts))
     grad = as_gradient_field(f)
+    steps = {"damping": damping, "tol": tol, "max_iter": max_iter}
     lo_val, hi_val = conditioning_window(t, delta, f.n)
     kept: list[FixedPointSolution] = []
     warm: list[np.ndarray] = []
-    for lam in np.sort(grid):
-        batch = list(starts) + [(f"warm-{k}", w) for k, w in enumerate(warm)]
-        sols = _iterate_batch(grad, np.stack([x for _, x in batch]),
-                              [sid for sid, _ in batch], lam=float(lam),
-                              damping=damping, tol=tol, max_iter=max_iter)
-        conv = [s for s in sols if s.converged]
-        values = eval_extension(f, np.stack([s.point for s in conv])) if conv else []
-        found = dedupe_solutions([s for s, v in zip(conv, values) if lo_val <= v <= hi_val])
-        kept.extend(found)
-        warm = [s.point for s in found]
+    for first in range(0, grid.size, per):
+        lams = grid[first:first + per]
+        seeded = _iterate_rows(grad, np.tile(x0, (lams.size, 1)),
+                               lam=np.repeat(lams, len(ids)), **steps)
+        for j, lam in enumerate(lams):
+            x, resid, iters, done, _ = (a[j * len(ids):(j + 1) * len(ids)] for a in seeded)
+            names = ids
+            if warm:
+                more = _iterate_rows(grad, np.stack(warm), lam=lam, **steps)
+                x, resid, iters, done = (np.concatenate(pair) for pair in
+                                         zip((x, resid, iters, done), more))
+                names = ids + [f"warm-{k}" for k in range(len(warm))]
+            conv = np.flatnonzero(done)
+            values = eval_extension(f, x[conv]) if conv.size else []
+            found = dedupe_solutions([
+                FixedPointSolution(x[k], float(lam), float(resid[k]), int(iters[k]), True,
+                                   names[k])
+                for k, v in zip(conv, values) if lo_val <= v <= hi_val])
+            kept.extend(found)
+            warm = [s.point for s in found]
     return kept
