@@ -334,6 +334,8 @@ def _solution_dict(sol: FixedPointSolution, xf=None) -> dict:
         "residual_l1": sol.residual_l1,
         "iterations": sol.iterations,
         "converged": sol.converged,
+        "status": sol.status,
+        "period": sol.period,
     }
     if xf is not None:
         out["structural_set"] = {

@@ -1,6 +1,7 @@
 """Fixed-point iteration, structural-set test, functional, scalar roots, lambda scan."""
 
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -182,6 +183,18 @@ def test_iteration_logs_one_debug_line(caplog):
     assert record.levelno == logging.DEBUG
     assert record.getMessage() == ("17 rows in 1072 steps: 9 converged, 8 frozen in exact "
                                    "cycles (period: rows {8: 1, 32: 5, 128: 2}), 0 at the cap")
+
+
+def test_solutions_carry_status_and_period():
+    # the periods of the DEBUG line in test_iteration_logs_one_debug_line
+    f = build_hamiltonian(CUTOFF6)
+    sols = solve_multistart(f, 6, seed=501)
+    assert Counter(s.status for s in sols) == {"converged": 7, "cycle": 8}
+    assert Counter(s.period for s in sols if s.status == "cycle") == {8: 1, 32: 5, 128: 2}
+    assert all(s.period == 0 for s in sols if s.status == "converged")
+    # by step 300 no stuck start has repeated yet
+    capped = [s for s in solve_multistart(f, 6, seed=501, max_iter=300) if not s.converged]
+    assert {(s.status, s.period, s.iterations) for s in capped} == {("max_iter", 0, 300)}
 
 
 def test_structural_set_exact_root_is_member():
