@@ -11,9 +11,15 @@ from pathlib import Path
 
 import numpy as np
 
-from mfgl.boolfn import DimensionMismatch, FourierExpansion, gradient_extension
+from mfgl.boolfn import DimensionMismatch, FourierExpansion, eval_extension, gradient_extension
 from mfgl.gibbs import DenseMeasure
-from mfgl.meanfield import FixedPointSolution
+from mfgl.meanfield import (
+    FixedPointSolution,
+    as_gradient_field,
+    conditioning_window,
+    dedupe_solutions,
+    multistart_points,
+)
 from mfgl.transport import _certify, _integer_supplies
 
 
@@ -242,6 +248,26 @@ def iterate_plain(field, x0, ids, *, lam, damping, tol, max_iter):
         step += 1
     return [FixedPointSolution(x[k], lam, float(resid[k]), int(iters[k]),
                                bool(done[k]), ids[k]) for k in range(m)]
+
+
+def lambda_scan_plain(f, t, delta, *, lambda_grid, tol, seed, damping, max_iter):
+    """The per-lambda scan the chunked battery replaced, on ``iterate_plain``: one
+    battery per lambda, its seeded starts first and then the previous lambda's
+    kept points as warm starts; kept as ``lambda_scan``'s oracle."""
+    starts = multistart_points(f.n, seed)
+    grad = as_gradient_field(f)
+    lo_val, hi_val = conditioning_window(t, delta, f.n)
+    kept, warm = [], []
+    for lam in np.sort(np.asarray(lambda_grid, dtype=np.float64)):
+        batch = list(starts) + [(f"warm-{k}", w) for k, w in enumerate(warm)]
+        sols = iterate_plain(grad, np.stack([x for _, x in batch]), [sid for sid, _ in batch],
+                             lam=float(lam), damping=damping, tol=tol, max_iter=max_iter)
+        conv = [s for s in sols if s.converged]
+        values = eval_extension(f, np.stack([s.point for s in conv])) if conv else []
+        found = dedupe_solutions([s for s, v in zip(conv, values) if lo_val <= v <= hi_val])
+        kept.extend(found)
+        warm = [s.point for s in found]
+    return kept
 
 
 def w1_ssp(p, q, n, scale):

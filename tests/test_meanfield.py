@@ -5,9 +5,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st, target
+from hypothesis import example, given, settings, strategies as st, target
 
-from mfgl.boolfn import FourierExpansion, eval_extension
+from mfgl import DEFAULT_TOL, meanfield
+from mfgl.boolfn import FourierExpansion, eval_extension, vertex_values
 from mfgl.hamiltonians import (
     ComplexityParams,
     CurieWeissSpec,
@@ -34,6 +35,7 @@ from mfgl.meanfield import (
 from conftest import (
     curie_weiss_field,
     iterate_plain,
+    lambda_scan_plain,
     mean_field_functional_gradient,
     random_expansion,
 )
@@ -132,6 +134,18 @@ def test_cycling_cutoff_battery_matches_plain_iteration_at_every_phase(max_iter)
     assert sum(not s.converged for s in sols) == 8
 
 
+def test_a_lone_row_keeps_its_battery_bits():
+    # A one-row x @ A (gemv) rounds differently from the same row in a batch
+    # (gemm).  The slowest start here runs its last steps alone, and
+    # mf_iterate runs each start alone; both match the full battery.
+    f = random_expansion(np.random.default_rng(0), 8, degree=2)
+    x0, ids = _battery(8, 0)
+    sols = _assert_same_as_plain(as_gradient_field(f), x0, ids, lam=1.0, damping=0.5,
+                                 tol=1e-10, max_iter=10_000)
+    for x, sol in zip(x0, sols):
+        assert mf_iterate(f, x).point.tobytes() == sol.point.tobytes()
+
+
 def _counted(field):
     calls = [0]
 
@@ -140,6 +154,18 @@ def _counted(field):
         return field(x)
 
     return counting, calls
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), degree=st.integers(1, 3),
+       rows=st.integers(2, 600), data=st.data())
+def test_gradient_field_is_row_wise_on_every_batch_of_two_or_more(seed, n, degree, rows, data):
+    # the battery drops rows and batches grid points on the strength of this
+    rng = np.random.default_rng(seed)
+    field = as_gradient_field(random_expansion(rng, n, degree=min(degree, n)))
+    x = rng.uniform(-1.0, 1.0, (rows, n))
+    idx = data.draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=rows))
+    assert field(x)[idx].tobytes() == field(x[idx]).tobytes()
 
 
 @st.composite
@@ -353,6 +379,68 @@ def test_lambda_scan_filter_soundness():
         assert residual_l1(f, sol.point, sol.lam) <= 1e-8 + 1e-12
         value = eval_extension(f, sol.point)
         assert (t - 0.6) * f.n <= value <= t * f.n
+
+
+# 9 warm solutions kept, 2 of them in the second battery of seeded starts
+_WARM_SCAN = dict(
+    spec=SparseFourierSpec(6, (((4,), 0.05), ((0, 1, 5), -1.17), ((0, 2, 5), 1.07),
+                               ((2, 3, 5), 1.7), ((3, 4), -0.2), ((0, 2), -0.88), ((2,), -0.37),
+                               ((1, 2), -1.7), ((5,), 0.29))),
+    window=(34, 21), damping=0.5, max_iter=252, seed=19,
+    grid=[-5.67, -5.36, -4.24, -2.75, -1.79, -0.21, 0.0, 1.6, 3.3, 4.23, 5.37, 5.76, 5.77,
+          6.94, 7.76, 7.8, 8.0, 8.0])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(spec=sparse_fourier_specs(max_n=6),
+       window=st.tuples(st.integers(0, 63), st.integers(0, 63)),
+       grid=st.lists(st.one_of(st.just(0.0), st.floats(-8.0, 8.0)), min_size=1, max_size=40),
+       damping=st.sampled_from([0.5, 1.0]), max_iter=st.integers(0, 300),
+       seed=st.integers(0, 2**16))
+@example(**_WARM_SCAN)
+def test_lambda_scan_matches_the_per_lambda_scan(spec, window, grid, damping, max_iter, seed):
+    f = build_hamiltonian(spec)
+    # a window between two vertex values keeps solutions, so warm starts run
+    values = vertex_values(f)
+    lo, hi = sorted(values[k % values.size] for k in window)
+    t, delta = hi / f.n, (hi - lo) / (6 * f.n) + 0.01
+    kwargs = dict(lambda_grid=np.array(grid), tol=1e-10, seed=seed, damping=damping,
+                  max_iter=max_iter)
+    fast = lambda_scan(f, t, delta, **kwargs)
+    plain = lambda_scan_plain(f, t, delta, **kwargs)
+    for a, b in zip(fast, plain, strict=True):
+        assert a.point.tobytes() == b.point.tobytes()
+        assert (a.lam, a.residual_l1, a.iterations, a.converged, a.start_id, a.period) == \
+            (b.lam, b.residual_l1, b.iterations, b.converged, b.start_id, b.period)
+    target(float(sum(s.start_id.startswith("warm") for s in fast)), label="warm solutions")
+
+
+def test_lambda_scan_work_is_bounded_by_the_battery(monkeypatch):
+    calls, widest = [0], [0]
+
+    def counted(f, build=meanfield.as_gradient_field):
+        field = build(f)
+
+        def count(x):
+            calls[0] += 1
+            widest[0] = max(widest[0], len(x))
+            return field(x)
+
+        return count
+
+    monkeypatch.setattr(meanfield, "as_gradient_field", counted)
+    f = build_hamiltonian(CurieWeissSpec(1.5, 10))
+    # the CLI's default --lambda-grid 1e-2:1e2:64; one battery per lambda made 8,801 calls
+    lambda_scan(f, 0.675, 0.05, lambda_grid=default_lambda_grid(64, 1e-2, 1e2),
+                tol=DEFAULT_TOL, seed=7)
+    assert calls[0] <= 2_200
+    assert widest[0] <= meanfield._SCAN_BATTERY_ROWS
+    # 4,097 grid points: batteries stay as wide, so memory does not grow with the grid
+    calls[0] = widest[0] = 0
+    lambda_scan(f, 0.675, 0.05, lambda_grid=default_lambda_grid(2048, 1e-2, 1e2),
+                tol=DEFAULT_TOL, seed=7)
+    assert calls[0] <= 50_000
+    assert widest[0] <= meanfield._SCAN_BATTERY_ROWS
 
 
 def test_lambda_scan_rejects_empty_grid():
