@@ -152,8 +152,6 @@ def _iterate_rows(field: GradientField, x0: np.ndarray, *, lam: float | np.ndarr
     iters = np.empty(m, dtype=np.int64)
     done = np.zeros(m, dtype=bool)
     period = np.zeros(m, dtype=np.int64)
-    if m == 0:
-        return out, resid, iters, done, period
     # Working arrays, one entry per live row: its row of x0, state, scale,
     # period (0 until found) and the step it stops at unless it converges.
     rows = np.arange(m) if m > 1 else np.zeros(2, dtype=np.int64)
@@ -346,7 +344,7 @@ def lambda_scan(f: FourierExpansion, t: float, delta: float, *, lambda_grid: np.
     starts = multistart_points(f.n, seed)
     x0 = np.stack([x for _, x in starts])
     ids = [sid for sid, _ in starts]
-    per = max(1, _SCAN_BATTERY_ROWS // len(starts))
+    per = _SCAN_BATTERY_ROWS // len(starts)
     grad = as_gradient_field(f)
     steps = {"damping": damping, "tol": tol, "max_iter": max_iter}
     lo_val, hi_val = conditioning_window(t, delta, f.n)
