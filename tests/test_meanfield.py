@@ -416,31 +416,25 @@ def test_lambda_scan_matches_the_per_lambda_scan(spec, window, grid, damping, ma
 
 
 def test_lambda_scan_work_is_bounded_by_the_battery(monkeypatch):
-    calls, widest = [0], [0]
+    rows = []  # the batch size of every field call
 
     def counted(f, build=meanfield.as_gradient_field):
         field = build(f)
-
-        def count(x):
-            calls[0] += 1
-            widest[0] = max(widest[0], len(x))
-            return field(x)
-
-        return count
+        return lambda x: rows.append(len(x)) or field(x)
 
     monkeypatch.setattr(meanfield, "as_gradient_field", counted)
     f = build_hamiltonian(CurieWeissSpec(1.5, 10))
     # the CLI's default --lambda-grid 1e-2:1e2:64; one battery per lambda made 8,801 calls
     lambda_scan(f, 0.675, 0.05, lambda_grid=default_lambda_grid(64, 1e-2, 1e2),
                 tol=DEFAULT_TOL, seed=7)
-    assert calls[0] <= 2_200
-    assert widest[0] <= meanfield._SCAN_BATTERY_ROWS
+    assert len(rows) <= 2_200
+    assert max(rows) <= meanfield._SCAN_BATTERY_ROWS
     # 4,097 grid points: batteries stay as wide, so memory does not grow with the grid
-    calls[0] = widest[0] = 0
+    rows.clear()
     lambda_scan(f, 0.675, 0.05, lambda_grid=default_lambda_grid(2048, 1e-2, 1e2),
                 tol=DEFAULT_TOL, seed=7)
-    assert calls[0] <= 50_000
-    assert widest[0] <= meanfield._SCAN_BATTERY_ROWS
+    assert len(rows) <= 50_000
+    assert max(rows) <= meanfield._SCAN_BATTERY_ROWS
 
 
 def test_lambda_scan_rejects_empty_grid():
