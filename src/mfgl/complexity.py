@@ -13,16 +13,23 @@ sense of multilevel Monte Carlo (Giles, Acta Numerica 2015):
 where the winner set A, a subset of K, holds the rows that attain the
 supremum on a seeded pilot of ``PILOT_DRAWS`` draws over K.
 Level 0 is ``width_samples(A, samples, seed)``: every requested draw, on
-A alone.  Level 1 takes ``LEVEL1_DRAWS`` independent draws on all of K;
-its samples are sup_K - sup_A, zero unless a draw's maximiser lies outside
-A.  They are >= 0 only up to rounding: the two sups take the same row's
-product in differently shaped blocks, which may round apart, so a draw can
-read a few ulps below zero (triangle_count n = 21, seed 7: 14 of 4,096
-draws, down to -2.1e-14).  The pilot and level 1 draw from the two children
-spawned by ``SeedSequence(seed)``.
-Few rows of a gradient cloud ever attain a supremum, so level 0 is cheap
-and level 1 is mostly zeros.  When the pilot and level 1 together would
-take at least as many draws as requested, A = K and the estimate is plain
+A alone.  Level 1 takes independent draws on all of K; its samples are
+max(sup_K - sup_A, 0), zero unless a draw's maximiser lies outside A.  The
+clamp is exact, since sup_K >= sup_A before rounding.  The two sups take
+the same row's product in differently shaped blocks, which may round apart
+either way: on triangle_count n = 21, seed 7, with 4,096 pilot and 4,096
+level-1 draws, 30 unclamped draws were nonzero with no winner missed, 14
+down to -2.1e-14 and 16 up to 2.1e-14.  The clamp zeroes the first kind,
+so ``level1_nonzero`` no longer counts them; the second kind still counts.
+Level 1 first takes a probe of ``LEVEL1_FLOOR`` draws, whose variance V1
+sizes it by Giles' rule against level 0's variance V0 and the cost of a
+draw, |A| + 1 rows at level 0 and |K| + |A| at level 1; its mean then
+comes from that many fresh draws.  The pilot, the probe and level 1
+together take at most ``PLAIN_DRAWS`` draws over K.  The pilot draws from
+the first of the two children spawned by ``SeedSequence(seed)``, the probe
+and level 1 in turn from the second.  Few rows of a gradient cloud ever
+attain a supremum, so level 0 is cheap and level 1 is mostly zeros.  At
+most ``PLAIN_DRAWS`` requested draws take A = K, and the estimate is plain
 Monte Carlo over ``width_samples``.
 
 A cloud is a ``GradientCloud`` of explicit rows, the ``VertexCloud`` of a
@@ -50,8 +57,9 @@ from . import DEFAULT_SAMPLES, boolfn
 from .boolfn import FourierExpansion, flip_blocks, flip_rows, lipschitz, vertex_values
 from .hamiltonians import ComplexityParams
 
-PILOT_DRAWS = 4096
-LEVEL1_DRAWS = 4096
+PLAIN_DRAWS = 8192  # requested draws up to which the width is plain Monte Carlo over K
+PILOT_DRAWS = 512
+LEVEL1_FLOOR = 512  # the probe's draws, and the fewest that level 1 ever takes
 
 logger = logging.getLogger(__name__)
 
@@ -211,8 +219,9 @@ class WidthEstimate:
 
     ``winners`` is |A| + 1, counting the origin, or None when that count
     exceeds 2^63 - 1, the largest int64, as the 2^63 + 1 of a plain path at
-    n = 63 does.  On the plain path A = K, no pilot or level-1 draw is
-    taken, and level 0 is the whole estimate.
+    n = 63 does.  ``pilot_draws`` counts the pilot and level 1's probe.  On
+    the plain path A = K, no pilot or level-1 draw is taken, and level 0 is
+    the whole estimate.
     """
 
     estimate: float
@@ -232,22 +241,37 @@ class WidthEstimate:
         return out
 
 
+def _level1_samples(sup_k: np.ndarray, subset: GradientCloud, draws: np.ndarray) -> np.ndarray:
+    """max(sup_K - sup_A, 0) per draw, from the draws' sups over K and the subset as A."""
+    return np.maximum(sup_k - _sups(subset, draws)[0], 0.0)
+
+
 def gaussian_width_mc(cloud: Cloud, samples: int = DEFAULT_SAMPLES,
                       seed: int | None = 0) -> WidthEstimate:
     """Two-level Monte-Carlo width estimate with its standard error.
 
-    ``samples`` draws go to level 0 on the winner set A and ``LEVEL1_DRAWS``
-    to level 1 on the full cloud, with SE = sqrt(var0/samples + var1/LEVEL1_DRAWS);
-    see the module docstring for the seeding.  When ``samples`` is at most
-    ``PILOT_DRAWS + LEVEL1_DRAWS``, or the cloud is a ``PairwiseCloud``,
-    whose draw costs O(n^2) on any number of rows, the estimate is plain
-    Monte Carlo: the mean and ddof=1 standard error of
+    ``samples`` draws go to level 0 on the winner set A and N1 to level 1 on
+    the full cloud, with SE = sqrt(var0/samples + var1/N1); see the module
+    docstring for the seeding.  N1 follows Giles' rule N1/N0 = sqrt(V1 C0 /
+    (V0 C1)), with the probe's variance as V1, level 0's as V0, C0 = |A| + 1
+    and C1 = |K| + |A|, rounded up and clipped to [``LEVEL1_FLOOR``,
+    ``PLAIN_DRAWS - PILOT_DRAWS - LEVEL1_FLOOR``]: the floor keeps level 1's
+    SE from reading near zero on a few draws, and the cap keeps the draws
+    over K at most ``PLAIN_DRAWS``.  A probe with no variance takes the floor; a
+    level 0 with none, or a variance that is not finite, takes the cap.
+    Level 1's mean and variance come from N1 draws taken after the probe, so
+    the draws that chose N1 never enter it and the estimate stays unbiased.
+    ``pilot_draws`` counts the pilot and the probe.
+
+    When ``samples`` is at most ``PLAIN_DRAWS``, or the cloud is a
+    ``PairwiseCloud``, whose draw costs O(n^2) on any number of rows, the
+    estimate is plain Monte Carlo: the mean and ddof=1 standard error of
     ``width_samples(cloud, samples, seed)``.  Bit-identical for identical
     (cloud, samples, seed).
     """
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
-    if isinstance(cloud, PairwiseCloud) or PILOT_DRAWS + LEVEL1_DRAWS >= samples:
+    if isinstance(cloud, PairwiseCloud) or samples <= PLAIN_DRAWS:
         sups = width_samples(cloud, samples, seed)
         stderr = float(sups.std(ddof=1) / np.sqrt(samples))
         winners = cloud.size + 1
@@ -257,18 +281,39 @@ def gaussian_width_mc(cloud: Cloud, samples: int = DEFAULT_SAMPLES,
                               level1_draws=0, level1_stderr=0.0, level1_nonzero=0)
     else:
         pilot_rng, level1_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-        _, won = _sups(cloud, pilot_rng.standard_normal((PILOT_DRAWS, cloud.n)), winners=True)
+        # a sup over K needs no A, so one walk over K takes the pilot, the
+        # probe and level 1's first LEVEL1_FLOOR draws, which it always takes;
+        # a BLAS product of more draws per row block is cheaper per draw
+        g = np.concatenate([pilot_rng.standard_normal((PILOT_DRAWS, cloud.n)),
+                            level1_rng.standard_normal((2 * LEVEL1_FLOOR, cloud.n))])
+        sup_k, won = _sups(cloud, g, winners=True)
+        won = won[:PILOT_DRAWS]
         subset = GradientCloud(cloud.take(np.unique(won[won >= 0])))
         level0 = width_samples(subset, samples, seed)
-        g = level1_rng.standard_normal((LEVEL1_DRAWS, cloud.n))
-        level1 = _sups(cloud, g)[0] - _sups(subset, g)[0]
-        sq0 = level0.var(ddof=1) / samples  # squared standard error of each level
-        sq1 = level1.var(ddof=1) / LEVEL1_DRAWS
+        var0 = level0.var(ddof=1)
+        probe = slice(PILOT_DRAWS, PILOT_DRAWS + LEVEL1_FLOOR)
+        var1 = _level1_samples(sup_k[probe], subset, g[probe]).var(ddof=1)
+        cap = PLAIN_DRAWS - PILOT_DRAWS - LEVEL1_FLOOR
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            want = samples * np.sqrt(var1 * (subset.size + 1) / (var0 * (cloud.size + subset.size)))
+        if var1 == 0:  # nothing to allocate for, even where level 0 has no variance (0/0)
+            draws = LEVEL1_FLOOR
+        elif want <= cap:
+            draws = max(math.ceil(want), LEVEL1_FLOOR)
+        else:  # past the cap, or not finite
+            draws = cap
+        g, sup_k = g[probe.stop:], sup_k[probe.stop:]  # level 1's first LEVEL1_FLOOR draws
+        if draws > LEVEL1_FLOOR:
+            more = level1_rng.standard_normal((draws - LEVEL1_FLOOR, cloud.n))
+            g, sup_k = np.concatenate([g, more]), np.concatenate([sup_k, _sups(cloud, more)[0]])
+        level1 = _level1_samples(sup_k, subset, g)
+        sq0 = var0 / samples  # squared standard error of each level
+        sq1 = level1.var(ddof=1) / draws
         width = WidthEstimate(estimate=float(level0.mean() + level1.mean()),
                               stderr=float(np.sqrt(sq0 + sq1)),
-                              pilot_draws=PILOT_DRAWS, winners=subset.size + 1,
+                              pilot_draws=PILOT_DRAWS + LEVEL1_FLOOR, winners=subset.size + 1,
                               level0_draws=samples, level0_stderr=float(np.sqrt(sq0)),
-                              level1_draws=LEVEL1_DRAWS, level1_stderr=float(np.sqrt(sq1)),
+                              level1_draws=draws, level1_stderr=float(np.sqrt(sq1)),
                               level1_nonzero=int(np.count_nonzero(level1)))
     logger.debug("width over %d points: %s winners from %d pilot draws; level 0 %d draws, "
                  "level 1 %d draws with %d nonzero", cloud.size + 1, width.winners,

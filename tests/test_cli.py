@@ -341,8 +341,8 @@ def test_analyze_reports_width_levels(tmp_path):
     params = json.loads(out.read_text())["params"]
     assert list(params)[:3] == ["d", "d_stderr", "d_levels"]
     assert params["d_levels"] == {
-        "pilot_draws": 4096, "winners": 5, "level0_draws": 10000,
-        "level0_stderr": params["d_stderr"], "level1_draws": 4096, "level1_stderr": 0.0,
+        "pilot_draws": 1024, "winners": 5, "level0_draws": 10000,
+        "level0_stderr": params["d_stderr"], "level1_draws": 512, "level1_stderr": 0.0,
         "level1_nonzero": 0}
     rows = 0.5 * np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
     plain = complexity.width_samples(complexity.GradientCloud(rows), 10_000, seed=1)

@@ -1,8 +1,11 @@
 """Gradient clouds and Monte-Carlo Gaussian width."""
 
+import json
 import logging
 import math
+import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +16,9 @@ import mfgl.complexity as complexity
 from mfgl import size_caps
 from mfgl.boolfn import FourierExpansion, flip_differences, lipschitz, vertex_values
 from mfgl.complexity import (
-    LEVEL1_DRAWS,
+    LEVEL1_FLOOR,
     PILOT_DRAWS,
+    PLAIN_DRAWS,
     GradientCloud,
     PairwiseCloud,
     VertexCloud,
@@ -29,6 +33,7 @@ from mfgl.hamiltonians import (
     TriangleCountSpec,
     build_hamiltonian,
     IsingSpec,
+    spec_from_dict,
 )
 from conftest import flip_lipschitz_tables, random_expansion
 
@@ -93,7 +98,7 @@ def test_width_reproducibility_bit_identical():
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(k=st.integers(0, 12), n=st.integers(1, 6), samples=st.integers(2, PILOT_DRAWS + LEVEL1_DRAWS),
+@given(k=st.integers(0, 12), n=st.integers(1, 6), samples=st.integers(2, PLAIN_DRAWS),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_width_is_plain_monte_carlo_up_to_pilot_plus_level1(k, n, samples, seed, data):
     values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=k * n, max_size=k * n))
@@ -107,19 +112,69 @@ def test_width_is_plain_monte_carlo_up_to_pilot_plus_level1(k, n, samples, seed,
 
 
 def test_two_level_width_agrees_with_plain_where_winners_are_missed():
-    # 4000 points on the unit sphere in R^16: the pilot finds ~2500 of the
-    # winners, and the level-1 correction is ~8 combined standard errors
+    # 4000 points on the unit sphere in R^16: the pilot finds ~500 of the
+    # winners, so level 1 carries variance and Giles' rule sizes it above its floor
     rng = np.random.default_rng(13)
     x = rng.normal(size=(4000, 16))
     cloud = GradientCloud(x / np.linalg.norm(x, axis=1, keepdims=True))
     width = gaussian_width_mc(cloud, samples=20_000, seed=1)
-    assert (width.pilot_draws, width.level0_draws, width.level1_draws) == (
-        PILOT_DRAWS, 20_000, LEVEL1_DRAWS)
+    assert (width.pilot_draws, width.level0_draws) == (PILOT_DRAWS + LEVEL1_FLOOR, 20_000)
+    assert LEVEL1_FLOOR < width.level1_draws <= PLAIN_DRAWS - width.pilot_draws
     assert width.winners < cloud.size and width.level1_nonzero > 0
     assert width.stderr == pytest.approx(math.hypot(width.level0_stderr, width.level1_stderr))
     plain = width_samples(cloud, 8192, seed=2)
     plain_se = plain.std(ddof=1) / math.sqrt(plain.size)
     assert abs(width.estimate - plain.mean()) <= 4 * math.hypot(width.stderr, plain_se)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(k=st.integers(0, 40), n=st.integers(1, 6),
+       samples=st.integers(PLAIN_DRAWS + 1, 3 * PLAIN_DRAWS), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_two_level_width_sizes_level1_within_its_floor_and_cap(k, n, samples, seed, data):
+    values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=k * n, max_size=k * n))
+    cloud = GradientCloud(np.reshape(values, (k, n)))
+    sups, level1_samples = complexity._sups, complexity._level1_samples
+    over_k, level1 = [], []  # draws per walk over K; (draws, samples) per level-1 batch
+
+    def counted_sups(c, draws, winners=False):
+        if c is cloud:
+            over_k.append(draws.shape[0])
+        return sups(c, draws, winners)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexity, "_sups", counted_sups)
+        mp.setattr(complexity, "_level1_samples",
+                   lambda *a: level1.append((a[-1], level1_samples(*a))) or level1[-1][1])
+        width = gaussian_width_mc(cloud, samples=samples, seed=seed)
+    (probe_g, probe), (fresh_g, fresh) = level1
+    cap = PLAIN_DRAWS - PILOT_DRAWS - LEVEL1_FLOOR
+    assert LEVEL1_FLOOR <= probe.size <= cap and LEVEL1_FLOOR <= fresh.size <= cap
+    assert sum(over_k) == width.pilot_draws + width.level1_draws <= PLAIN_DRAWS
+    assert np.all(probe >= 0) and np.all(fresh >= 0)
+    if not probe.any():
+        assert fresh.size == LEVEL1_FLOOR
+    # level 1's mean comes from the draws after the probe in the level-1
+    # stream, never from the probe's draws that sized it
+    stream = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    assert np.array_equal(np.concatenate([probe_g, fresh_g]),
+                          stream.standard_normal((probe.size + fresh.size, n)))
+    assert (width.level1_draws, width.level1_nonzero) == (fresh.size, np.count_nonzero(fresh))
+    assert width.level1_stderr == float(np.sqrt(fresh.var(ddof=1) / fresh.size))
+    assert gaussian_width_mc(cloud, samples=samples, seed=seed) == width
+
+
+def test_degree3_fixture_is_its_seeded_construction():
+    # the two-level width's timing instance: 40 degree-3 terms over n = 20,
+    # where the pilot misses winners and level 1 is nonzero on most draws;
+    # time it with  mfgl analyze --spec tests/fixtures/sparse_fourier_deg3_n20.json
+    rng = random.Random(20)
+    terms = [{"subset": sorted(rng.sample(range(20), 3)), "coeff": rng.gauss(0.0, 1.0)}
+             for _ in range(40)]
+    spec = json.loads((Path(__file__).parent / "fixtures/sparse_fourier_deg3_n20.json").read_text())
+    assert spec == {"type": "sparse_fourier", "n": 20, "terms": terms}
+    f = build_hamiltonian(spec_from_dict(spec))
+    assert (f.n, f.degree()) == (20, 3)
 
 
 def test_width_logs_one_debug_line(caplog):
@@ -130,8 +185,8 @@ def test_width_logs_one_debug_line(caplog):
     gaussian_width_mc(cloud, samples=10_000, seed=0)
     (record,) = [r for r in caplog.records if r.name == "mfgl.complexity"]
     assert record.levelno == logging.DEBUG
-    assert record.getMessage() == ("width over 4 points: 4 winners from 4096 pilot draws; "
-                                   "level 0 10000 draws, level 1 4096 draws with 0 nonzero")
+    assert record.getMessage() == ("width over 4 points: 4 winners from 1024 pilot draws; "
+                                   "level 0 10000 draws, level 1 512 draws with 0 nonzero")
 
 
 def test_width_input_validation():
@@ -226,9 +281,10 @@ def test_streamed_cloud_matches_the_gradient_tables(spec, data):
         assert np.array_equal(streamed.take(index), oracle.points[index])
         # the two-level path: pilot winners, level 0 on the gathered rows, level 1
         mp.setattr(complexity, "PILOT_DRAWS", draws)
-        mp.setattr(complexity, "LEVEL1_DRAWS", draws)
-        assert (gaussian_width_mc(streamed, samples=4 * draws, seed=draws)
-                == gaussian_width_mc(oracle, samples=4 * draws, seed=draws))
+        mp.setattr(complexity, "LEVEL1_FLOOR", draws)
+        mp.setattr(complexity, "PLAIN_DRAWS", 4 * draws)  # N1 up to twice its floor
+        assert (gaussian_width_mc(streamed, samples=5 * draws, seed=draws)
+                == gaussian_width_mc(oracle, samples=5 * draws, seed=draws))
 
 
 @st.composite
