@@ -369,8 +369,13 @@ def counting_composition_gradient_norm(n: int) -> float:
     shape = CubicQuinticShape()
     ks = np.arange(n)
     s = 2.0 * ks - (n - 1)
-    # int / int true division is correctly rounded, so each Binomial(n-1, 1/2) mass is exact
-    pmf = np.array([math.comb(n - 1, k) / 2 ** (n - 1) for k in range(n)])
+    # the Binomial(n-1, 1/2) coefficients by the exact integer recurrence
+    # c_{k+1} = c_k (n-1-k) / (k+1); int / int true division is correctly
+    # rounded, so each mass is exact
+    coeffs, total = [1], 2 ** (n - 1)
+    for k in range(n - 1):
+        coeffs.append(coeffs[-1] * (n - 1 - k) // (k + 1))
+    pmf = np.array([c / total for c in coeffs])
     halves = 0.5 * (np.asarray(shape.value(s + 1.0)) - np.asarray(shape.value(s - 1.0)))
     return n * abs(float(pmf @ halves))
 

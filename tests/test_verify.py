@@ -283,6 +283,9 @@ def test_counting_composition_pmf_matches_scipy_binomial():
         norm = counting_composition_gradient_norm(n)
         assert norm == pytest.approx(n * abs(float(stats.binom.pmf(ks, n - 1, 0.5) @ halves)),
                                      rel=1e-15)
+        if n <= 1024:  # the recurrence's masses are math.comb's, bit for bit
+            masses = np.array([math.comb(n - 1, k) / 2 ** (n - 1) for k in range(n)])
+            assert norm == n * abs(float(masses @ halves))
         if n == 16:  # every product and partial sum is dyadic, so the norm is exact
             exact = n * abs(sum(Fraction(math.comb(n - 1, k), 2 ** (n - 1)) * Fraction(h)
                                 for k, h in enumerate(halves)))
