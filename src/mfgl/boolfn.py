@@ -80,13 +80,13 @@ class FourierExpansion:
             raise ValueError("masks and coeffs must be aligned 1-d arrays")
         if masks.size and (masks.min() < 0 or masks.max() >= (1 << self.n)):
             raise ValueError(f"subset bitmask outside the low {self.n} bits")
-        if masks.size != np.unique(masks).size:
-            raise ValueError("duplicate subsets in term list")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("non-finite coefficient")
         order = np.argsort(masks, kind="stable")
         masks = masks[order]
         coeffs = coeffs[order]
+        if np.any(masks[1:] == masks[:-1]):
+            raise ValueError("duplicate subsets in term list")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("non-finite coefficient")
         masks.flags.writeable = False
         coeffs.flags.writeable = False
         object.__setattr__(self, "masks", masks)

@@ -287,8 +287,8 @@ def gaussian_width_mc(cloud: Cloud, samples: int = DEFAULT_SAMPLES,
         g = np.concatenate([pilot_rng.standard_normal((PILOT_DRAWS, cloud.n)),
                             level1_rng.standard_normal((2 * LEVEL1_FLOOR, cloud.n))])
         sup_k, won = _sups(cloud, g, winners=True)
-        won = won[:PILOT_DRAWS]
-        subset = GradientCloud(cloud.take(np.unique(won[won >= 0])))
+        won = np.sort(won[:PILOT_DRAWS])  # the origin's -1 first, then each row once
+        subset = GradientCloud(cloud.take(won[np.diff(won, prepend=-1) > 0]))
         level0 = width_samples(subset, samples, seed)
         var0 = level0.var(ddof=1)
         probe = slice(PILOT_DRAWS, PILOT_DRAWS + LEVEL1_FLOOR)

@@ -313,7 +313,8 @@ def curie_weiss_roots(beta: float) -> np.ndarray:
 def default_lambda_grid(count: int, lo: float, hi: float) -> np.ndarray:
     """Geometric grid on [lo, hi] plus zero and sign-flipped copies."""
     pos = np.geomspace(lo, hi, count)
-    return np.unique(np.concatenate([-pos[::-1], [0.0], pos]))
+    grid = np.sort(np.concatenate([-pos[::-1], [0.0], pos]))
+    return grid[np.diff(grid, prepend=-np.inf) > 0]
 
 
 def conditioning_window(t: float, delta: float, n: int) -> tuple[float, float]:

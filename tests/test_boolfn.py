@@ -487,5 +487,9 @@ def test_term_validation():
         FourierExpansion(3, np.array([8]), np.array([1.0]))  # bit outside low 3
     with pytest.raises(ValueError):
         FourierExpansion(3, np.array([1, 1]), np.array([1.0, 2.0]))  # duplicate
+    with pytest.raises(ValueError, match="duplicate"):  # apart, and reported before the NaN
+        FourierExpansion(3, np.array([4, 1, 4]), np.array([np.nan, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        FourierExpansion(3, np.array([4, 1, 2]), np.array([np.nan, 1.0, 2.0]))
     f = FourierExpansion.from_terms(3, [((0,), 1.0), ((0,), -1.0)])
     assert f.masks.size == 0  # zero coefficients dropped

@@ -295,7 +295,7 @@ def test_mass_scale_keeps_flow_sums_exact():
 
 
 @st.composite
-def measure_pairs(draw, max_n=6):
+def measure_pairs(draw, max_n=8):
     """(p, q, n) with sparse supports, point masses among them, and p == q."""
     n = draw(st.integers(1, max_n))
     states = 1 << n
@@ -338,7 +338,25 @@ def test_w1_logs_one_debug_line(caplog):
     (record,) = [r for r in caplog.records if r.name == "mfgl.transport"]
     assert record.levelno == logging.DEBUG
     assert (res.phases, res.iterations, res.value) == (1, 1, 3.0)
-    assert record.getMessage() == "8 states: 1 phases, 1 augmenting paths, certified True"
+    assert record.getMessage() == (
+        "8 states: 1 phases, 1 search rounds, 1 augmenting paths, certified True")
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_w1_between_the_uniform_law_and_a_point_mass_is_exact(n, caplog):
+    # the Hamming distances to one vertex sum to n 2^(n-1), so W1 = n/2; a
+    # search from the atom's side finds every path of a phase in one round
+    uniform = np.full(1 << n, 1.0 / (1 << n))
+    atom = point_mass(n, (1 << n) // 3).probs
+    caplog.set_level(logging.DEBUG, logger="mfgl.transport")
+    for p, q in ((uniform, atom), (atom, uniform)):
+        caplog.clear()
+        res = solve_w1(p, q, n)
+        assert res.value == n / 2
+        assert res.certified
+        (record,) = [r for r in caplog.records if r.name == "mfgl.transport"]
+        rounds = int(record.getMessage().split(" phases, ")[1].split(" search rounds")[0])
+        assert rounds <= 2 * n
 
 
 def test_w1_refuses_above_the_cap():
