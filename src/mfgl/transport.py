@@ -178,12 +178,12 @@ def _augment_admissible(flow: np.ndarray, rise: np.ndarray, excess: np.ndarray,
         rounds += 1
         sources, deficits = excess > 0, excess < 0
         backward = np.count_nonzero(deficits) < np.count_nonzero(sources)
-        if backward:  # step[i, v]: v -> v^bit_i is admissible
-            step = np.where(flow < 0, down, up)
-        else:         # step[i, v]: v^bit_i -> v is admissible
-            step = np.where(flow > 0, up, down)
-        depth, pred = _search(step, deficits if backward else sources, neighbour)
-        ends = np.flatnonzero((depth > 0) & (sources if backward else deficits))
+        roots, far = (deficits, sources) if backward else (sources, deficits)
+        # step[i, v]: the search may step from v^bit_i to v, backward against
+        # an admissible arc v -> v^bit_i, forward along one v^bit_i -> v
+        step = np.where(flow < 0, down, up) if backward else np.where(flow > 0, up, down)
+        depth, pred = _search(step, roots, neighbour)
+        ends = np.flatnonzero((depth > 0) & far)
         if ends.size == 0:
             return rounds, paths
         paths += _augment_tree(flow, excess, depth, pred, ends, backward)
@@ -267,10 +267,8 @@ def _augment_tree(flow: np.ndarray, excess: np.ndarray, depth: np.ndarray, pred:
             left[root] -= amount
         amounts.append(amount)
     amounts = np.array(amounts)
-    carry = np.empty(path.shape)
-    carry[...] = amounts
-    carry = np.bincount(path.ravel(), carry.ravel(), states)
-    carry[roots] = 0.0
+    carry = np.bincount(path.ravel(), np.tile(amounts, len(path)), states)
+    carry[roots] = 0.0  # roots have no tree arc; they repeat on the shorter paths
     moved = np.flatnonzero(carry)
     np.add.at(flat, np.concatenate((arc[moved], reverse[moved])),
               np.concatenate((carry[moved], -carry[moved])))

@@ -334,8 +334,9 @@ def w1_ssp(p, q, n, scale):
         excess[source] -= amount
         excess[target] += amount
     cost_units = int(round(np.abs(flow).sum() / 2.0))
-    certified = all((np.where(flow[i] < 0, -1.0, 1.0) + potential - potential[xor_idx[i]]).min() >= 0
-                    for i in range(n))
+    certified = all(
+        (np.where(flow[i] < 0, -1.0, 1.0) + potential - potential[xor_idx[i]]).min() >= 0
+        for i in range(n))
     return cost_units, certified, iterations
 
 

@@ -1,6 +1,7 @@
 """Gibbs measures, tilts, covariance functional, product approximation, distances."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -355,7 +356,7 @@ def test_w1_between_the_uniform_law_and_a_point_mass_is_exact(n, caplog):
         assert res.value == n / 2
         assert res.certified
         (record,) = [r for r in caplog.records if r.name == "mfgl.transport"]
-        rounds = int(record.getMessage().split(" phases, ")[1].split(" search rounds")[0])
+        rounds = int(re.search(r"(\d+) search rounds", record.getMessage()).group(1))
         assert rounds <= 2 * n
 
 
