@@ -21,9 +21,18 @@ Matrices are row-major nested arrays; subsets are sorted index lists;
 n, num_vertices and subset indices are integers (6.0 reads as 6, 6.9 is refused);
 every number must be a JSON number, not a string or a boolean.
 
-Every flag but --timings can be defaulted through an environment variable
-with the MFGL_ prefix (e.g. MFGL_SEED, MFGL_SAMPLES, MFGL_MAX_N); explicit
-flags win.
+Each command takes the flags it reads, and no other:
+analyze       --spec --out --format --seed --samples --tol --damping --max-n
+              --timings
+fixed-points  --spec --out --format --seed --tol --damping --max-n
+ld-scan       --spec --out --format --seed --tol --damping --t --delta --max-n
+              --lambda-grid --timings
+audit         --spec --out --format --seed --samples --epsilon --t --delta
+              --max-n --transport-max-states --suite --timings
+report        --spec --out --format
+Every flag but --timings can be defaulted through the environment variable
+MFGL_ plus its name upper-cased, - as _ (--max-n: MFGL_MAX_N); explicit
+flags win, and a command ignores the variables of flags it does not take.
 --max-n and --transport-max-states set the two size caps: ``run`` holds
 them in ``mfgl.size_caps`` around the command, and every table and
 transport the command builds reads them there.
@@ -52,7 +61,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import Field, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -74,139 +83,6 @@ EXIT_AUDIT_FAILED = 2
 
 class InputError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Config
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RunConfig:
-    command: str
-    spec_path: Optional[str] = None
-    out_path: Optional[str] = None
-    fmt: str = "json"
-    seed: int = 0
-    samples: int = DEFAULT_SAMPLES
-    tol: float = DEFAULT_TOL
-    damping: float = DEFAULT_DAMPING
-    epsilon: float = 0.2
-    t: Optional[float] = None
-    delta: Optional[float] = None
-    max_n: int = DEFAULT_ENUM_CAP
-    transport_max_states: int = DEFAULT_TRANSPORT_STATES
-    suite: str = "all"
-    lambda_grid: str = "1e-2:1e2:64"
-    timings: bool = False
-
-    def validate(self) -> None:
-        if self.fmt not in ("json", "csv"):
-            raise InputError(f"unsupported format {self.fmt!r}")
-        if self.max_n < 1 or self.transport_max_states < 1:
-            raise InputError("caps must be at least 1")
-        if not (self.tol > 0):
-            raise InputError("tol must be positive")
-        if not math.isfinite(self.tol):
-            raise InputError("tol must be finite")
-        if not (0.0 < self.damping <= 1.0):
-            raise InputError("damping must lie in (0, 1]")
-        if self.suite not in SUITES:
-            raise InputError(f"unknown suite {self.suite!r}; choose from {SUITES}")
-        if (self.t is None) != (self.delta is None):
-            raise InputError("--t and --delta must be given together")
-        if (self.command == "audit" and self.suite in ("ld", "all") and self.t is not None
-                and not self.spec_path):
-            raise InputError("--t and --delta need --spec for the ld suite")
-
-    def parsed_lambda_grid(self) -> np.ndarray:
-        try:
-            lo, hi, count = self.lambda_grid.split(":")
-            lo, hi, count = float(lo), float(hi), int(count)
-        except ValueError as exc:
-            raise InputError(f"bad lambda grid {self.lambda_grid!r}, want LO:HI:COUNT") from exc
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InputError("lambda grid needs finite LO and HI")
-        if not (0 < lo < hi) or count < 1:
-            raise InputError("lambda grid needs 0 < LO < HI and COUNT >= 1")
-        from . import meanfield
-
-        return meanfield.default_lambda_grid(count, lo, hi)
-
-
-_ENV_FIELDS = {
-    "spec_path": ("MFGL_SPEC", str),
-    "out_path": ("MFGL_OUT", str),
-    "fmt": ("MFGL_FORMAT", str),
-    "seed": ("MFGL_SEED", int),
-    "samples": ("MFGL_SAMPLES", int),
-    "tol": ("MFGL_TOL", float),
-    "damping": ("MFGL_DAMPING", float),
-    "epsilon": ("MFGL_EPSILON", float),
-    "t": ("MFGL_T", float),
-    "delta": ("MFGL_DELTA", float),
-    "max_n": ("MFGL_MAX_N", int),
-    "transport_max_states": ("MFGL_TRANSPORT_MAX_STATES", int),
-    "suite": ("MFGL_SUITE", str),
-    "lambda_grid": ("MFGL_LAMBDA_GRID", str),
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mfgl", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--version", action="version", version=f"mfgl {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "fixed-points", "ld-scan", "audit", "report"):
-        p = sub.add_parser(name)
-        p.add_argument("--spec", dest="spec_path", help="Hamiltonian spec JSON (or input report for `report`)")
-        p.add_argument("--out", dest="out_path", help="output path; stdout when omitted")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--damping", type=float)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--t", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--max-n", dest="max_n", type=int)
-        p.add_argument("--transport-max-states", dest="transport_max_states", type=int)
-        p.add_argument("--suite", choices=SUITES)
-        p.add_argument("--lambda-grid", dest="lambda_grid", help="LO:HI:COUNT geometric grid, mirrored, plus 0")
-        p.add_argument("--timings", action="store_true", default=None,
-                       help="record wall-clock stage timings (breaks byte-identical reports)")
-    return parser
-
-
-def build_config(argv: Sequence[str], env: dict | None = None) -> RunConfig:
-    env = dict(os.environ if env is None else env)
-    ns = _build_parser().parse_args(list(argv))
-    config = RunConfig(command=ns.command)
-    for field_name, (env_key, cast) in _ENV_FIELDS.items():
-        cli_val = getattr(ns, field_name, None)
-        if cli_val is not None:
-            setattr(config, field_name, cli_val)
-        elif env_key in env:
-            try:
-                setattr(config, field_name, cast(env[env_key]))
-            except ValueError as exc:
-                raise InputError(f"bad value for {env_key}: {env[env_key]!r}") from exc
-    if ns.timings is not None:
-        config.timings = ns.timings
-    config.validate()
-    return config
-
-
-def load_spec(path: str) -> HamiltonianSpec:
-    from . import hamiltonians
-
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read spec file {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"spec file is not valid JSON: {exc}") from exc
-    return hamiltonians.spec_from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +241,18 @@ def _new_report(config: RunConfig, spec_dict: dict | None) -> dict:
     cfg = asdict(config)
     cfg["hamiltonian"] = spec_dict
     return {"config": cfg, "params": None, "solutions": [], "audits": [], "timings": {}}
+
+
+def load_spec(path: str) -> HamiltonianSpec:
+    from . import hamiltonians
+
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InputError(f"cannot read spec file {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"spec file is not valid JSON: {exc}") from exc
+    return hamiltonians.spec_from_dict(data)
 
 
 def _require_spec(config: RunConfig) -> tuple[HamiltonianSpec, FourierExpansion]:
@@ -596,6 +484,117 @@ _COMMANDS = {
     "audit": _cmd_audit,
     "report": _cmd_report,
 }
+
+
+# ---------------------------------------------------------------------------
+# Config: one table of options, each with the commands that read it
+# ---------------------------------------------------------------------------
+
+
+def _option(default, flag: str, commands: str, **argparse_kw) -> Field:
+    """A ``RunConfig`` field that the space-separated ``commands`` read, set by ``flag`` (and,
+    unless a switch, by ``MFGL_`` plus the flag's name upper-cased, ``-`` as ``_``)."""
+    env = None if "action" in argparse_kw else "MFGL_" + flag[2:].upper().replace("-", "_")
+    return field(default=default, metadata={
+        "flag": flag, "env": env, "commands": commands.split(), "argparse": argparse_kw})
+
+
+_COMPUTE = "analyze fixed-points ld-scan audit"
+_EVERY = _COMPUTE + " report"
+
+
+@dataclass
+class RunConfig:
+    command: str
+    spec_path: Optional[str] = _option(
+        None, "--spec", _EVERY, help="Hamiltonian spec JSON (or input report for `report`)")
+    out_path: Optional[str] = _option(
+        None, "--out", _EVERY, help="output path; stdout when omitted")
+    fmt: str = _option("json", "--format", _EVERY, choices=("json", "csv"))
+    seed: int = _option(0, "--seed", _COMPUTE, type=int)
+    samples: int = _option(DEFAULT_SAMPLES, "--samples", "analyze audit", type=int)
+    tol: float = _option(DEFAULT_TOL, "--tol", "analyze fixed-points ld-scan", type=float)
+    damping: float = _option(DEFAULT_DAMPING, "--damping", "analyze fixed-points ld-scan",
+                             type=float)
+    epsilon: float = _option(0.2, "--epsilon", "audit", type=float)
+    t: Optional[float] = _option(None, "--t", "ld-scan audit", type=float)
+    delta: Optional[float] = _option(None, "--delta", "ld-scan audit", type=float)
+    max_n: int = _option(DEFAULT_ENUM_CAP, "--max-n", _COMPUTE, type=int)
+    transport_max_states: int = _option(DEFAULT_TRANSPORT_STATES, "--transport-max-states",
+                                        "audit", type=int)
+    suite: str = _option("all", "--suite", "audit", choices=SUITES)
+    lambda_grid: str = _option("1e-2:1e2:64", "--lambda-grid", "ld-scan",
+                               help="LO:HI:COUNT geometric grid, mirrored, plus 0")
+    timings: bool = _option(False, "--timings", "analyze ld-scan audit", action="store_true",
+                            help="record wall-clock stage timings (breaks byte-identical reports)")
+
+    def validate(self) -> None:
+        if self.fmt not in ("json", "csv"):
+            raise InputError(f"unsupported format {self.fmt!r}")
+        if self.max_n < 1 or self.transport_max_states < 1:
+            raise InputError("caps must be at least 1")
+        if not (self.tol > 0):
+            raise InputError("tol must be positive")
+        if not math.isfinite(self.tol):
+            raise InputError("tol must be finite")
+        if not (0.0 < self.damping <= 1.0):
+            raise InputError("damping must lie in (0, 1]")
+        if self.suite not in SUITES:
+            raise InputError(f"unknown suite {self.suite!r}; choose from {SUITES}")
+        if (self.t is None) != (self.delta is None):
+            raise InputError("--t and --delta must be given together")
+        if (self.command == "audit" and self.suite in ("ld", "all") and self.t is not None
+                and not self.spec_path):
+            raise InputError("--t and --delta need --spec for the ld suite")
+
+    def parsed_lambda_grid(self) -> np.ndarray:
+        try:
+            lo, hi, count = self.lambda_grid.split(":")
+            lo, hi, count = float(lo), float(hi), int(count)
+        except ValueError as exc:
+            raise InputError(f"bad lambda grid {self.lambda_grid!r}, want LO:HI:COUNT") from exc
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InputError("lambda grid needs finite LO and HI")
+        if not (0 < lo < hi) or count < 1:
+            raise InputError("lambda grid needs 0 < LO < HI and COUNT >= 1")
+        from . import meanfield
+
+        return meanfield.default_lambda_grid(count, lo, hi)
+
+
+def _options(command: str) -> list[Field]:
+    """The ``RunConfig`` fields that ``command`` reads, in field order."""
+    return [f for f in fields(RunConfig) if command in f.metadata.get("commands", ())]
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="mfgl", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--version", action="version", version=f"mfgl {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
+        p = sub.add_parser(name, allow_abbrev=False)  # so --t never reaches --tol
+        for f in _options(name):
+            p.add_argument(f.metadata["flag"], dest=f.name, default=None,
+                           **f.metadata["argparse"])
+    return parser
+
+
+def build_config(argv: Sequence[str], env: dict | None = None) -> RunConfig:
+    env = os.environ if env is None else env
+    ns = _build_parser().parse_args(list(argv))
+    config = RunConfig(command=ns.command)
+    for f in _options(ns.command):
+        value, key = getattr(ns, f.name), f.metadata["env"]
+        if value is None and key is not None and key in env:
+            try:
+                value = f.metadata["argparse"].get("type", str)(env[key])
+            except ValueError as exc:
+                raise InputError(f"bad value for {key}: {env[key]!r}") from exc
+        if value is not None:
+            setattr(config, f.name, value)
+    config.validate()
+    return config
 
 
 def run(config: RunConfig) -> tuple[int, dict | None]:

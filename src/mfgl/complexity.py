@@ -107,8 +107,9 @@ class VertexCloud:
     The rows are built from F a slab at a time and never stored whole.  A
     slab is a flip block of ``boolfn._FLIP_BLOCK`` vertices, the block size of
     the Lipschitz walk, read at call time; so a sup over K holds one slab and
-    one block of about ``boolfn._BLOCK_ENTRIES`` products.  Blocks hold a
-    power of two of rows, at most the rows asked for.
+    one block of about ``boolfn._BLOCK_ENTRIES`` products.  Blocks hold the
+    rows asked for, a power of two so that they tile every slab, or all 2^n
+    rows where those are fewer.
     """
 
     values: np.ndarray  # (2^n,)
@@ -130,7 +131,6 @@ class VertexCloud:
         return self.values.size.bit_length() - 1
 
     def blocks(self, rows: int) -> Iterator[tuple[int, np.ndarray]]:
-        rows = 1 << (rows.bit_length() - 1)  # a power of two, so blocks tile every slab
         for start, grad in flip_blocks(self.values, max(rows, boolfn._FLIP_BLOCK)):
             for at in range(0, grad.shape[1], rows):
                 yield start + at, grad[:, at:at + rows].T
@@ -182,8 +182,11 @@ def _sups(cloud: Cloud, draws: np.ndarray,
     m = draws.shape[0]
     best = np.zeros(m)
     where = np.full(m, -1, dtype=np.intp) if winners else None
-    for start, rows in cloud.blocks(max(1, boolfn._BLOCK_ENTRIES // m)):
-        block = rows @ draws.T
+    # every cloud gets the same power-of-two blocks (they tile each flip slab)
+    # as C-contiguous rows, so each sup takes the same float steps on every cloud
+    rows_per_block = max(1, boolfn._BLOCK_ENTRIES // m)
+    for start, rows in cloud.blocks(1 << (rows_per_block.bit_length() - 1)):
+        block = np.ascontiguousarray(rows) @ draws.T
         top = block.max(axis=0)
         if winners:
             # a column-wise argmax is slow; take it only where the sup moved

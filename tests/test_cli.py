@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +54,47 @@ def test_env_overrides_and_flag_precedence():
 
 def test_config_validation_errors():
     with pytest.raises(cli.InputError):
-        cli.build_config(["audit", "--suite", "appendix", "--tol", "-1"], env={})
+        cli.build_config(["analyze", "--tol", "-1"], env={})
     with pytest.raises(cli.InputError):
         cli.build_config(["audit"], env={"MFGL_SEED": "not-a-number"})
+
+
+# Per flag: a value other than its default, and a second value.
+OPTION_VALUES = {
+    "--spec": ("a.json", "b.json"), "--out": ("a.out", "b.out"), "--format": ("csv", "json"),
+    "--seed": ("7", "8"), "--samples": ("321", "123"), "--tol": ("1e-6", "1e-7"),
+    "--damping": ("0.25", "0.75"), "--epsilon": ("0.3", "0.1"), "--t": ("0.25", "0.5"),
+    "--delta": ("0.1", "0.05"), "--max-n": ("12", "13"), "--transport-max-states": ("64", "128"),
+    "--suite": ("ld", "main"), "--lambda-grid": ("0.5:2:3", "1:2:3"), "--timings": (),
+}
+# --t and --delta go together, and audit's ld suite takes them with a --spec
+PARTNERS = {"--t": ["--delta", "0.05", "--spec", "s.json"],
+            "--delta": ["--t", "0.5", "--spec", "s.json"]}
+OPTIONS = fields(cli.RunConfig)[1:]
+
+
+@pytest.mark.parametrize("command, option", [(c, f) for c in cli._COMMANDS for f in OPTIONS],
+                         ids=lambda x: getattr(x, "name", x))
+def test_each_option_reaches_exactly_the_commands_that_read_it(capsys, command, option):
+    flag, name, default = option.metadata["flag"], option.name, option.default
+    var = "MFGL_" + flag[2:].upper().replace("-", "_")
+    values = OPTION_VALUES[flag]
+    if command not in option.metadata["commands"]:
+        # the variable is ignored, and the flag is a usage error
+        assert getattr(cli.build_config([command], env={var: "1"}), name) == default
+        assert cli.main([command, flag, *values[:1]]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        return
+    argv = [command, *PARTNERS.get(flag, [])]
+    if not values:  # a switch, set by its flag alone
+        assert getattr(cli.build_config([*argv, flag], env={}), name) is True
+        assert getattr(cli.build_config(argv, env={var: "1"}), name) == default
+        return
+    value, other = values
+    by_flag = getattr(cli.build_config([*argv, flag, value], env={}), name)
+    assert by_flag != default
+    assert getattr(cli.build_config(argv, env={var: value}), name) == by_flag
+    assert getattr(cli.build_config([*argv, flag, value], env={var: other}), name) == by_flag
 
 
 def test_lambda_grid_parsing():
@@ -183,6 +222,31 @@ def test_suite_docs_match_the_suite_table():
     assert tuple(re.findall(r"`(\w+)`", listed)) == cli.SUITES
     line = re.search(r"^audit +named audit suites \((.*)\)$", cli.__doc__, re.M).group(1)
     assert tuple(line.split(", ")) == cli.SUITES
+
+
+def test_flag_docs_match_the_option_table(capsys):
+    # the README's per-command list, the module docstring's and each --help
+    # list the flags that the command reads, in the table's order
+    table = {c: [f.metadata["flag"] for f in cli._options(c)] for c in cli._COMMANDS}
+    assert sum(map(len, table.values())) == 42
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = readme.split("Flags: ", 1)[1].split("\n\n", 2)[1]
+    assert {c: re.findall(r"`(--[a-z-]+)`", flags)
+            for c, flags in re.findall(r"^- `([a-z-]+)`: (.*?)(?=^- |\Z)", listed,
+                                       re.M | re.S)} == table
+    doc = cli.__doc__.split("and no other:\n", 1)[1].split("\nEvery flag", 1)[0]
+    documented: dict = {}
+    for word in doc.split():
+        if word.startswith("--"):
+            documented[command].append(word)
+        else:
+            command = word
+            documented[command] = []
+    assert documented == table
+    for command, flags in table.items():
+        assert cli.main([command, "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n", 1)[0]
+        assert re.findall(r"\[(--[a-z-]+)", usage) == flags
 
 
 def test_cli_import_leaves_scipy_out():
