@@ -90,7 +90,6 @@ _EXPORTS = {
     "solve_multistart": "meanfield",
     "tilt": "gibbs",
     "tv": "gibbs",
-    "structural_set_test": "meanfield",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

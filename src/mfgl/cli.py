@@ -2,8 +2,8 @@
 
 Commands
 --------
-analyze       complexity parameters, scalar roots where applicable, and
-              multi-start fixed points with structural-set membership
+analyze       complexity parameters with the structural threshold, scalar
+              roots where applicable, and multi-start fixed points
 fixed-points  multi-start fixed points only
 ld-scan       smoothed-cutoff construction, tail/TV audits, and the lambda
               scan over the conditioning window
@@ -202,8 +202,8 @@ def write_atomic(path: str, data: bytes) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _solution_dict(sol: FixedPointSolution, xf=None) -> dict:
-    out = {
+def _solution_dict(sol: FixedPointSolution) -> dict:
+    return {
         "start_id": sol.start_id,
         "lambda": sol.lam,
         "point": [float(v) for v in sol.point],
@@ -213,23 +213,12 @@ def _solution_dict(sol: FixedPointSolution, xf=None) -> dict:
         "status": sol.status,
         "period": sol.period,
     }
-    if xf is not None:
-        out["structural_set"] = {
-            "threshold": xf.threshold,
-            "residual": xf.residual,
-            "member": xf.member,
-            "residual_over_n": xf.residual_over_n,
-        }
-    return out
 
 
 def _params_dict(p) -> dict:
+    se = {} if p.d_stderr is None else {"d_stderr": p.d_stderr}
     levels = {} if p.d_levels is None else {"d_levels": p.d_levels}
-    return {
-        "d": p.d, "d_stderr": p.d_stderr, **levels, "l1": p.l1, "l2": p.l2,
-        "d_provenance": p.d_provenance, "l1_provenance": p.l1_provenance,
-        "l2_provenance": p.l2_provenance,
-    }
+    return {"d": p.d, **se, **levels, "l1": p.l1, "l2": p.l2}
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +260,8 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
     report = _new_report(config, spec.to_dict())
     with _timed(config, report, "complexity"):
         params = complexity.complexity_params(f, samples=config.samples, seed=config.seed)
-    report["params"] = _params_dict(params)
+    report["params"] = {**_params_dict(params),
+                        "structural_threshold": params.structural_threshold(f.n)}
     form = boolfn.pairwise_form(f)
     if form is not None:
         report["closed_form_bounds"] = _params_dict(hamiltonians.ising_complexity_bounds(*form))
@@ -281,11 +271,7 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
     with _timed(config, report, "fixed_points"):
         sols = meanfield.solve_multistart(f, f.n, lam=1.0, seed=config.seed,
                                           damping=config.damping, tol=config.tol)
-    report["solutions"] = [
-        _solution_dict(s, meanfield.structural_set_test(f, s.point, params)
-                       if s.converged else None)
-        for s in sols
-    ]
+    report["solutions"] = [_solution_dict(s) for s in sols]
     return EXIT_OK, report
 
 
@@ -567,7 +553,8 @@ def _options(command: str) -> list[Field]:
     return [f for f in fields(RunConfig) if command in f.metadata.get("commands", ())]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``mfgl`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="mfgl", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"mfgl {__version__}")
@@ -577,12 +564,15 @@ def _build_parser() -> argparse.ArgumentParser:
         for f in _options(name):
             p.add_argument(f.metadata["flag"], dest=f.name, default=None,
                            **f.metadata["argparse"])
-    return parser
+    return parser, sub.choices
 
 
 def build_config(argv: Sequence[str], env: dict | None = None) -> RunConfig:
     env = os.environ if env is None else env
-    ns = _build_parser().parse_args(list(argv))
+    parser, commands = _build_parser()
+    ns, extra = parser.parse_known_args(list(argv))
+    if extra:  # under the command's own usage line, which lists the flags it takes
+        commands[ns.command].error(f"unrecognized arguments: {' '.join(extra)}")
     config = RunConfig(command=ns.command)
     for f in _options(ns.command):
         value, key = getattr(ns, f.name), f.metadata["env"]

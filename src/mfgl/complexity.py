@@ -353,10 +353,5 @@ def complexity_params(f: FourierExpansion, samples: int = DEFAULT_SAMPLES,
         cloud, lips = VertexCloud(vertex_values(f)), lipschitz(f)
     with np.errstate(over="ignore", invalid="ignore"):
         width = gaussian_width_mc(cloud, samples=samples, seed=seed)
-    return ComplexityParams.from_raw(
-        width.estimate,
-        *lips,
-        d_stderr=width.stderr,
-        d_provenance="monte_carlo",
-        d_levels=width.levels(),
-    )
+    return ComplexityParams.from_raw(width.estimate, *lips, d_stderr=width.stderr,
+                                     d_levels=width.levels())

@@ -135,27 +135,21 @@ def _check_level(t: float, delta: float) -> None:
 # Complexity parameters
 # ---------------------------------------------------------------------------
 
-PROVENANCE = ("exact", "monte_carlo", "closed_form_bound")
-
-
 @dataclass(frozen=True)
 class ComplexityParams:
     """The (D, L1, L2) triple with the unit floors already applied.
 
     L1 = max(1, sup |partial_i f|) and L2 = max(1, gradient one-norm
-    Lipschitz ratio); D is the Gaussian width of the gradient cloud.  Each
-    field records how it was obtained; a Monte-Carlo D also carries how its
-    draws were split between the estimator's levels (``d_levels``, see
-    ``complexity.WidthEstimate``).
+    Lipschitz ratio); D is the Gaussian width of the gradient cloud.  A
+    Monte-Carlo D carries its standard error and how its draws were split
+    between the estimator's levels (``d_levels``, see
+    ``complexity.WidthEstimate``); a D without ``d_stderr`` is not an estimate.
     """
 
     d: float
     l1: float
     l2: float
     d_stderr: Optional[float] = None
-    d_provenance: str = "exact"
-    l1_provenance: str = "exact"
-    l2_provenance: str = "exact"
     d_levels: Optional[dict] = field(default=None, hash=False)
 
     def __post_init__(self):
@@ -166,9 +160,15 @@ class ComplexityParams:
             raise ValueError("gradient complexity must be nonnegative")
         if self.l1 < 1.0 or self.l2 < 1.0:
             raise ValueError("L1 and L2 carry a floor of 1")
-        for p in (self.d_provenance, self.l1_provenance, self.l2_provenance):
-            if p not in PROVENANCE:
-                raise ValueError(f"unknown provenance {p!r}")
+
+    def structural_threshold(self, n: int) -> float:
+        """The structural-set threshold 5000 L1 L2^(3/4) D^(1/4) n^(3/4) at dimension n.
+
+        A point X is in the structural set when ||X - tanh(grad f(X))||_1 is at
+        most this.  At desk scale it usually exceeds 2n, the largest such
+        residual on [-1, 1]^n, so membership is vacuous there.
+        """
+        return 5000.0 * self.l1 * self.l2**0.75 * self.d**0.25 * n**0.75
 
     @staticmethod
     def from_raw(d: float, lip: float, grad_ratio: float, **kw) -> "ComplexityParams":
@@ -484,12 +484,7 @@ def ising_complexity_bounds(a: np.ndarray, mu: np.ndarray) -> ComplexityParams:
     with np.errstate(over="ignore"):  # ComplexityParams refuses a bound that overflows
         row_sum = float(np.abs(a).sum(axis=1).max())
         d = math.sqrt(n * float((a * a).sum())) + math.sqrt(n) * mu_max
-    return ComplexityParams.from_raw(
-        d, mu_max + row_sum, row_sum,
-        d_provenance="closed_form_bound",
-        l1_provenance="closed_form_bound",
-        l2_provenance="closed_form_bound",
-    )
+    return ComplexityParams.from_raw(d, mu_max + row_sum, row_sum)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Fixed points of X = tanh(lambda * grad f(X)) and the associated functional.
 
-The damped iteration, the membership test against the structural threshold
-5000 L1 L2^(3/4) D^(1/4) n^(3/4), the variational functional whose critical
-points are exactly the fixed points, the scalar ferromagnet analysis, and
-the lambda scan used for smoothed-cutoff conditioning all live here, and
-so does the conditioning window [(t - 6 delta) n, t n] that the scan filters
-with and ``ld-scan`` reports.
+The damped iteration, the variational functional whose critical points are
+exactly the fixed points, the scalar ferromagnet analysis, and the lambda
+scan used for smoothed-cutoff conditioning all live here, and so does the
+conditioning window [(t - 6 delta) n, t n] that the scan filters with and
+``ld-scan`` reports.  The structural threshold that a fixed point's
+residual is held against is ``ComplexityParams.structural_threshold``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import DEFAULT_DAMPING, DEFAULT_TOL
 from .boolfn import FourierExpansion, eval_extension, gradient_extension, pairwise_form
-from .hamiltonians import ComplexityParams
 
 DEFAULT_MAX_ITER = 10_000
 DEDUP_SOLUTION_TOL = 1e-6
@@ -87,12 +86,6 @@ class FixedPointSolution:
         pt = np.asarray(self.point, dtype=np.float64).copy()
         pt.flags.writeable = False
         object.__setattr__(self, "point", pt)
-
-
-def residual_l1(f: FourierExpansion | GradientField, x: np.ndarray, lam: float = 1.0) -> float:
-    field = as_gradient_field(f)
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.abs(x - np.tanh(lam * field(x))).sum())
 
 
 def mf_iterate(f: FourierExpansion | GradientField, x0, *, lam: float = 1.0,
@@ -243,32 +236,6 @@ def solve_multistart(f: FourierExpansion | GradientField, n: int, *, lam: float 
     converged = dedupe_solutions([s for s in sols if s.converged])
     stuck = [s for s in sols if not s.converged]
     return converged + stuck
-
-
-@dataclass(frozen=True)
-class StructuralSetReport:
-    threshold: float
-    residual: float
-    member: bool
-    residual_over_n: float
-
-
-def structural_set_test(f: FourierExpansion | GradientField, x,
-                        params: ComplexityParams) -> StructuralSetReport:
-    """Membership in the structural set: residual of x = tanh(grad f(x)) at the n = x.size
-    coordinates of x, against the stated threshold.
-
-    The threshold 5000 L1 L2^(3/4) D^(1/4) n^(3/4) exceeds the trivial
-    diameter 2n at desk scale, making membership vacuous for small systems,
-    so the report also carries residual/n: the raw residual is the
-    scientifically informative number, the threshold the literal one.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    resid = residual_l1(f, x)
-    threshold = 5000.0 * params.l1 * params.l2**0.75 * params.d**0.25 * n**0.75
-    return StructuralSetReport(threshold=threshold, residual=resid,
-                    member=resid <= threshold, residual_over_n=resid / n)
 
 
 def _binary_entropy(p: np.ndarray) -> np.ndarray:

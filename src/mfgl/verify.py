@@ -199,7 +199,8 @@ def audit_main_residuals(f: FourierExpansion, theta_list: Sequence[np.ndarray],
     limit = eps_upper_limit(n, params.d)
     if not (0.0 < eps < limit):
         raise ValueError(f"eps must lie in (0, {limit:.6g}) for D = {params.d:.6g}")
-    base_instance = dict(instance or {}, eps=eps, d=params.d, l1=params.l1, l2=params.l2)
+    base_instance = dict(instance or {}, eps=eps, d=params.d, d_stderr=params.d_stderr,
+                         l1=params.l1, l2=params.l2)
     nu, grad = gibbs_measure(f), flip_differences(vertex_values(f)).T.copy()
     tanh_grad = np.tanh(grad)
     trace_cap = 256.0 * n ** (1.0 / 3.0) * params.d ** (2.0 / 3.0) / eps ** (2.0 / 3.0)

@@ -67,6 +67,12 @@ def mean_field_functional_gradient(f, x):
     return gradient_extension(f, x) - np.arctanh(x)
 
 
+def residual_l1(f, x, lam=1.0):
+    """||x - tanh(lam * grad f(x))||_1 on the gradient field of an expansion or callable."""
+    x = np.asarray(x, dtype=np.float64)
+    return float(np.abs(x - np.tanh(lam * as_gradient_field(f)(x))).sum())
+
+
 def curie_weiss_field(beta, n):
     """The all-ones-coupling map X -> (beta/n) * sum(X) * 1.
 

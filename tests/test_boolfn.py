@@ -34,7 +34,7 @@ from mfgl.hamiltonians import (
     build_hamiltonian,
     smoothed_cutoff_weights,
 )
-from mfgl.meanfield import as_gradient_field, lambda_scan, residual_l1
+from mfgl.meanfield import as_gradient_field, lambda_scan
 from mfgl.transport import solve_w1
 
 from conftest import (
@@ -47,6 +47,7 @@ from conftest import (
     pairwise_form_loop,
     product_weights_direct,
     random_expansion,
+    residual_l1,
 )
 
 

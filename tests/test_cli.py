@@ -393,7 +393,9 @@ def test_analyze_curie_weiss(tmp_path):
     constant = [s["point"][0] for s in report["solutions"]
                 if s["converged"] and np.ptp(s["point"]) == 0 and s["point"][0] > 0]
     assert constant and abs(constant[0] - root) <= 1e-8
-    assert all("structural_set" in s for s in report["solutions"] if s["converged"])
+    assert not any("structural_set" in s for s in report["solutions"])
+    p = report["params"]
+    assert p["structural_threshold"] == 5000.0 * p["l1"] * p["l2"]**0.75 * p["d"]**0.25 * 6**0.75
     assert report["config"]["hamiltonian"]["type"] == "curie_weiss"
 
 
@@ -461,7 +463,6 @@ def test_analyze_ising_reports_closed_form_bounds(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     bounds = report["closed_form_bounds"]
-    assert bounds["d_provenance"] == "closed_form_bound"
     # the Monte-Carlo width sits below the closed form (allowing 3 sigma)
     assert report["params"]["d"] <= bounds["d"] + 3 * report["params"]["d_stderr"]
     assert report["params"]["l1"] <= bounds["l1"] + 1e-12
@@ -478,7 +479,6 @@ def test_analyze_reports_closed_form_bounds_for_every_pairwise_expansion(tmp_pat
     out = tmp_path / "report.json"
     assert cli.main(["analyze", "--spec", spec, "--out", str(out), "--samples", "2000"]) == 0
     bounds = json.loads(out.read_text())["closed_form_bounds"]
-    assert bounds["d_provenance"] == "closed_form_bound"
     if payload["type"] == "linear":
         # A = 0, so D <= sqrt(n) max |mu|, and L1, L2 sit at their unit floors
         assert bounds["d"] == np.sqrt(3) * 0.5
@@ -801,6 +801,17 @@ def test_missing_spec_is_input_error():
 
 def test_bad_usage_exits_one():
     assert cli.main(["not-a-command"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--spec", "s.json", "--suite", "all"],
+                                  ["report", "--spec", "r.json", "extra"]])
+def test_unrecognized_arguments_show_the_command_usage(capsys, argv):
+    # the usage line lists the flags the command does take
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: mfgl {argv[0]} [-h] [--spec SPEC_PATH]")
+    assert err.endswith(f"mfgl {argv[0]}: error: unrecognized arguments: "
+                        f"{' '.join(argv[3:])}\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1e-10", "0"])

@@ -201,8 +201,6 @@ def test_complexity_params_zero_function():
         p = complexity_params(FourierExpansion(4), samples=samples, seed=0)
         assert (p.d, p.d_stderr, p.l1, p.l2) == (0.0, 0.0, 1.0, 1.0)
         assert p.d_levels["winners"] == winners
-        assert p.d_provenance == "monte_carlo"
-        assert p.l1_provenance == "exact"
 
 
 def test_complexity_params_random_instance():
@@ -228,8 +226,7 @@ def test_complexity_params_builds_tables_once(monkeypatch):
     d, d_se = width.estimate, width.stderr
     assert p == ComplexityParams.from_raw(d, float(np.abs(grads).max()),
                                           flip_lipschitz_tables(grads),
-                                          d_stderr=d_se, d_provenance="monte_carlo",
-                                          d_levels=width.levels())
+                                          d_stderr=d_se, d_levels=width.levels())
 
 
 def test_complexity_params_never_holds_the_gradient_tables():

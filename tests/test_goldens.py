@@ -86,6 +86,99 @@ GOLDENS = {
 }
 
 
+# The provenance of every number a report holds, by key path ("*" is any list
+# item; an entry for a block covers every number in it):
+#   exact        computed without rounding
+#   rounded      a float computation of an exact quantity
+#   monte_carlo  a Monte-Carlo estimate, with the key beside it that holds its
+#                standard error
+#   certified    a proven bound
+#   config       a value the run was given, or one its suite fixes
+#   count        an integer count or index
+# A standard error is the exact statistic of its draws, so it is ``rounded``.
+# The structural threshold is a power of the Monte-Carlo D, whose standard error
+# it names; so do the main suite's rows, whose bounds are evaluated at that D.
+REPORT_KEY_KINDS = {
+    "config": "config",
+    "params.d": ("monte_carlo", "d_stderr"),
+    "params.d_stderr": "rounded",
+    "params.d_levels.pilot_draws": "count",
+    "params.d_levels.winners": "count",
+    "params.d_levels.level0_draws": "count",
+    "params.d_levels.level0_stderr": "rounded",
+    "params.d_levels.level1_draws": "count",
+    "params.d_levels.level1_stderr": "rounded",
+    "params.d_levels.level1_nonzero": "count",
+    "params.l1": "rounded",
+    "params.l2": "rounded",
+    "params.structural_threshold": ("monte_carlo", "d_stderr"),
+    "closed_form_bounds.d": "certified",
+    "closed_form_bounds.l1": "certified",
+    "closed_form_bounds.l2": "certified",
+    "scalar_roots.*": "rounded",
+    "solutions.*.lambda": "config",
+    "solutions.*.point.*": "rounded",
+    "solutions.*.residual_l1": "rounded",
+    "solutions.*.iterations": "count",
+    "solutions.*.period": "count",
+    "cutoff.t": "config",
+    "cutoff.delta": "config",
+    "cutoff.delta_prime": "rounded",
+    "cutoff.two_delta_upper_bound": "exact",
+    "cutoff.window.*": "rounded",
+    "cutoff.zero_band_states": "count",
+    "cutoff.mid_band_states": "count",
+    "cutoff.top_band_states": "count",
+    "audits.*.measured": "rounded",
+    "audits.*.bound": "certified",
+    "audits.*.ratio": "rounded",
+    "audits.*.instance.d": ("monte_carlo", "d_stderr"),
+    "audits.*.instance.d_stderr": "rounded",
+    "audits.*.instance.l1": "rounded",
+    "audits.*.instance.l2": "rounded",
+    "audits.*.instance.eps": "config",
+    "audits.*.instance.t": "config",
+    "audits.*.instance.delta": "config",
+    "audits.*.instance.seed": "config",
+    "audits.*.instance.trials": "config",
+    "audits.*.instance.n": "config",
+    "audits.*.instance.l_range.*": "config",
+    "audits.*.instance.n_list.*": "config",
+    "audits.*.instance.delta_prime": "rounded",
+    "audits.*.instance.witness_gap": "rounded",
+    "audits.*.instance.slope": "rounded",
+    "audits.*.instance.theta_norm": "rounded",
+    "audits.*.instance.trace": "rounded",
+    "audits.*.instance.mass_error_bound": "certified",
+    "audits.*.instance.mean_index": "count",
+    "audits.*.instance.tilt_index": "count",
+    "audits.*.instance.suite_instance": "count",
+    "audits.*.instance.points": "count",
+    "audits.*.instance.tail_size": "count",
+    "summary.rows": "count",
+    "summary.bound_rows": "count",
+    "summary.failures": "count",
+    "summary.errors": "count",
+}
+KINDS = ("exact", "rounded", "certified", "config", "count")  # and ("monte_carlo", se_key)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def numeric_leaves(node, path=(), parent=None):
+    """(key path, dict holding the number) for each number in a parsed report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from numeric_leaves(value, path + (key,), node)
+    elif isinstance(node, list):
+        for value in node:
+            yield from numeric_leaves(value, path + ("*",), parent)
+    elif is_number(node):
+        yield path, parent
+
+
 def run_golden(name: str, cwd: Path) -> bytes:
     """Run the argv of golden ``name`` from ``cwd`` and return its report bytes."""
     argv = GOLDENS[name]
@@ -115,6 +208,28 @@ def test_report_command_reproduces_golden_without_numpy(name):
                                    "--format", "json", block=("numpy",))
     assert code == 0
     assert out == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_every_reported_number_has_a_provenance():
+    # exact, certified or with its standard error beside it, in every golden report
+    for kind in REPORT_KEY_KINDS.values():
+        assert kind in KINDS or (kind[0] == "monte_carlo" and len(kind) == 2), kind
+    unnamed, missing_se, used = set(), set(), set()
+    for name in (n for n in GOLDENS if n.endswith(".json")):
+        report = json.loads((GOLDEN_DIR / name).read_bytes())
+        for path, holder in numeric_leaves(report):
+            entry = next((p for p in (".".join(path[:k]) for k in range(len(path), 0, -1))
+                          if p in REPORT_KEY_KINDS), None)
+            if entry is None:
+                unnamed.add(f"{name}: {'.'.join(path)}")
+                continue
+            used.add(entry)
+            kind = REPORT_KEY_KINDS[entry]
+            if isinstance(kind, tuple) and not is_number(holder.get(kind[1])):
+                missing_se.add(f"{name}: {'.'.join(path)} without {kind[1]}")
+    assert not unnamed, f"numbers of no known provenance: {sorted(unnamed)}"
+    assert not missing_se, f"Monte-Carlo numbers without a standard error: {sorted(missing_se)}"
+    assert used == set(REPORT_KEY_KINDS), f"no golden holds {sorted(set(REPORT_KEY_KINDS) - used)}"
 
 
 def test_reports_unchanged_with_debug_logging(tmp_path, caplog):

@@ -262,7 +262,7 @@ def test_curie_weiss_matrices_match_literal_pair_coefficient():
 def test_ising_bounds_trivial_instance():
     p = ising_complexity_bounds(np.zeros((4, 4)), np.zeros(4))
     assert (p.d, p.l1, p.l2) == (0.0, 1.0, 1.0)
-    assert p.d_provenance == "closed_form_bound"
+    assert p.d_stderr is None
 
 
 def test_curie_weiss_as_ising_width_bound():

@@ -1,4 +1,4 @@
-"""Fixed-point iteration, structural-set test, functional, scalar roots, lambda scan."""
+"""Fixed-point iteration, structural threshold, functional, scalar roots, lambda scan."""
 
 import logging
 from collections import Counter
@@ -27,9 +27,7 @@ from mfgl.meanfield import (
     mean_field_functional,
     mf_iterate,
     multistart_points,
-    residual_l1,
     solve_multistart,
-    structural_set_test,
 )
 
 from conftest import (
@@ -38,6 +36,7 @@ from conftest import (
     lambda_scan_plain,
     mean_field_functional_gradient,
     random_expansion,
+    residual_l1,
 )
 
 CUTOFF6 = SmoothedCutoffSpec(CurieWeissSpec(1.5, 6), 0.4, 0.05)
@@ -223,17 +222,10 @@ def test_solutions_carry_status_and_period():
     assert {(s.status, s.period, s.iterations) for s in capped} == {("max_iter", 0, 300)}
 
 
-def test_structural_set_exact_root_is_member():
-    f = FourierExpansion(4)
-    report = structural_set_test(f, np.zeros(4), ComplexityParams(1.0, 1.0, 1.0))
-    assert report.residual == 0.0 and report.member
-
-
-def test_structural_set_threshold_formula():
-    report = structural_set_test(lambda x: np.zeros_like(x), np.zeros(16),
-                     ComplexityParams(1.0, 1.0, 1.0))
-    assert report.threshold == pytest.approx(40_000.0)
-    assert report.residual_over_n == 0.0
+def test_structural_threshold_formula():
+    # 5000 L1 L2^(3/4) D^(1/4) n^(3/4): 5000 * 8 at unit params and n = 16
+    assert ComplexityParams(1.0, 1.0, 1.0).structural_threshold(16) == 40_000.0
+    assert ComplexityParams(16.0, 2.0, 16.0).structural_threshold(16) == 5000.0 * 2 * 8 * 2 * 8
 
 
 def test_structural_set_subcritical_norm_bound():
