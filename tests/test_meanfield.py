@@ -222,7 +222,14 @@ def test_solutions_carry_status_and_period():
     assert {(s.status, s.period, s.iterations) for s in capped} == {("max_iter", 0, 300)}
 
 
-def test_structural_threshold_formula():
+def test_structural_set_exact_root_is_member():
+    f = FourierExpansion(4)
+    residual = residual_l1(f, np.zeros(4))
+    assert residual == 0.0
+    assert residual <= ComplexityParams(1.0, 1.0, 1.0).structural_threshold(4)
+
+
+def test_structural_set_threshold_formula():
     # 5000 L1 L2^(3/4) D^(1/4) n^(3/4): 5000 * 8 at unit params and n = 16
     assert ComplexityParams(1.0, 1.0, 1.0).structural_threshold(16) == 40_000.0
     assert ComplexityParams(16.0, 2.0, 16.0).structural_threshold(16) == 5000.0 * 2 * 8 * 2 * 8
