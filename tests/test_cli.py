@@ -524,6 +524,25 @@ def test_ld_scan_witness_missing_exits_one(tmp_path, capsys):
     assert report["audits"][0]["check_id"] == "witness_missing"
 
 
+def test_audit_writes_the_witness_missing_error_row(tmp_path):
+    # no vertex of curie_weiss(1.5, 8) reaches f >= t n = 12 (max f = 10.5)
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 8}, "cw8.json")
+    out = tmp_path / "audit.json"
+    assert cli.main(["audit", "--suite", "ld", "--spec", spec, "--out", str(out),
+                     "--t", "1.5", "--delta", "0.05"]) == 1
+    text = out.read_text()
+    report = json.loads(text)
+    [row] = report["audits"]
+    assert list(row) == ["check_id", "instance", "measured", "bound", "ratio", "pass", "kind",
+                         "hypothesis_met"]
+    assert row["check_id"] == "witness_missing"
+    assert list(row["instance"].items()) == [("spec", spec), ("t", 1.5), ("delta", 0.05),
+                                             ("witness_gap", -1.5)]
+    assert row["measured"] == -1.5 and '"bound": 0,' in text and row["ratio"] is None
+    assert row["pass"] is False and row["kind"] == "error" and row["hypothesis_met"] is False
+    assert report["summary"]["errors"] == 1
+
+
 def test_ld_scan_requires_t_and_delta(tmp_path):
     spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 6})
     assert cli.main(["ld-scan", "--spec", spec]) == 1
