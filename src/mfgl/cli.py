@@ -38,8 +38,9 @@ them in ``mfgl.size_caps`` around the command, and every table and
 transport the command builds reads them there.
 Numbers in reports are emitted with 17 significant digits and reports are
 written atomically (temp file + rename), so identical configs and seeds
-produce byte-identical files.  Exit codes: 0 success, 1 input error,
-2 at least one proven-bound audit failed.
+produce byte-identical files.  Exit codes: 0 success, 1 input error or an
+error-kind audit row (one ``error:`` line per row naming its check_id and
+instance), 2 at least one proven-bound audit failed.
 
 ``report``, ``--help`` and ``--version`` need no numpy: this front imports
 the standard library alone, and ``import mfgl`` is lazy.  Each compute
@@ -90,8 +91,15 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _number(x) -> str:
+    """``x`` with 17 significant digits; "" for None and non-finite values."""
+    if x is None:
+        return ""
+    x = float(x)
+    return format(x, ".17g") if math.isfinite(x) else ""
+
+
 def _emit_json(obj, out: list, indent: int) -> None:
-    pad = " " * indent
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -99,34 +107,27 @@ def _emit_json(obj, out: list, indent: int) -> None:
     elif isinstance(obj, int):
         out.append(str(int(obj)))
     elif isinstance(obj, float):
-        x = float(obj)
-        if not math.isfinite(x):
-            out.append("null")
-        else:
-            out.append(format(x, ".17g"))
+        out.append(_number(obj) or "null")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
+    elif isinstance(obj, (dict, list, tuple)) or _is_ndarray(obj):
+        keyed = isinstance(obj, dict)
+        items = list(obj.items() if keyed else obj)
+        brackets = "{}" if keyed else "[]"
+        if not items:
+            out.append(brackets)
             return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(pad + "  " + json.dumps(str(k)) + ": ")
-            _emit_json(v, out, indent + 2)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)) or _is_ndarray(obj):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(seq):
-            out.append(pad + "  ")
-            _emit_json(v, out, indent + 2)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
+        pad = " " * indent
+        out.append(brackets[0] + "\n")
+        for i, item in enumerate(items):
+            if keyed:
+                key, item = item
+                out.append(pad + "  " + json.dumps(str(key)) + ": ")
+            else:
+                out.append(pad + "  ")
+            _emit_json(item, out, indent + 2)
+            out.append(",\n" if i < len(items) - 1 else "\n")
+        out.append(pad + brackets[1])
     # numpy integer and float scalars, checked last: the checks are slow
     elif isinstance(obj, numbers.Integral):
         _emit_json(int(obj), out, indent)
@@ -160,9 +161,9 @@ def serialize_report(report: dict, fmt: str) -> bytes:
         for row in report.get("audits", []):
             writer.writerow([
                 row["check_id"],
-                _csv_num(row["measured"]),
-                _csv_num(row["bound"]),
-                _csv_num(row["ratio"]),
+                _number(row["measured"]),
+                _number(row["bound"]),
+                _number(row["ratio"]),
                 str(bool(row["pass"])).lower(),
                 row["kind"],
                 str(bool(row["hypothesis_met"])).lower(),
@@ -170,13 +171,6 @@ def serialize_report(report: dict, fmt: str) -> bytes:
             ])
         return buf.getvalue().encode()
     raise InputError(f"unsupported format {fmt!r}")
-
-
-def _csv_num(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    return format(x, ".17g") if math.isfinite(x) else ""
 
 
 def parse_report(data: bytes | str) -> dict:
@@ -219,6 +213,19 @@ def _params_dict(p) -> dict:
     se = {} if p.d_stderr is None else {"d_stderr": p.d_stderr}
     levels = {} if p.d_levels is None else {"d_levels": p.d_levels}
     return {"d": p.d, **se, **levels, "l1": p.l1, "l2": p.l2}
+
+
+def _exit_status(rows: Sequence[AuditRow]) -> int:
+    """1, with one ``error:`` line per error row, else 2 if a proven bound fails, else 0."""
+    from . import verify
+
+    errors = [r for r in rows if r.kind == "error"]
+    for r in errors:
+        print(f"error: audit row {r.check_id} refused the instance {json.dumps(r.instance)}",
+              file=sys.stderr)
+    if errors:
+        return EXIT_INPUT_ERROR
+    return EXIT_AUDIT_FAILED if verify.failures(rows) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +303,9 @@ def _cmd_ld_scan(config: RunConfig) -> tuple[int, dict]:
     cutoff = hamiltonians.smoothed_cutoff_weights(f, config.t, config.delta)
     rows = verify.audit_large_deviations(cutoff, instance={"spec": config.spec_path})
     report["audits"] = [r.as_dict() for r in rows]
-    if rows and rows[0].kind == "error":
-        print(f"witness-missing: no vertex reaches f >= t*n = {config.t * f.n:.17g} "
-              f"(max f = {float(cutoff.f_values.max()):.17g})", file=sys.stderr)
-        return EXIT_INPUT_ERROR, report
+    code = _exit_status(rows)
+    if code == EXIT_INPUT_ERROR:
+        return code, report
     # The derived lower-cutoff width delta' sits below the looser 2*delta
     # description; report both so the gap stays visible.
     report["cutoff"] = {
@@ -318,7 +324,7 @@ def _cmd_ld_scan(config: RunConfig) -> tuple[int, dict]:
                                      lambda_grid=config.parsed_lambda_grid(), seed=config.seed,
                                      tol=config.tol, damping=config.damping)
     report["solutions"] = [_solution_dict(s) for s in sols]
-    return (EXIT_AUDIT_FAILED if verify.failures(rows) else EXIT_OK), report
+    return code, report
 
 
 def _default_random_instances(seed: int, count: int, n_range=(4, 8), degree=3):
@@ -344,15 +350,14 @@ def _suite_appendix(config: RunConfig, built: FourierExpansion | None) -> list[A
 
     from . import hamiltonians, verify
 
-    rows = [verify.audit_tanh_mean_swap(2000, (1.0, 5.0), seed=config.seed)]
+    rows = verify.audit_tanh_mean_swap(2000, (1.0, 5.0), seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     for k, f in _default_random_instances(config.seed + 2, 3, n_range=(6, 8), degree=2):
         means = [rng.uniform(-0.9, 0.9, f.n) for _ in range(4)]
         rows.extend(verify.audit_chain_rule_and_moments(
             f, hamiltonians.CutoffShape(), means, seed=config.seed,
             instance={"suite_instance": k}))
-    t_rows, _ = verify.tightness_demo([16, 64, 256])
-    return rows + t_rows
+    return rows + verify.tightness_demo([16, 64, 256])
 
 
 def _suite_proximity(config: RunConfig, built: FourierExpansion | None) -> list[AuditRow]:
@@ -397,8 +402,7 @@ def _suite_ld(config: RunConfig, built: FourierExpansion | None) -> list[AuditRo
 def _suite_tightness(config: RunConfig, built: FourierExpansion | None) -> list[AuditRow]:
     from . import verify
 
-    rows, _ = verify.tightness_demo([16, 64, 256, 1024])
-    return rows
+    return verify.tightness_demo([16, 64, 256, 1024])
 
 
 # Each suite maps (config, the --spec expansion or None) to its rows; ``all``
@@ -423,17 +427,13 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
         with _timed(config, report, name):
             rows.extend(_SUITES[name](config, built))
     report["audits"] = [r.as_dict() for r in rows]
-    bad = verify.failures(rows)
-    errors = [r for r in rows if r.kind == "error"]
     report["summary"] = {
         "rows": len(rows),
         "bound_rows": sum(1 for r in rows if r.kind == "bound" and r.hypothesis_met),
-        "failures": len(bad),
-        "errors": len(errors),
+        "failures": len(verify.failures(rows)),
+        "errors": sum(1 for r in rows if r.kind == "error"),
     }
-    if errors:
-        return EXIT_INPUT_ERROR, report
-    return (EXIT_AUDIT_FAILED if bad else EXIT_OK), report
+    return _exit_status(rows), report
 
 
 def _cmd_report(config: RunConfig) -> tuple[int, dict]:

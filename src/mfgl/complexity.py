@@ -17,10 +17,9 @@ A alone.  Level 1 takes independent draws on all of K; its samples are
 max(sup_K - sup_A, 0), zero unless a draw's maximiser lies outside A.  The
 clamp is exact, since sup_K >= sup_A before rounding.  The two sups take
 the same row's product in differently shaped blocks, which may round apart
-either way: on triangle_count n = 21, seed 7, with 4,096 pilot and 4,096
-level-1 draws, 30 unclamped draws were nonzero with no winner missed, 14
-down to -2.1e-14 and 16 up to 2.1e-14.  The clamp zeroes the first kind,
-so ``level1_nonzero`` no longer counts them; the second kind still counts.
+either way: the clamp zeroes a draw that rounds below zero, but
+``level1_nonzero`` can still count a draw that rounds above zero though its
+maximiser lies in A.
 Level 1 first takes a probe of ``LEVEL1_FLOOR`` draws, whose variance V1
 sizes it by Giles' rule against level 0's variance V0 and the cost of a
 draw, |A| + 1 rows at level 0 and |K| + |A| at level 1; its mean then

@@ -238,7 +238,7 @@ class HamiltonianSpec:
 
     A spec's JSON object is its ``type`` tag followed by its dataclass fields,
     in field order; each type's ``_validate`` coerces and validates those
-    fields, and ``__post_init__`` then refuses a dimension n above
+    fields, and ``__post_init__`` then refuses a dimension n below 1 or above
     ``MAX_DIMENSION``, which the int64 subset masks cannot hold.  So every
     route into a spec (JSON or Python) is checked the same way, before
     anything is built.  Each type's ``build()`` returns its
@@ -247,6 +247,8 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         self._validate()
+        if self.n < 1:
+            raise InvalidSpec(f"n = {self.n}: a spec needs at least one coordinate")
         if self.n > MAX_DIMENSION:
             raise InvalidSpec(f"n = {self.n} exceeds {MAX_DIMENSION}, the most coordinates "
                               f"a subset bitmask holds")
@@ -270,8 +272,8 @@ class LinearSpec(HamiltonianSpec):
 
     def _validate(self):
         theta = _numbers(self.theta)
-        if theta.ndim != 1 or theta.size == 0 or not np.all(np.isfinite(theta)):
-            raise InvalidSpec("linear field must be a finite nonempty vector")
+        if theta.ndim != 1 or not np.all(np.isfinite(theta)):
+            raise InvalidSpec("linear field must be a finite vector")
         self._set(theta=tuple(theta.tolist()))
 
     @property

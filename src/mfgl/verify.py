@@ -17,7 +17,7 @@ alone: ``sample_tilts`` draws from it and ``theta_in_tilt_support`` tests it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,10 +51,11 @@ class AuditRow:
     """One measured-vs-bound comparison.
 
     ``kind`` is "bound" for proven inequalities, "hypothesis" for
-    informational hypothesis checks, and "error" for refused instances;
-    ``hypothesis_met`` marks whether the row's own preconditions held.
-    ``ratio`` is measured/bound, zero when both vanish and None (flagged)
-    when the bound vanishes but the measurement does not.
+    informational hypothesis checks, and "error" for refused instances,
+    which never pass; ``hypothesis_met`` marks whether the row's own
+    preconditions held.  ``ratio`` is measured/bound, zero when both vanish
+    and None (flagged) when the bound vanishes but the measurement does not.
+    ``make_row`` builds every row.
     """
 
     check_id: str
@@ -67,16 +68,9 @@ class AuditRow:
     hypothesis_met: bool = True
 
     def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "instance": self.instance,
-            "measured": self.measured,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "pass": self.passed,
-            "kind": self.kind,
-            "hypothesis_met": self.hypothesis_met,
-        }
+        """The report row: every field in order, ``passed`` written as ``pass``."""
+        return {"pass" if f.name == "passed" else f.name: getattr(self, f.name)
+                for f in fields(self)}
 
 
 def make_row(check_id: str, instance: dict, measured: float, bound: float,
@@ -90,7 +84,8 @@ def make_row(check_id: str, instance: dict, measured: float, bound: float,
     else:
         ratio = measured / bound
     return AuditRow(check_id=check_id, instance=instance, measured=measured,
-                    bound=bound, ratio=ratio, passed=measured <= bound + PASS_SLACK,
+                    bound=bound, ratio=ratio,
+                    passed=kind != "error" and measured <= bound + PASS_SLACK,
                     kind=kind, hypothesis_met=hypothesis_met)
 
 
@@ -236,7 +231,7 @@ def audit_main_residuals(f: FourierExpansion, theta_list: Sequence[np.ndarray],
 
 
 def audit_tanh_mean_swap(trials: int, l_range: tuple[float, float] = (1.0, 5.0),
-                         seed: int | None = 0) -> AuditRow:
+                         seed: int | None = 0) -> list[AuditRow]:
     """|tanh(EZ) - E tanh Z| vs 20 L E|tanh Z - E tanh Z| on random bounded Z.
 
     Z has at most four atoms in [-L, L]; the summary row reports the worst
@@ -264,7 +259,7 @@ def audit_tanh_mean_swap(trials: int, l_range: tuple[float, float] = (1.0, 5.0),
         ratios = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), np.where(lhs > 0, np.inf, 0.0))
     worst = float(ratios.max())
     inst = {"trials": trials, "l_range": [lo, hi], "seed": seed}
-    return make_row("tanh_mean_swap", inst, worst, 1.0)
+    return [make_row("tanh_mean_swap", inst, worst, 1.0)]
 
 
 def audit_chain_rule_and_moments(f: FourierExpansion, h: ScalarShape,
@@ -334,8 +329,7 @@ def audit_large_deviations(cutoff: SmoothedCutoff, *,
     base = dict(instance or {}, t=t, delta=delta)
     witness_gap = float(cutoff.f_values.max()) - t * n
     if witness_gap < 0:
-        return [AuditRow(check_id="witness_missing", instance=dict(base, witness_gap=witness_gap),
-                         measured=witness_gap, bound=0.0, ratio=None, passed=False,
+        return [make_row("witness_missing", dict(base, witness_gap=witness_gap), witness_gap, 0.0,
                          kind="error", hypothesis_met=False)]
     nu = DenseMeasure.from_log_weights(n, cutoff.g_values)
     sigma = DenseMeasure.from_log_weights(n, cutoff.log_phi)
@@ -381,12 +375,13 @@ def counting_composition_gradient_norm(n: int) -> float:
     return n * abs(float(pmf @ halves))
 
 
-def tightness_demo(n_list: Sequence[int]) -> tuple[list[AuditRow], float]:
+def tightness_demo(n_list: Sequence[int]) -> list[AuditRow]:
     """Log-log growth rate of the counting-composition gradient norm.
 
     Comparing against the zero vector h'(f(0)) grad f(0) (the shape has
     vanishing derivative at the origin), the norm itself is the chain-rule
-    defect; its fitted exponent should sit near 3/2.
+    defect; its fitted exponent should sit near 3/2.  The last two rows
+    bound that exponent and carry it as ``instance["slope"]``.
     """
     n_list = [int(n) for n in n_list]
     if any(n < 8 for n in n_list) or len(n_list) < 2:
@@ -398,4 +393,4 @@ def tightness_demo(n_list: Sequence[int]) -> tuple[list[AuditRow], float]:
     inst = {"n_list": n_list, "slope": slope}
     rows.append(make_row("growth_exponent_upper", inst, slope, 1.6))
     rows.append(make_row("growth_exponent_lower", inst, 1.4, slope))
-    return rows, slope
+    return rows

@@ -140,6 +140,9 @@ MALFORMED_SPECS = [
     {"type": "curie_weiss", "beta": float("inf"), "n": 6},
     {"type": "triangle_count", "beta": float("inf"), "num_vertices": 4},
     {"type": "sparse_fourier", "n": 3, "terms": [{"subset": [0], "coeff": float("nan")}]},
+    {"type": "linear", "theta": []},
+    {"type": "sparse_fourier", "n": 0, "terms": []},
+    {"type": "sparse_fourier", "n": -3, "terms": []},
 ]
 
 
@@ -351,6 +354,13 @@ def test_csv_row_count_matches_json():
     assert len(csv_lines) - 1 == len(json_rows) == 7
 
 
+def test_audit_row_keys_are_the_csv_columns():
+    # verify's row schema and the numpy-free cli's columns agree; the CSV puts the
+    # nested instance last and keeps every other key in the row's order
+    keys = list(make_row("r", {}, 1.0, 2.0).as_dict())
+    assert [k for k in keys if k != "instance"] + ["instance"] == list(cli.CSV_COLUMNS)
+
+
 def test_emit_json_takes_numpy_numbers_and_arrays():
     plain = {"i": 3, "x": 0.5, "nan": None, "v": [1.0, None], "m": [[0, 1]], "e": []}
     arrays = {"i": np.int64(3), "x": np.float32(0.5), "nan": np.float64("nan"),
@@ -519,7 +529,7 @@ def test_ld_scan_witness_missing_exits_one(tmp_path, capsys):
     code = cli.main(["ld-scan", "--spec", spec, "--out", str(out), "--t", "5.0",
                      "--delta", "0.05"])
     assert code == 1
-    assert "witness-missing" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: audit row witness_missing ")
     report = json.loads(out.read_text())
     assert report["audits"][0]["check_id"] == "witness_missing"
 
@@ -541,6 +551,18 @@ def test_audit_writes_the_witness_missing_error_row(tmp_path):
     assert row["measured"] == -1.5 and '"bound": 0,' in text and row["ratio"] is None
     assert row["pass"] is False and row["kind"] == "error" and row["hypothesis_met"] is False
     assert report["summary"]["errors"] == 1
+
+
+def test_a_missing_witness_is_one_error_line_in_audit_and_ld_scan(tmp_path, capsys):
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 8}, "cw8.json")
+    level = ["--spec", spec, "--out", str(tmp_path / "r.json"), "--t", "1.5", "--delta", "0.05"]
+    lines = []
+    for command in (["audit", "--suite", "ld"], ["ld-scan"]):
+        assert cli.main(command + level) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "witness_missing" in err
+        lines.append(err)
+    assert lines[0] == lines[1]
 
 
 def test_ld_scan_requires_t_and_delta(tmp_path):
@@ -771,7 +793,7 @@ def test_audit_failure_exits_two(tmp_path, monkeypatch):
     # The CLI calls the audits through the verify module, so a patch there
     # reaches it.
     bad = make_row("forced_failure", {}, 2.0, 1.0)
-    monkeypatch.setattr(verify, "audit_tanh_mean_swap", lambda *a, **k: bad)
+    monkeypatch.setattr(verify, "audit_tanh_mean_swap", lambda *a, **k: [bad])
     out = tmp_path / "audit.json"
     code = cli.main(["audit", "--suite", "appendix", "--out", str(out), "--seed", "4"])
     assert code == 2

@@ -164,6 +164,12 @@ def test_spec_validation_errors():
         TriangleCountSpec(1.0, float("inf"))
     with pytest.raises(InvalidSpec):
         SparseFourierSpec(3, (((0, 1.7), 1.0),))
+    # a spec has at least one coordinate
+    for make in (lambda: IsingSpec(np.zeros((0, 0)), np.zeros(0)),
+                 lambda: SparseFourierSpec(0, ()),
+                 lambda: SparseFourierSpec(-3, ())):
+        with pytest.raises(InvalidSpec, match="at least one coordinate"):
+            make()
 
 
 def test_specs_refuse_dimensions_the_masks_cannot_hold():

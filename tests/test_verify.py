@@ -164,7 +164,7 @@ def test_main_residuals_refuses_out_of_range_eps():
 
 
 def test_tanh_mean_swap_point_mass_trivial():
-    row = audit_tanh_mean_swap(1, (1.0, 1.0), seed=12)
+    [row] = audit_tanh_mean_swap(1, (1.0, 1.0), seed=12)
     # a single-atom draw is possible; in any case the ratio is bounded by 1
     assert row.measured <= 1.0
 
@@ -177,7 +177,7 @@ def test_tanh_mean_swap_symmetric_two_point():
 
 
 def test_tanh_mean_swap_bulk_ratio_below_one():
-    row = audit_tanh_mean_swap(10_000, (1.0, 5.0), seed=13)
+    [row] = audit_tanh_mean_swap(10_000, (1.0, 5.0), seed=13)
     assert row.passed and row.measured <= 1.0
     assert row.instance["trials"] == 10_000
 
@@ -298,8 +298,8 @@ def test_counting_composition_comparison_term_vanishes():
 
 
 def test_tightness_slope_in_band():
-    rows, slope = tightness_demo([16, 64, 256, 1024])
-    assert 1.4 <= slope <= 1.6
+    rows = tightness_demo([16, 64, 256, 1024])
+    assert 1.4 <= rows[-1].instance["slope"] <= 1.6
     assert not failures(rows)
     ids = [r.check_id for r in rows]
     assert "growth_exponent_upper" in ids and "growth_exponent_lower" in ids
