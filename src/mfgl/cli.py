@@ -8,7 +8,8 @@ fixed-points  multi-start fixed points only
 ld-scan       smoothed-cutoff construction, tail/TV audits, and the lambda
               scan over the conditioning window
 audit         named audit suites (appendix, proximity, main, ld, tightness, all)
-report        re-serialize an existing JSON report (e.g. to CSV)
+report        re-serialize a JSON report as JSON or, the one route to CSV, as
+              the CSV projection of its audit rows, each checked first
 
 Hamiltonian spec JSON schema (one object, dispatch on "type"):
     {"type": "linear", "theta": [0.1, -0.2]}
@@ -22,13 +23,12 @@ n, num_vertices and subset indices are integers (6.0 reads as 6, 6.9 is refused)
 every number must be a JSON number, not a string or a boolean.
 
 Each command takes the flags it reads, and no other:
-analyze       --spec --out --format --seed --samples --tol --damping --max-n
-              --timings
-fixed-points  --spec --out --format --seed --tol --damping --max-n
-ld-scan       --spec --out --format --seed --tol --damping --t --delta --max-n
+analyze       --spec --out --seed --samples --tol --damping --max-n --timings
+fixed-points  --spec --out --seed --tol --damping --max-n
+ld-scan       --spec --out --seed --tol --damping --t --delta --max-n
               --lambda-grid --timings
-audit         --spec --out --format --seed --samples --epsilon --t --delta
-              --max-n --transport-max-states --suite --timings
+audit         --spec --out --seed --samples --epsilon --t --delta --max-n
+              --transport-max-states --suite --timings
 report        --spec --out --format
 Every flag but --timings can be defaulted through the environment variable
 MFGL_ plus its name upper-cased, - as _ (--max-n: MFGL_MAX_N); explicit
@@ -143,8 +143,12 @@ def _is_ndarray(obj) -> bool:
     return numpy is not None and isinstance(obj, numpy.ndarray)
 
 
-CSV_COLUMNS = ("check_id", "measured", "bound", "ratio", "pass", "kind",
-               "hypothesis_met", "instance")
+# The CSV columns in order, with the JSON types each takes in an audit row.
+_NUMBER = ((int, float, type(None)), "a number or null")
+_CSV_TYPES = {"check_id": (str, "a string"), "measured": _NUMBER, "bound": _NUMBER,
+              "ratio": _NUMBER, "pass": (bool, "a boolean"), "kind": (str, "a string"),
+              "hypothesis_met": (bool, "a boolean"), "instance": (dict, "an object")}
+CSV_COLUMNS = tuple(_CSV_TYPES)
 
 
 def serialize_report(report: dict, fmt: str) -> bytes:
@@ -260,6 +264,16 @@ def _require_spec(config: RunConfig) -> tuple[HamiltonianSpec, FourierExpansion]
     return spec, hamiltonians.build_hamiltonian(spec)
 
 
+def _write_fixed_points(config: RunConfig, report: dict, f: FourierExpansion) -> None:
+    """Run the multi-start battery at lambda = 1 into ``report["solutions"]``."""
+    from . import meanfield
+
+    with _timed(config, report, "fixed_points"):
+        sols = meanfield.solve_multistart(f, f.n, lam=1.0, seed=config.seed,
+                                          damping=config.damping, tol=config.tol)
+    report["solutions"] = [_solution_dict(s) for s in sols]
+
+
 def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
     from . import boolfn, complexity, hamiltonians, meanfield
 
@@ -275,21 +289,14 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
     if isinstance(spec, hamiltonians.CurieWeissSpec):
         report["scalar_roots"] = [float(r) for r in meanfield.curie_weiss_roots(
             spec.scalar_slope)]
-    with _timed(config, report, "fixed_points"):
-        sols = meanfield.solve_multistart(f, f.n, lam=1.0, seed=config.seed,
-                                          damping=config.damping, tol=config.tol)
-    report["solutions"] = [_solution_dict(s) for s in sols]
+    _write_fixed_points(config, report, f)
     return EXIT_OK, report
 
 
 def _cmd_fixed_points(config: RunConfig) -> tuple[int, dict]:
-    from . import meanfield
-
     spec, f = _require_spec(config)
     report = _new_report(config, spec.to_dict())
-    sols = meanfield.solve_multistart(f, f.n, lam=1.0,
-                                      seed=config.seed, damping=config.damping, tol=config.tol)
-    report["solutions"] = [_solution_dict(s) for s in sols]
+    _write_fixed_points(config, report, f)
     return EXIT_OK, report
 
 
@@ -445,12 +452,15 @@ def _cmd_report(config: RunConfig) -> tuple[int, dict]:
         raise InputError(f"cannot read report {config.spec_path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not a JSON report: {exc}") from exc
-    if not isinstance(report, dict) or "audits" not in report:
-        raise InputError("input does not look like a report (missing 'audits')")
-    audits = report["audits"]
-    if not isinstance(audits, list) or not all(
-            isinstance(row, dict) and all(key in row for key in CSV_COLUMNS) for row in audits):
-        raise InputError(f"'audits' must be a list of rows with keys {', '.join(CSV_COLUMNS)}")
+    if not isinstance(report, dict) or not isinstance(report.get("audits"), list):
+        raise InputError("input does not look like a report (no list of 'audits')")
+    for i, row in enumerate(report["audits"]):
+        for key, (types, name) in _CSV_TYPES.items():
+            if not isinstance(row, dict) or key not in row:
+                raise InputError(f"audit row {i} has no {key!r}")
+            value = row[key]
+            if not isinstance(value, types) or isinstance(value, bool) != (types is bool):
+                raise InputError(f"audit row {i}: {key!r} must be {name}, not {json.dumps(value)}")
     return EXIT_OK, report
 
 
@@ -496,7 +506,7 @@ class RunConfig:
         None, "--spec", _EVERY, help="Hamiltonian spec JSON (or input report for `report`)")
     out_path: Optional[str] = _option(
         None, "--out", _EVERY, help="output path; stdout when omitted")
-    fmt: str = _option("json", "--format", _EVERY, choices=("json", "csv"))
+    fmt: str = _option("json", "--format", "report", choices=("json", "csv"))
     seed: int = _option(0, "--seed", _COMPUTE, type=int)
     samples: int = _option(DEFAULT_SAMPLES, "--samples", "analyze audit", type=int)
     tol: float = _option(DEFAULT_TOL, "--tol", "analyze fixed-points ld-scan", type=float)
@@ -515,8 +525,8 @@ class RunConfig:
                             help="record wall-clock stage timings (breaks byte-identical reports)")
 
     def validate(self) -> None:
-        if self.fmt not in ("json", "csv"):
-            raise InputError(f"unsupported format {self.fmt!r}")
+        if self.fmt not in ("json", "csv") or (self.fmt == "csv" and self.command != "report"):
+            raise InputError(f"unsupported format {self.fmt!r} for {self.command}")
         if self.max_n < 1 or self.transport_max_states < 1:
             raise InputError("caps must be at least 1")
         if not (self.tol > 0):

@@ -96,24 +96,25 @@ def mf_iterate(f: FourierExpansion | GradientField, x0, *, lam: float = 1.0,
     Iterates stay inside [-1,1]^n (tanh range plus convex combination).
     Damping does not rule out cycles: with gamma = 0.5 the stuck starts of a
     Curie-Weiss scan at negative lambda settle into exact period-2 cycles,
-    which ``_iterate_rows`` fast-forwards to ``max_iter``.  This is the
-    one-start battery of ``_iterate_batch``, so the point is bit for bit the
-    one the start reaches inside any larger battery.
+    which ``_iterate_rows`` fast-forwards to ``max_iter``.  This is its
+    one-start battery, which builds every solution, so the point is bit for
+    bit the one the start reaches inside any larger battery.
     """
     x = np.asarray(x0, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("start point must be a vector")
-    return _iterate_batch(as_gradient_field(f), x[None, :], [start_id], lam=lam,
-                          damping=damping, tol=tol, max_iter=max_iter)[0]
+    return _iterate_rows(as_gradient_field(f), x[None, :], [start_id], lam=lam,
+                         damping=damping, tol=tol, max_iter=max_iter)[0]
 
 
-def _iterate_rows(field: GradientField, x0: np.ndarray, *, lam: float | np.ndarray,
-                  damping: float, tol: float, max_iter: int):
-    """Synchronous damped iteration of a whole start battery, on arrays.
+def _iterate_rows(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
+                  lam: float | np.ndarray, damping: float, tol: float,
+                  max_iter: int) -> list[FixedPointSolution]:
+    """Synchronous damped iteration of a whole start battery.
 
     ``lam`` is one scale for every row or one per row, so a battery may mix
-    grid points.  Returns the final points, residuals, iteration counts,
-    convergence flags and cycle periods, one entry per row of ``x0``.
+    grid points.  Builds every ``FixedPointSolution``: one per row of ``x0``,
+    in order, with its id from ``ids`` and its own lambda.
 
     A row stops at its first convergence and is then written out and
     dropped from the working arrays, so each step evaluates the field on the
@@ -148,8 +149,8 @@ def _iterate_rows(field: GradientField, x0: np.ndarray, *, lam: float | np.ndarr
     # Working arrays, one entry per live row: its row of x0, state, scale,
     # period (0 until found) and the step it stops at unless it converges.
     rows = np.arange(m) if m > 1 else np.zeros(2, dtype=np.int64)
-    x = x0[rows]
-    scale = np.broadcast_to(np.asarray(lam, dtype=np.float64), (m,))[rows, None]
+    lams = np.broadcast_to(np.asarray(lam, dtype=np.float64), (m,))
+    x, scale = x0[rows], lams[rows, None]
     cyc = np.zeros(rows.size, dtype=np.int64)
     end = np.full(rows.size, max_iter, dtype=np.int64)
     next_end = max_iter
@@ -194,17 +195,9 @@ def _iterate_rows(field: GradientField, x0: np.ndarray, *, lam: float | np.ndarr
                      "(period: rows %s), %d at the cap", m, step, int(done.sum()),
                      int((period > 0).sum()), dict(zip(*(c.tolist() for c in cycles))),
                      int((~done & (period == 0)).sum()))
-    return out, resid, iters, done, period
-
-
-def _iterate_batch(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
-                   lam: float, damping: float, tol: float,
-                   max_iter: int) -> list[FixedPointSolution]:
-    """The start battery ``x0`` run by ``_iterate_rows``, one solution per row in order."""
-    x, resid, iters, done, period = _iterate_rows(field, x0, lam=lam, damping=damping,
-                                                  tol=tol, max_iter=max_iter)
-    return [FixedPointSolution(x[k], float(lam), float(resid[k]), int(iters[k]),
-                               bool(done[k]), ids[k], int(period[k])) for k in range(len(x))]
+    return [FixedPointSolution(*row) for row in zip(
+        out, lams.tolist(), resid.tolist(), iters.tolist(), done.tolist(), ids,
+        period.tolist(), strict=True)]
 
 
 def multistart_points(n: int, seed: int = 0) -> list[tuple[str, np.ndarray]]:
@@ -230,9 +223,9 @@ def solve_multistart(f: FourierExpansion | GradientField, n: int, *, lam: float 
                      max_iter: int = DEFAULT_MAX_ITER) -> list[FixedPointSolution]:
     """Run the start battery, dedupe converged solutions, keep failures flagged."""
     starts = multistart_points(n, seed)
-    sols = _iterate_batch(as_gradient_field(f), np.stack([x for _, x in starts]),
-                          [sid for sid, _ in starts], lam=lam, damping=damping,
-                          tol=tol, max_iter=max_iter)
+    sols = _iterate_rows(as_gradient_field(f), np.stack([x for _, x in starts]),
+                         [sid for sid, _ in starts], lam=lam, damping=damping,
+                         tol=tol, max_iter=max_iter)
     converged = dedupe_solutions([s for s in sols if s.converged])
     stuck = [s for s in sols if not s.converged]
     return converged + stuck
@@ -320,22 +313,16 @@ def lambda_scan(f: FourierExpansion, t: float, delta: float, *, lambda_grid: np.
     warm: list[np.ndarray] = []
     for first in range(0, grid.size, per):
         lams = grid[first:first + per]
-        seeded = _iterate_rows(grad, np.tile(x0, (lams.size, 1)),
+        seeded = _iterate_rows(grad, np.tile(x0, (lams.size, 1)), ids * lams.size,
                                lam=np.repeat(lams, len(ids)), **steps)
         for j, lam in enumerate(lams):
-            x, resid, iters, done, _ = (a[j * len(ids):(j + 1) * len(ids)] for a in seeded)
-            names = ids
+            sols = seeded[j * len(ids):(j + 1) * len(ids)]
             if warm:
-                more = _iterate_rows(grad, np.stack(warm), lam=lam, **steps)
-                x, resid, iters, done = (np.concatenate(pair) for pair in
-                                         zip((x, resid, iters, done), more))
-                names = ids + [f"warm-{k}" for k in range(len(warm))]
-            conv = np.flatnonzero(done)
-            values = eval_extension(f, x[conv]) if conv.size else []
-            found = dedupe_solutions([
-                FixedPointSolution(x[k], float(lam), float(resid[k]), int(iters[k]), True,
-                                   names[k])
-                for k, v in zip(conv, values) if lo_val <= v <= hi_val])
+                sols += _iterate_rows(grad, np.stack(warm),
+                                      [f"warm-{k}" for k in range(len(warm))], lam=lam, **steps)
+            conv = [s for s in sols if s.converged]
+            values = eval_extension(f, np.stack([s.point for s in conv])) if conv else []
+            found = dedupe_solutions([s for s, v in zip(conv, values) if lo_val <= v <= hi_val])
             kept.extend(found)
             warm = [s.point for s in found]
     return kept

@@ -192,6 +192,8 @@ def audit_main_residuals(f: FourierExpansion, theta_list: Sequence[np.ndarray],
     """
     n = f.n
     limit = eps_upper_limit(n, params.d)
+    if limit == 0.0:
+        raise ValueError(f"no eps is admissible: 4n/D <= 1 for n = {n}, D = {params.d:.6g}")
     if not (0.0 < eps < limit):
         raise ValueError(f"eps must lie in (0, {limit:.6g}) for D = {params.d:.6g}")
     base_instance = dict(instance or {}, eps=eps, d=params.d, d_stderr=params.d_stderr,

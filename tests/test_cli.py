@@ -49,7 +49,8 @@ def test_env_overrides_and_flag_precedence():
     cfg = cli.build_config(["audit", "--seed", "4"], env=env)
     assert cfg.seed == 4            # flag wins
     assert cfg.samples == 321       # env fills the gap
-    assert cfg.fmt == "csv"
+    assert cfg.fmt == "json"        # audit takes no --format
+    assert cli.build_config(["report"], env=env).fmt == "csv"
 
 
 def test_config_validation_errors():
@@ -57,6 +58,8 @@ def test_config_validation_errors():
         cli.build_config(["analyze", "--tol", "-1"], env={})
     with pytest.raises(cli.InputError):
         cli.build_config(["audit"], env={"MFGL_SEED": "not-a-number"})
+    with pytest.raises(cli.InputError):  # only report writes CSV, also through the API
+        cli.run(cli.RunConfig(command="fixed-points", fmt="csv"))
 
 
 # Per flag: a value other than its default, and a second value.
@@ -231,7 +234,7 @@ def test_flag_docs_match_the_option_table(capsys):
     # the README's per-command list, the module docstring's and each --help
     # list the flags that the command reads, in the table's order
     table = {c: [f.metadata["flag"] for f in cli._options(c)] for c in cli._COMMANDS}
-    assert sum(map(len, table.values())) == 42
+    assert sum(map(len, table.values())) == 38
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     listed = readme.split("Flags: ", 1)[1].split("\n\n", 2)[1]
     assert {c: re.findall(r"`(--[a-z-]+)`", flags)
@@ -818,6 +821,43 @@ def test_report_refuses_malformed_audit_rows(tmp_path, capsys, report):
     out = tmp_path / "audit.csv"
     assert cli.main(["report", "--spec", spec, "--format", "csv", "--out", str(out)]) == 1
     _assert_refused(capsys, out)
+
+
+# A well-formed audit row; each case below breaks row 1 of a two-row report.
+_ROW = {"check_id": "a", "instance": {}, "measured": 1, "bound": 2.0, "ratio": 0.5,
+        "pass": True, "kind": "bound", "hypothesis_met": True}
+_NUMPY_FREE_CLI = ("import runpy, sys; sys.modules['numpy'] = None; "
+                   "runpy.run_module('mfgl.cli', run_name='__main__')")
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"pass": "false", "hypothesis_met": "no"}, "'pass' must be a boolean, not \"false\""),
+    ({"measured": "abc"}, "'measured' must be a number or null, not \"abc\""),
+    ({"ratio": True}, "'ratio' must be a number or null, not true"),
+    ({"kind": None}, "'kind' must be a string, not null"),
+    ({"instance": []}, "'instance' must be an object, not []"),
+], ids=["strings-for-booleans", "string-for-number", "boolean-for-number", "null-kind",
+        "list-instance"])
+def test_report_checks_each_row_before_it_projects_it(tmp_path, bad, message):
+    spec = _write_spec(tmp_path, {"audits": [_ROW, {**_ROW, **bad}]}, name="report.json")
+    done = subprocess.run([sys.executable, "-c", _NUMPY_FREE_CLI, "report", "--spec", spec,
+                           "--format", "csv", "--out", "r.csv"],
+                          cwd=tmp_path, env=src_env(), capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr.decode()) == (1, f"error: audit row 1: {message}\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_main_suite_names_an_empty_eps_range(tmp_path, capsys):
+    # 4n/D <= 1 leaves no admissible tilt scale, and the message says so
+    spec = _write_spec(tmp_path, {"type": "smoothed_cutoff",
+                                  "inner": {"type": "linear", "theta": [0.5, 0.5]},
+                                  "t": 0.1, "delta": 0.05})
+    out = tmp_path / "audit.json"
+    assert cli.main(["audit", "--suite", "main", "--spec", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: no eps is admissible: 4n/D <= 1 for n = 2, D = \S+\n", err)
+    assert float(err.split("D = ")[-1]) >= 4 * 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

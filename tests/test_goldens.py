@@ -179,9 +179,10 @@ def numeric_leaves(node, path=(), parent=None):
         yield path, parent
 
 
-def run_golden(name: str, cwd: Path) -> bytes:
-    """Run the argv of golden ``name`` from ``cwd`` and return its report bytes."""
-    argv = GOLDENS[name]
+def run_golden(name: str, cwd: Path, argv: list[str] | None = None) -> bytes:
+    """Run the argv of golden ``name`` (or ``argv``) from ``cwd``, writing ``name``,
+    and return its report bytes."""
+    argv = GOLDENS[name] if argv is None else argv
     (cwd / "specs").mkdir(exist_ok=True)
     for file, spec in SPECS.items():
         (cwd / "specs" / file).write_text(json.dumps(spec))
@@ -208,6 +209,20 @@ def test_report_command_reproduces_golden_without_numpy(name):
                                    "--format", "json", block=("numpy",))
     assert code == 0
     assert out == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("spec, seed", [("curie_weiss.json", "113"), ("sparse_fourier.json", "3")])
+def test_analyze_and_fixed_points_write_the_same_solutions(spec, seed, tmp_path):
+    # one multi-start call serves both commands: at the same seed, tol and
+    # damping their solutions blocks agree byte for byte
+    blocks = []
+    for command, extra in (("analyze", ["--samples", "5000"]), ("fixed-points", [])):
+        report = run_golden(f"{command}.json", tmp_path,
+                            [command, "--spec", f"specs/{spec}", "--seed", seed, *extra])
+        start = report.index(b'\n  "solutions": ')
+        blocks.append(report[start:report.index(b'\n  "', start + 1)])
+    assert b'"converged": true' in blocks[0]
+    assert blocks[0] == blocks[1]
 
 
 def test_every_reported_number_has_a_provenance():

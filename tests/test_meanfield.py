@@ -18,7 +18,7 @@ from mfgl.hamiltonians import (
     build_hamiltonian,
 )
 from mfgl.meanfield import (
-    _iterate_batch,
+    _iterate_rows,
     as_gradient_field,
     curie_weiss_roots,
     default_lambda_grid,
@@ -105,7 +105,7 @@ def _battery(n, seed):
 
 
 def _assert_same_as_plain(field, x0, ids, **kwargs):
-    fast = _iterate_batch(field, x0, ids, **kwargs)
+    fast = _iterate_rows(field, x0, ids, **kwargs)
     plain = iterate_plain(field, x0, ids, **kwargs)
     for a, b in zip(fast, plain, strict=True):
         assert a.point.tobytes() == b.point.tobytes()
