@@ -1,5 +1,6 @@
 """CLI: config resolution, spec wire format, serialization, commands, exit codes."""
 
+import gc
 import importlib
 import json
 import re
@@ -941,3 +942,68 @@ def test_timings_off_by_default(tmp_path):
         for timings, want in (([], []), (["--timings"], stages)):
             assert cli.main([*argv, "--spec", spec, "--out", str(out), *timings]) == 0
             assert list(json.loads(out.read_text())["timings"]) == want, argv
+
+
+# ---------------------------------------------------------------------------
+# Process entry: console_main runs one command with the collector off
+# ---------------------------------------------------------------------------
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path):
+    # tests and library callers run main many times in one process: a freeze there
+    # would pin each command's objects for good
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 6})
+    argv = ["fixed-points", "--spec", spec, "--out", str(tmp_path / "r.json")]
+    frozen = gc.get_freeze_count()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert cli.main(argv) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        gc.enable()
+
+
+def _cyclic_garbage(argv) -> int:
+    """What ``gc.collect()`` finds after ``cli.main(argv)`` runs with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        found = gc.collect()
+        gc.enable()
+    return found
+
+
+@pytest.mark.parametrize("spec, argv, small, large", [
+    ({"type": "curie_weiss", "beta": 1.5, "n": 10},
+     ["ld-scan", "--t", "0.675", "--delta", "0.05", "--lambda-grid"], "1e-2:1e2:8", "1e-2:1e2:256"),
+    ({"type": "curie_weiss", "beta": 1.5, "n": 8}, ["analyze", "--samples"], "200", "20000"),
+], ids=["ld-scan", "analyze"])
+def test_a_commands_cyclic_garbage_does_not_grow_with_its_work(tmp_path, spec, argv, small,
+                                                               large):
+    # what reference counting leaves to the collector is a fixed set (the parser), so a
+    # process that runs one command with the collector off holds no more memory for it
+    tail = ["--spec", _write_spec(tmp_path, spec), "--out", str(tmp_path / "r.json")]
+    for value in (small, large):  # imports and first-use caches settle
+        _cyclic_garbage([*argv, value, *tail])
+    assert _cyclic_garbage([*argv, small, *tail]) == _cyclic_garbage([*argv, large, *tail])
+
+
+def test_the_console_entry_writes_the_golden_bytes(tmp_path):
+    # python -m mfgl.cli runs console_main: with the collector off and a freeze at exit it
+    # still writes the report, flushes stdout and reports an error in one line
+    def console(*argv):
+        return subprocess.run([sys.executable, "-m", "mfgl.cli", *argv], cwd=tmp_path,
+                              env=src_env(), capture_output=True, timeout=120)
+
+    golden = GOLDEN_DIR / "audit_all.json"
+    done = console("audit", "--suite", "all", "--seed", "0", "--out", "audit_all.json")
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "audit_all.json").read_bytes() == golden.read_bytes()
+    done = console("report", "--spec", str(golden), "--format", "csv")
+    assert (done.returncode, done.stdout) == (0, (GOLDEN_DIR / "audit_all.csv").read_bytes())
+    done = console("analyze", "--spec", "missing.json")
+    err = done.stderr.decode()
+    assert done.returncode == 1 and err.startswith("error: ") and err.count("\n") == 1, err
