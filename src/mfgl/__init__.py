@@ -10,11 +10,19 @@ quantitative inequalities the package is built around.
 name loads its defining module on first access (PEP 562), so
 ``from mfgl import gibbs_measure`` loads ``mfgl.gibbs`` and what it
 imports, and nothing else.
+
+The layers log their DEBUG lines through ``_debug_logger``, which hands a
+layer its logger only when ``logging`` is already loaded and DEBUG is on for
+that logger.  Nothing can turn a level on without loading ``logging``, so
+the check never imports it, and a command that nobody logs pays nothing for
+it.  Configure ``logging`` before or after importing a layer: the check runs
+at each call.
 """
 
 import contextlib
 import contextvars
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -47,6 +55,15 @@ def size_caps(max_n: int = DEFAULT_ENUM_CAP, transport_states: int = DEFAULT_TRA
 def _caps_in_force() -> tuple[int, int]:
     """The two caps of the innermost ``size_caps``, else the defaults."""
     return _SIZE_CAPS.get((DEFAULT_ENUM_CAP, DEFAULT_TRANSPORT_STATES))
+
+
+def _debug_logger(name: str):
+    """The logger ``name`` if ``logging`` is loaded and DEBUG is on for it, else None."""
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    logger = logging.getLogger(name)
+    return logger if logger.isEnabledFor(logging.DEBUG) else None
 
 
 # Exported name -> the module of this package that defines it.

@@ -58,7 +58,7 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     return a.reshape(m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierExpansion:
     """Immutable sparse multilinear polynomial over subsets of [n].
 

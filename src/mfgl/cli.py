@@ -46,7 +46,10 @@ instance), 2 at least one proven-bound audit failed.
 the standard library alone, and ``import mfgl`` is lazy.  Each compute
 command imports the layers it uses when it runs and calls them through
 their modules (``verify.audit_tanh_mean_swap``), so ``fixed-points`` never
-loads ``verify``, ``gibbs``, ``transport`` or ``complexity``.
+loads ``verify``, ``gibbs``, ``transport`` or ``complexity``, and ``ld-scan``
+never loads ``transport``.  No command loads ``logging``, and only
+``report --format csv`` loads ``csv``.  The parser gives only the invoked
+command its flags, so help and usage texts read as if all had them.
 
 The ``mfgl`` script and ``python -m mfgl.cli`` enter through ``console_main``:
 it runs its one command with the cyclic collector off and freezes the
@@ -59,7 +62,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import gc
 import io
 import json
@@ -166,6 +168,8 @@ def serialize_report(report: dict, fmt: str) -> bytes:
         out.append("\n")
         return "".join(out).encode()
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -508,6 +512,9 @@ _EVERY = _COMPUTE + " report"
 
 @dataclass
 class RunConfig:
+    """One command's settings: each option is its default unless its flag or, failing
+    that, its ``MFGL_`` variable sets it; ``validate`` checks them together."""
+
     command: str
     spec_path: Optional[str] = _option(
         None, "--spec", _EVERY, help="Hamiltonian spec JSON (or input report for `report`)")
@@ -570,15 +577,22 @@ def _options(command: str) -> list[Field]:
     return [f for f in fields(RunConfig) if command in f.metadata.get("commands", ())]
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The ``mfgl`` parser and its subcommand parsers by name."""
+def _build_parser(argv: Sequence[str]) -> tuple[argparse.ArgumentParser,
+                                                dict[str, argparse.ArgumentParser]]:
+    """The ``mfgl`` parser for ``argv`` and its subcommand parsers by name.
+
+    Every command is registered, but only the one that ``argv`` invokes, its
+    first word that names a command, gets its flags: no other subcommand
+    parser is ever used, and the top-level help and usage list the names alone.
+    """
+    invoked = next((a for a in argv if a in _COMMANDS), None)
     parser = argparse.ArgumentParser(prog="mfgl", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"mfgl {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name, allow_abbrev=False)  # so --t never reaches --tol
-        for f in _options(name):
+        for f in _options(name) if name == invoked else ():
             p.add_argument(f.metadata["flag"], dest=f.name, default=None,
                            **f.metadata["argparse"])
     return parser, sub.choices
@@ -586,8 +600,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def build_config(argv: Sequence[str], env: dict | None = None) -> RunConfig:
     env = os.environ if env is None else env
-    parser, commands = _build_parser()
-    ns, extra = parser.parse_known_args(list(argv))
+    argv = list(argv)
+    parser, commands = _build_parser(argv)
+    ns, extra = parser.parse_known_args(argv)
     if extra:  # under the command's own usage line, which lists the flags it takes
         commands[ns.command].error(f"unrecognized arguments: {' '.join(extra)}")
     config = RunConfig(command=ns.command)

@@ -45,14 +45,13 @@ stores no row, and its width always takes the plain path.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
 
-from . import DEFAULT_SAMPLES, boolfn
+from . import DEFAULT_SAMPLES, _debug_logger, boolfn
 from .boolfn import FourierExpansion, flip_blocks, flip_rows, lipschitz, vertex_values
 from .hamiltonians import ComplexityParams
 
@@ -60,10 +59,8 @@ PLAIN_DRAWS = 8192  # requested draws up to which the width is plain Monte Carlo
 PILOT_DRAWS = 512
 LEVEL1_FLOOR = 512  # the probe's draws, and the fewest that level 1 ever takes
 
-logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientCloud:
     """Gradient vectors K, one per row; widths are over K and the origin."""
 
@@ -99,7 +96,7 @@ class GradientCloud:
 _MAX_VERTEX_VALUE = np.finfo(np.float64).max / 2  # keeps every flip difference finite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexCloud:
     """The gradient cloud of a vertex table F: row v is the gradient at vertex v.
 
@@ -138,7 +135,7 @@ class VertexCloud:
         return flip_rows(self.values, index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairwiseCloud:
     """The 2^n vertex gradients x @ A + mu of a pairwise form (A symmetric, zero
     diagonal), as ``boolfn.pairwise_form`` returns it; no row is ever built."""
@@ -317,9 +314,11 @@ def gaussian_width_mc(cloud: Cloud, samples: int = DEFAULT_SAMPLES,
                               level0_draws=samples, level0_stderr=float(np.sqrt(sq0)),
                               level1_draws=draws, level1_stderr=float(np.sqrt(sq1)),
                               level1_nonzero=int(np.count_nonzero(level1)))
-    logger.debug("width over %d points: %s winners from %d pilot draws; level 0 %d draws, "
-                 "level 1 %d draws with %d nonzero", cloud.size + 1, width.winners,
-                 width.pilot_draws, width.level0_draws, width.level1_draws, width.level1_nonzero)
+    if (logger := _debug_logger(__name__)) is not None:
+        logger.debug("width over %d points: %s winners from %d pilot draws; level 0 %d draws, "
+                     "level 1 %d draws with %d nonzero", cloud.size + 1, width.winners,
+                     width.pilot_draws, width.level0_draws, width.level1_draws,
+                     width.level1_nonzero)
     return width
 
 

@@ -9,6 +9,7 @@ vertex encoding (bit i set iff coordinate i equals +1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,7 +19,9 @@ from .boolfn import (
     _check_cap,
     vertex_values,
 )
-from . import transport
+
+if TYPE_CHECKING:
+    from .transport import TransportResult
 
 PROB_TOL = 1e-12
 
@@ -32,7 +35,7 @@ def _coordinate_table(ufunc: np.ufunc, minus: np.ndarray, plus: np.ndarray) -> n
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseMeasure:
     """Explicit probability vector over the 2^n vertices.
 
@@ -141,13 +144,15 @@ def _check_pair(nu1: DenseMeasure, nu2: DenseMeasure) -> None:
         raise DimensionMismatch(f"dimension mismatch: {nu1.n} vs {nu2.n}")
 
 
-def w1_result(nu1: DenseMeasure, nu2: DenseMeasure) -> transport.TransportResult:
+def w1_result(nu1: DenseMeasure, nu2: DenseMeasure) -> TransportResult:
     """Exact Wasserstein-1 distance, ground cost half the coordinate one-norm.
 
     Solved as a certified min-cost flow; ``.value`` is the distance, and the
     result carries the solver's output.  Above the state cap the solver raises
     ``CapExceeded``.
     """
+    from . import transport  # here, so a command that takes no W1 never compiles it
+
     _check_pair(nu1, nu2)
     result = transport.solve_w1(nu1.probs, nu2.probs, nu1.n)
     if not result.certified:

@@ -267,6 +267,8 @@ class HamiltonianSpec:
 
 @dataclass(frozen=True)
 class LinearSpec(HamiltonianSpec):
+    """A linear field: f(x) = <theta, x>."""
+
     type = "linear"
     theta: tuple
 
@@ -323,6 +325,8 @@ class IsingSpec(HamiltonianSpec):
 
 @dataclass(frozen=True)
 class CurieWeissSpec(HamiltonianSpec):
+    """The Curie-Weiss model on n sites: f(x) = (2 beta / n) sum_{i<j} x_i x_j."""
+
     type = "curie_weiss"
     beta: float
     n: int
@@ -348,6 +352,9 @@ class CurieWeissSpec(HamiltonianSpec):
 
 @dataclass(frozen=True)
 class TriangleCountSpec(HamiltonianSpec):
+    """Triangle count of the graph on ``num_vertices`` vertices whose edges are the
+    coordinates: f(x) = (6 beta / num_vertices) sum over triangles of x_ij x_jk x_ik."""
+
     type = "triangle_count"
     beta: float
     num_vertices: int
@@ -377,6 +384,8 @@ class TriangleCountSpec(HamiltonianSpec):
 
 @dataclass(frozen=True)
 class SparseFourierSpec(HamiltonianSpec):
+    """An explicit term list: f(x) = sum of coeff * prod_{i in subset} x_i over ``terms``."""
+
     type = "sparse_fourier"
     n: int
     terms: tuple  # ((sorted index tuple, coeff), ...)
@@ -411,6 +420,8 @@ class SparseFourierSpec(HamiltonianSpec):
 
 @dataclass(frozen=True)
 class SmoothedCutoffSpec(HamiltonianSpec):
+    """The smoothed cutoff psi∘f of the ``inner`` spec at level ``t`` with width ``delta``."""
+
     type = "smoothed_cutoff"
     inner: HamiltonianSpec
     t: float
@@ -494,7 +505,7 @@ def ising_complexity_bounds(a: np.ndarray, mu: np.ndarray) -> ComplexityParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothedCutoff:
     """Vertex tables of the smoothed cutoff g = psi∘f and its weight table phi.
 

@@ -10,14 +10,13 @@ residual is held against is ``ComplexityParams.structural_threshold``.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import DEFAULT_DAMPING, DEFAULT_TOL
+from . import DEFAULT_DAMPING, DEFAULT_TOL, _debug_logger
 from .boolfn import FourierExpansion, eval_extension, gradient_extension, pairwise_form
 
 DEFAULT_MAX_ITER = 10_000
@@ -25,8 +24,6 @@ DEDUP_SOLUTION_TOL = 1e-6
 # The most rows one ``lambda_scan`` battery holds: the seeded starts of 15
 # consecutive grid points, so its memory does not grow with the grid.
 _SCAN_BATTERY_ROWS = 256
-
-logger = logging.getLogger(__name__)
 
 # A batched gradient: rows of the input are points, rows of the output their
 # gradients.  It must be deterministic and row-wise, so that an output row's
@@ -57,7 +54,7 @@ def as_gradient_field(f: FourierExpansion | GradientField) -> GradientField:
     raise TypeError("expected a FourierExpansion or a gradient field callable")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPointSolution:
     """A candidate fixed point with its recomputable residual.
 
@@ -189,7 +186,7 @@ def _iterate_rows(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
             next_end = int(end.min())
         if step & (step - 1) == 0:
             saved, saved_step = bits.copy(), step
-    if logger.isEnabledFor(logging.DEBUG):
+    if (logger := _debug_logger(__name__)) is not None:
         cycles = np.unique(period[period > 0], return_counts=True)
         logger.debug("%d rows in %d steps: %d converged, %d frozen in exact cycles "
                      "(period: rows %s), %d at the cap", m, step, int(done.sum()),

@@ -32,19 +32,21 @@ complementary slackness on the flow-carrying arcs).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _caps_in_force
+from . import _caps_in_force, _debug_logger
 from .boolfn import CapExceeded
 
-logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportResult:
+    """A certified W1 solve: ``value`` is the distance and ``cost_units`` the flow's cost in
+    integer mass units, with the dual ``potentials``, the augmenting paths (``iterations``)
+    and ``phases`` taken, whether the dual certificate held, and ``mass_error_bound``, how
+    far rounding the supplies to integers can move ``value``."""
+
     value: float
     cost_units: int
     potentials: np.ndarray
@@ -116,8 +118,9 @@ def solve_w1(p: np.ndarray, q: np.ndarray, n: int) -> TransportResult:
     cost_units = int(round(np.abs(flow).sum() / 2.0))
     assert 2 * cost_units < 2**53, "flow sums left the exact float64 integers"
     certified = _certify(flow, rise)
-    logger.debug("%d states: %d phases, %d search rounds, %d augmenting paths, certified %s",
-                 states, phases, rounds, paths, certified)
+    if (logger := _debug_logger(__name__)) is not None:
+        logger.debug("%d states: %d phases, %d search rounds, %d augmenting paths, certified %s",
+                     states, phases, rounds, paths, certified)
     return TransportResult(
         value=cost_units / scale,
         cost_units=cost_units,

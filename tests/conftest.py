@@ -348,8 +348,8 @@ def w1_ssp(p, q, n, scale):
 
 # Run as ``python -c PROBE [--block MODULE]... ARGS``: ARGS go to the CLI as
 # under ``python -m mfgl.cli``, or ``--import MODULE`` only imports MODULE.
-# At exit the last stderr line lists the numpy, scipy and mfgl modules it
-# loaded; a blocked module is not among them.
+# At exit the last stderr line lists the numpy, scipy, logging and mfgl
+# modules it loaded; a blocked module is not among them.
 _CLI_PROBE = """
 import atexit, importlib, json, runpy, sys
 while sys.argv[1] == "--block":
@@ -357,7 +357,8 @@ while sys.argv[1] == "--block":
     del sys.argv[1:3]
 atexit.register(lambda: print("\\n" + json.dumps(sorted(
     m for m, module in list(sys.modules.items())
-    if module is not None and m.split(".")[0] in ("numpy", "scipy", "mfgl"))), file=sys.stderr))
+    if module is not None and m.split(".")[0] in ("numpy", "scipy", "logging", "mfgl"))),
+    file=sys.stderr))
 if sys.argv[1] == "--import":
     importlib.import_module(sys.argv[2])
 else:

@@ -295,16 +295,54 @@ def test_package_exports_resolve_to_their_defining_modules():
      {"boolfn", "hamiltonians", "meanfield", "complexity"}),
     (["ld-scan", "--spec", "specs/cw.json", "--t", "0.5", "--delta", "0.05",
       "--lambda-grid", "0.5:1:2"],
-     {"boolfn", "hamiltonians", "meanfield", "verify", "gibbs", "transport"}),
+     {"boolfn", "hamiltonians", "meanfield", "verify", "gibbs"}),
     (["audit", "--suite", "proximity", "--spec", "specs/cw.json"],
      {"boolfn", "hamiltonians", "verify", "gibbs", "transport"}),
 ])
 def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
     (tmp_path / "specs").mkdir()
     _write_spec(tmp_path / "specs", {"type": "curie_weiss", "beta": 2.0, "n": 6}, "cw.json")
+    # ld-scan takes no W1, so it never compiles ``transport``; and no command loads
+    # ``logging``, which nothing but a caller that configures it would need
     code, _, loaded = run_cli_process(*argv, "--out", "r.json", cwd=tmp_path)
     assert code == 0
     assert {m.split(".")[1] for m in loaded if m.startswith("mfgl.")} == layers
+    assert "logging" not in loaded
+
+
+# Imports the three layers that log, configures ``logging`` only then, and
+# calls each layer's logging function once.
+_LATE_LOGGING = """
+import sys
+import numpy as np
+from mfgl import complexity, meanfield, transport
+from mfgl.hamiltonians import CurieWeissSpec, build_hamiltonian
+assert "logging" not in sys.modules
+import logging
+logging.basicConfig(level=logging.DEBUG, stream=sys.stdout, format="%(name)s: %(message)s")
+complexity.gaussian_width_mc(complexity.GradientCloud(np.eye(3)), samples=100, seed=0)
+meanfield.solve_multistart(build_hamiltonian(CurieWeissSpec(1.5, 4)), 4, seed=0)
+transport.solve_w1(np.eye(8)[0], np.eye(8)[7], 3)
+"""
+
+
+def test_debug_lines_appear_when_logging_is_configured_after_import():
+    done = subprocess.run([sys.executable, "-c", _LATE_LOGGING], env=src_env(),
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    lines = done.stdout.decode().splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "mfgl.complexity", "mfgl.meanfield", "mfgl.transport"], lines
+
+
+def test_the_parser_adds_only_the_invoked_commands_flags():
+    # the top-level help lists the names alone, so it reads the same whichever
+    # command's flags were added; each --help and usage error is that command's
+    top = cli._build_parser([])[0].format_help()
+    for command in cli._COMMANDS:
+        parser, commands = cli._build_parser(["--seed", "1", command, "report"])
+        assert parser.format_help() == top
+        assert [c for c, p in commands.items() if "--spec" in p.format_usage()] == [command]
 
 
 @pytest.mark.parametrize("argv", [
@@ -316,13 +354,13 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, layers):
 ], ids=lambda argv: argv[0])
 def test_commands_run_without_scipy(tmp_path, argv):
     # scipy is a test dependency only: no command imports it; nor does any
-    # command load numpy.ma, which costs each process 9-21 ms to import
+    # command load numpy.ma, which costs each process 9-21 ms to import, or logging
     (tmp_path / "specs").mkdir()
     _write_spec(tmp_path / "specs", {"type": "curie_weiss", "beta": 2.0, "n": 6}, "cw.json")
     code, _, loaded = run_cli_process(*argv, "--out", "r.json", cwd=tmp_path, block=("scipy",))
     assert code == 0
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
-    assert "numpy.ma" not in loaded
+    assert not {"numpy.ma", "logging"} & loaded
 
 
 # ---------------------------------------------------------------------------
