@@ -96,7 +96,6 @@ _EXPORTS = {
     "gibbs_measure": "gibbs",
     "gradient_extension": "boolfn",
     "tanh_covariance": "gibbs",
-    "ising_complexity_bounds": "hamiltonians",
     "lambda_scan": "meanfield",
     "lipschitz": "boolfn",
     "mean": "gibbs",

@@ -30,9 +30,8 @@ ld-scan       --spec --out --seed --tol --damping --t --delta --max-n
 audit         --spec --out --seed --samples --epsilon --t --delta --max-n
               --transport-max-states --suite --timings
 report        --spec --out --format
-Every flag but --timings can be defaulted through the environment variable
-MFGL_ plus its name upper-cased, - as _ (--max-n: MFGL_MAX_N); explicit
-flags win, and a command ignores the variables of flags it does not take.
+Every flag sets one ``RunConfig`` field, and no environment variable reaches
+a run, so a report depends on its argv and input files alone.
 --max-n and --transport-max-states set the two size caps: ``run`` holds
 them in ``mfgl.size_caps`` around the command, and every table and
 transport the command builds reads them there.
@@ -280,13 +279,13 @@ def _write_fixed_points(config: RunConfig, report: dict, f: FourierExpansion) ->
     from . import meanfield
 
     with _timed(config, report, "fixed_points"):
-        sols = meanfield.solve_multistart(f, f.n, lam=1.0, seed=config.seed,
+        sols = meanfield.solve_multistart(f, lam=1.0, seed=config.seed,
                                           damping=config.damping, tol=config.tol)
     report["solutions"] = [_solution_dict(s) for s in sols]
 
 
 def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
-    from . import boolfn, complexity, hamiltonians, meanfield
+    from . import complexity, hamiltonians, meanfield
 
     spec, f = _require_spec(config)
     report = _new_report(config, spec.to_dict())
@@ -294,9 +293,8 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
         params = complexity.complexity_params(f, samples=config.samples, seed=config.seed)
     report["params"] = {**_params_dict(params),
                         "structural_threshold": params.structural_threshold(f.n)}
-    form = boolfn.pairwise_form(f)
-    if form is not None:
-        report["closed_form_bounds"] = _params_dict(hamiltonians.ising_complexity_bounds(*form))
+    if (bounds := complexity.closed_form_bounds(f)) is not None:
+        report["closed_form_bounds"] = _params_dict(bounds)
     if isinstance(spec, hamiltonians.CurieWeissSpec):
         report["scalar_roots"] = [float(r) for r in meanfield.curie_weiss_roots(
             spec.scalar_slope)]
@@ -315,8 +313,6 @@ def _cmd_ld_scan(config: RunConfig) -> tuple[int, dict]:
     from . import hamiltonians, meanfield, verify
 
     spec, f = _require_spec(config)
-    if config.t is None or config.delta is None:
-        raise InputError("ld-scan requires --t and --delta")
     report = _new_report(config, spec.to_dict())
     cutoff = hamiltonians.smoothed_cutoff_weights(f, config.t, config.delta)
     rows = verify.audit_large_deviations(cutoff, instance={"spec": config.spec_path})
@@ -499,11 +495,9 @@ _COMMANDS = {
 
 
 def _option(default, flag: str, commands: str, **argparse_kw) -> Field:
-    """A ``RunConfig`` field that the space-separated ``commands`` read, set by ``flag`` (and,
-    unless a switch, by ``MFGL_`` plus the flag's name upper-cased, ``-`` as ``_``)."""
-    env = None if "action" in argparse_kw else "MFGL_" + flag[2:].upper().replace("-", "_")
+    """A ``RunConfig`` field that the space-separated ``commands`` read, set by ``flag``."""
     return field(default=default, metadata={
-        "flag": flag, "env": env, "commands": commands.split(), "argparse": argparse_kw})
+        "flag": flag, "commands": commands.split(), "argparse": argparse_kw})
 
 
 _COMPUTE = "analyze fixed-points ld-scan audit"
@@ -512,8 +506,8 @@ _EVERY = _COMPUTE + " report"
 
 @dataclass
 class RunConfig:
-    """One command's settings: each option is its default unless its flag or, failing
-    that, its ``MFGL_`` variable sets it; ``validate`` checks them together."""
+    """One command's settings: each option is its default unless its flag sets it;
+    ``validate`` checks them together."""
 
     command: str
     spec_path: Optional[str] = _option(
@@ -556,6 +550,10 @@ class RunConfig:
         if (self.command == "audit" and self.suite in ("ld", "all") and self.t is not None
                 and not self.spec_path):
             raise InputError("--t and --delta need --spec for the ld suite")
+        if self.command == "ld-scan":
+            if self.t is None:
+                raise InputError("ld-scan requires --t and --delta")
+            self.parsed_lambda_grid()  # refuses a malformed grid
 
     def parsed_lambda_grid(self) -> np.ndarray:
         try:
@@ -598,8 +596,7 @@ def _build_parser(argv: Sequence[str]) -> tuple[argparse.ArgumentParser,
     return parser, sub.choices
 
 
-def build_config(argv: Sequence[str], env: dict | None = None) -> RunConfig:
-    env = os.environ if env is None else env
+def build_config(argv: Sequence[str]) -> RunConfig:
     argv = list(argv)
     parser, commands = _build_parser(argv)
     ns, extra = parser.parse_known_args(argv)
@@ -607,13 +604,7 @@ def build_config(argv: Sequence[str], env: dict | None = None) -> RunConfig:
         commands[ns.command].error(f"unrecognized arguments: {' '.join(extra)}")
     config = RunConfig(command=ns.command)
     for f in _options(ns.command):
-        value, key = getattr(ns, f.name), f.metadata["env"]
-        if value is None and key is not None and key in env:
-            try:
-                value = f.metadata["argparse"].get("type", str)(env[key])
-            except ValueError as exc:
-                raise InputError(f"bad value for {key}: {env[key]!r}") from exc
-        if value is not None:
+        if (value := getattr(ns, f.name)) is not None:
             setattr(config, f.name, value)
     config.validate()
     return config

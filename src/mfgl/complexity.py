@@ -158,6 +158,14 @@ class PairwiseCloud:
         row = np.abs(self.a).sum(axis=1)
         return float((row + np.abs(self.mu)).max()), float(row.max())
 
+    def width_bound(self) -> float:
+        """sqrt(n tr A^2) + sqrt(n) max|mu|, at least the width: a draw's sup is at most
+        ||A g||_1 + |<mu, g>|, and by Cauchy-Schwarz and Jensen E||A g||_1 <= sqrt(n tr A^2) and
+        E|<mu, g>| <= ||mu||_2 <= sqrt(n) max|mu|."""
+        n = self.n
+        return math.sqrt(n * float((self.a * self.a).sum())) + math.sqrt(n) * float(
+            np.abs(self.mu).max())
+
 
 Cloud = GradientCloud | VertexCloud | PairwiseCloud
 
@@ -353,3 +361,18 @@ def complexity_params(f: FourierExpansion, samples: int = DEFAULT_SAMPLES,
         width = gaussian_width_mc(cloud, samples=samples, seed=seed)
     return ComplexityParams.from_raw(width.estimate, *lips, d_stderr=width.stderr,
                                      d_levels=width.levels())
+
+
+def closed_form_bounds(f: FourierExpansion) -> ComplexityParams | None:
+    """Floored closed-form (D, L1, L2) of a degree <= 2 expansion, else None.
+
+    They come from the ``PairwiseCloud`` of ``boolfn.pairwise_form(f)``: D
+    is its ``width_bound``, and L1 and L2 its exact ``lipschitz``.  A bound
+    that overflows is refused (``ComplexityParams`` takes finite values only).
+    """
+    form = boolfn.pairwise_form(f)
+    if form is None:
+        return None
+    cloud = PairwiseCloud(*form)
+    with np.errstate(over="ignore"):
+        return ComplexityParams.from_raw(cloud.width_bound(), *cloud.lipschitz())

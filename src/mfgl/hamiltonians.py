@@ -483,23 +483,6 @@ def build_hamiltonian(spec: HamiltonianSpec) -> FourierExpansion:
     return spec.build()
 
 
-def ising_complexity_bounds(a: np.ndarray, mu: np.ndarray) -> ComplexityParams:
-    """Closed-form parameter bounds for the pairwise model with gradient A x + mu,
-    such as ``pairwise_form(f)`` of any degree <= 2 expansion, validated as an ``IsingSpec``.
-
-    D <= sqrt(n tr A^2) + sqrt(n) mu_max, L1 <= mu_max + max_i sum_j |A_ij|,
-    L2 <= max_i sum_j |A_ij|, with the unit floors applied.
-    """
-    spec = IsingSpec(a, mu)
-    a, mu = np.array(spec.coupling), np.array(spec.field)
-    n = len(mu)
-    mu_max = float(np.abs(mu).max()) if n else 0.0
-    with np.errstate(over="ignore"):  # ComplexityParams refuses a bound that overflows
-        row_sum = float(np.abs(a).sum(axis=1).max())
-        d = math.sqrt(n * float((a * a).sum())) + math.sqrt(n) * mu_max
-    return ComplexityParams.from_raw(d, mu_max + row_sum, row_sum)
-
-
 # ---------------------------------------------------------------------------
 # Smoothed cutoff weights
 # ---------------------------------------------------------------------------

@@ -35,23 +35,19 @@ _SCAN_BATTERY_ROWS = 256
 GradientField = Callable[[np.ndarray], np.ndarray]
 
 
-def as_gradient_field(f: FourierExpansion | GradientField) -> GradientField:
-    """Batched gradient callable for an expansion (or pass a callable through).
+def as_gradient_field(f: FourierExpansion) -> GradientField:
+    """The batched gradient field of an expansion.
 
     Expansions of degree at most two run x @ A + mu on their ``pairwise_form``,
     higher degrees ``gradient_extension``; both forms are built once per
     expansion, so a battery step costs a few array operations, which keeps
     multi-start batteries and lambda scans cheap.
     """
-    if isinstance(f, FourierExpansion):
-        form = pairwise_form(f)
-        if form is None:
-            return lambda x: gradient_extension(f, x)
-        a, mu = form
-        return lambda x: np.asarray(x, dtype=np.float64) @ a + mu
-    if callable(f):
-        return f
-    raise TypeError("expected a FourierExpansion or a gradient field callable")
+    form = pairwise_form(f)
+    if form is None:
+        return lambda x: gradient_extension(f, x)
+    a, mu = form
+    return lambda x: np.asarray(x, dtype=np.float64) @ a + mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +81,7 @@ class FixedPointSolution:
         object.__setattr__(self, "point", pt)
 
 
-def mf_iterate(f: FourierExpansion | GradientField, x0, *, lam: float = 1.0,
+def mf_iterate(f: FourierExpansion, x0, *, lam: float = 1.0,
                damping: float = DEFAULT_DAMPING, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER, start_id: str = "start-0") -> FixedPointSolution:
     """Damped iteration X <- (1-gamma) X + gamma tanh(lambda grad f(X)).
@@ -215,11 +211,11 @@ def dedupe_solutions(solutions: Sequence[FixedPointSolution]) -> list[FixedPoint
     return kept
 
 
-def solve_multistart(f: FourierExpansion | GradientField, n: int, *, lam: float = 1.0,
-                     seed: int = 0, damping: float = DEFAULT_DAMPING, tol: float = DEFAULT_TOL,
+def solve_multistart(f: FourierExpansion, *, lam: float = 1.0, seed: int = 0,
+                     damping: float = DEFAULT_DAMPING, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER) -> list[FixedPointSolution]:
     """Run the start battery, dedupe converged solutions, keep failures flagged."""
-    starts = multistart_points(n, seed)
+    starts = multistart_points(f.n, seed)
     sols = _iterate_rows(as_gradient_field(f), np.stack([x for _, x in starts]),
                          [sid for sid, _ in starts], lam=lam, damping=damping,
                          tol=tol, max_iter=max_iter)

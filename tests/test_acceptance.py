@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from mfgl import DEFAULT_DAMPING
 from mfgl.boolfn import (
     compose,
     eval_extension,
@@ -29,8 +30,10 @@ from mfgl.hamiltonians import (
     smoothed_cutoff_weights,
 )
 from mfgl.meanfield import (
+    DEFAULT_MAX_ITER,
+    _iterate_rows,
+    as_gradient_field,
     curie_weiss_roots,
-    mf_iterate,
     solve_multistart,
 )
 from mfgl.verify import (
@@ -135,12 +138,12 @@ def test_criterion_05_scalar_roots_and_subcritical_collapse():
     assert x5 > 0.9999
     built = build_hamiltonian(CurieWeissSpec(0.5, 12))
     all_ones_map = curie_weiss_field(0.5, 12)
-    rng = np.random.default_rng(105)
+    x0 = np.random.default_rng(105).uniform(-1.0, 1.0, (100, 12))
     worst = 0.0
-    for _ in range(100):
-        x0 = rng.uniform(-1.0, 1.0, 12)
-        for fld in (built, all_ones_map):
-            sol = mf_iterate(fld, x0, tol=1e-12)
+    for fld in (as_gradient_field(built), all_ones_map):
+        # each start ends bit for bit as it would alone
+        for sol in _iterate_rows(fld, x0, [f"start-{k}" for k in range(100)], lam=1.0,
+                                 damping=DEFAULT_DAMPING, tol=1e-12, max_iter=DEFAULT_MAX_ITER):
             assert sol.converged
             worst = max(worst, float(np.abs(sol.point).sum()))
     assert worst <= 1e-8, f"subcritical iterate stuck at |X|_1 = {worst:.2e}"
@@ -149,7 +152,7 @@ def test_criterion_05_scalar_roots_and_subcritical_collapse():
 
 def test_criterion_06_fixed_points_are_critical_points():
     built = build_hamiltonian(CurieWeissSpec(2.0, 12))
-    sols = solve_multistart(built, 12, seed=106, tol=1e-13)
+    sols = solve_multistart(built, seed=106, tol=1e-13)
     converged = [s for s in sols if s.converged]
     assert converged, "supercritical run produced no converged solutions"
     worst = 0.0

@@ -35,30 +35,40 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 # ---------------------------------------------------------------------------
-# Config and environment
+# Config
 # ---------------------------------------------------------------------------
 
 
 def test_config_defaults_and_flags():
-    cfg = cli.build_config(["analyze", "--spec", "x.json", "--seed", "5"], env={})
+    cfg = cli.build_config(["analyze", "--spec", "x.json", "--seed", "5"])
     assert cfg.command == "analyze" and cfg.seed == 5
     assert cfg.samples == 100_000 and cfg.fmt == "json"
 
 
-def test_env_overrides_and_flag_precedence():
-    env = {"MFGL_SEED": "9", "MFGL_SAMPLES": "321", "MFGL_FORMAT": "csv"}
-    cfg = cli.build_config(["audit", "--seed", "4"], env=env)
-    assert cfg.seed == 4            # flag wins
-    assert cfg.samples == 321       # env fills the gap
-    assert cfg.fmt == "json"        # audit takes no --format
-    assert cli.build_config(["report"], env=env).fmt == "csv"
+def test_environment_variables_reach_no_config_and_no_report(tmp_path, monkeypatch):
+    # flags are the one way in: variables named like the flags change nothing
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 8})
+    runs = {"analyze": ["analyze", "--spec", spec],
+            "report": ["report", "--spec", str(GOLDEN_DIR / "audit_all.json")]}
+
+    def configs_and_bytes():
+        configs, reports = [], []
+        for name, argv in runs.items():
+            configs.append(cli.build_config(argv))
+            out = tmp_path / f"{name}.out"
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        return configs, reports
+
+    unset = configs_and_bytes()
+    for var, value in {"MFGL_SEED": "9", "MFGL_SAMPLES": "321", "MFGL_FORMAT": "csv"}.items():
+        monkeypatch.setenv(var, value)
+    assert configs_and_bytes() == unset
 
 
 def test_config_validation_errors():
     with pytest.raises(cli.InputError):
-        cli.build_config(["analyze", "--tol", "-1"], env={})
-    with pytest.raises(cli.InputError):
-        cli.build_config(["audit"], env={"MFGL_SEED": "not-a-number"})
+        cli.build_config(["analyze", "--tol", "-1"])
     with pytest.raises(cli.InputError):  # only report writes CSV, also through the API
         cli.run(cli.RunConfig(command="fixed-points", fmt="csv"))
 
@@ -71,9 +81,11 @@ OPTION_VALUES = {
     "--delta": ("0.1", "0.05"), "--max-n": ("12", "13"), "--transport-max-states": ("64", "128"),
     "--suite": ("ld", "main"), "--lambda-grid": ("0.5:2:3", "1:2:3"), "--timings": (),
 }
-# --t and --delta go together, and audit's ld suite takes them with a --spec
+# --t and --delta go together, and audit's ld suite takes them with a --spec;
+# ld-scan runs with both
 PARTNERS = {"--t": ["--delta", "0.05", "--spec", "s.json"],
             "--delta": ["--t", "0.5", "--spec", "s.json"]}
+REQUIRED = {"ld-scan": ["--t", "0.5", "--delta", "0.05"]}
 OPTIONS = fields(cli.RunConfig)[1:]
 
 
@@ -81,28 +93,23 @@ OPTIONS = fields(cli.RunConfig)[1:]
                          ids=lambda x: getattr(x, "name", x))
 def test_each_option_reaches_exactly_the_commands_that_read_it(capsys, command, option):
     flag, name, default = option.metadata["flag"], option.name, option.default
-    var = "MFGL_" + flag[2:].upper().replace("-", "_")
     values = OPTION_VALUES[flag]
-    if command not in option.metadata["commands"]:
-        # the variable is ignored, and the flag is a usage error
-        assert getattr(cli.build_config([command], env={var: "1"}), name) == default
+    if command not in option.metadata["commands"]:  # the flag is a usage error
         assert cli.main([command, flag, *values[:1]]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         return
-    argv = [command, *PARTNERS.get(flag, [])]
-    if not values:  # a switch, set by its flag alone
-        assert getattr(cli.build_config([*argv, flag], env={}), name) is True
-        assert getattr(cli.build_config(argv, env={var: "1"}), name) == default
+    argv = [command, *PARTNERS.get(flag, REQUIRED.get(command, []))]
+    if not values:  # a switch
+        assert getattr(cli.build_config([*argv, flag]), name) is True
         return
     value, other = values
-    by_flag = getattr(cli.build_config([*argv, flag, value], env={}), name)
+    by_flag = getattr(cli.build_config([*argv, flag, value]), name)
     assert by_flag != default
-    assert getattr(cli.build_config(argv, env={var: value}), name) == by_flag
-    assert getattr(cli.build_config([*argv, flag, value], env={var: other}), name) == by_flag
+    assert getattr(cli.build_config([*argv, flag, other]), name) != by_flag
 
 
 def test_lambda_grid_parsing():
-    cfg = cli.build_config(["ld-scan", "--lambda-grid", "0.5:2:3"], env={})
+    cfg = cli.build_config(["ld-scan", "--t", "0.5", "--delta", "0.1", "--lambda-grid", "0.5:2:3"])
     grid = cfg.parsed_lambda_grid()
     assert grid.size == 7 and 0.0 in grid
     cfg.lambda_grid = "oops"
@@ -321,7 +328,7 @@ assert "logging" not in sys.modules
 import logging
 logging.basicConfig(level=logging.DEBUG, stream=sys.stdout, format="%(name)s: %(message)s")
 complexity.gaussian_width_mc(complexity.GradientCloud(np.eye(3)), samples=100, seed=0)
-meanfield.solve_multistart(build_hamiltonian(CurieWeissSpec(1.5, 4)), 4, seed=0)
+meanfield.solve_multistart(build_hamiltonian(CurieWeissSpec(1.5, 4)), seed=0)
 transport.solve_w1(np.eye(8)[0], np.eye(8)[7], 3)
 """
 
@@ -494,15 +501,15 @@ def _random_ising(rng, n):
     *(_random_ising(np.random.default_rng(seed), n) for seed, n in ((0, 3), (1, 12), (2, 40))),
     {"type": "curie_weiss", "beta": 1.5, "n": 18}, {"type": "curie_weiss", "beta": 0.75, "n": 63}])
 def test_analyze_closed_form_lipschitz_bounds_hold_exactly(tmp_path, spec):
-    # L2 = max_i sum_j |A_ij| is exact, so the closed form is the reported value bit
-    # for bit; the closed-form L1 adds max |mu| to it and can only be larger
+    # L1 = max_i(sum_j |A_ij| + |mu_i|) and L2 = max_i sum_j |A_ij| are exact, so the
+    # closed forms are the reported values bit for bit
     out = tmp_path / "report.json"
     assert cli.main(["analyze", "--spec", _write_spec(tmp_path, spec), "--out", str(out),
                      "--samples", "200"]) == 0
     report = json.loads(out.read_text())
     params, bounds = report["params"], report["closed_form_bounds"]
     assert params["l2"] == bounds["l2"]
-    assert params["l1"] <= bounds["l1"]
+    assert params["l1"] == bounds["l1"]
     assert params["d_levels"]["pilot_draws"] == 0
 
 
@@ -950,6 +957,19 @@ def test_non_finite_tol_exits_one(tmp_path, capsys, tol):
     assert cli.main(["fixed-points", "--spec", spec, f"--tol={tol}", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: tol must be finite\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([], "ld-scan requires --t and --delta"),
+    (["--t", "0.5", "--delta", "0.1", "--lambda-grid", "0.5:2"],
+     "bad lambda grid '0.5:2', want LO:HI:COUNT")], ids=["no-level", "bad-grid"])
+def test_ld_scan_refuses_bad_config_before_reading_the_spec(capsys, monkeypatch, flags, message):
+    def unread(path):
+        raise AssertionError("the spec was read")
+
+    monkeypatch.setattr(cli, "load_spec", unread)
+    assert cli.main(["ld-scan", "--spec", "cw.json", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("grid", ["1e-2:inf:4", "-inf:1:4", "1e-2:1e400:4", "nan:1:4"])

@@ -18,7 +18,7 @@ from mfgl.boolfn import (
     pairwise_form,
     vertex_values,
 )
-from mfgl.complexity import GradientCloud, gaussian_width_mc
+from mfgl.complexity import GradientCloud, closed_form_bounds, gaussian_width_mc
 from mfgl.hamiltonians import (
     SPEC_TYPES,
     ComplexityParams,
@@ -35,7 +35,6 @@ from mfgl.hamiltonians import (
     build_hamiltonian,
     composition_params,
     edge_index_map,
-    ising_complexity_bounds,
     smoothed_cutoff_weights,
     spec_from_dict,
 )
@@ -266,16 +265,24 @@ def test_curie_weiss_matrices_match_literal_pair_coefficient():
 
 
 def test_ising_bounds_trivial_instance():
-    p = ising_complexity_bounds(np.zeros((4, 4)), np.zeros(4))
+    p = closed_form_bounds(FourierExpansion(4))
     assert (p.d, p.l1, p.l2) == (0.0, 1.0, 1.0)
     assert p.d_stderr is None
+    assert closed_form_bounds(FourierExpansion.from_terms(3, [((0, 1, 2), 1.0)])) is None
+
+
+def test_closed_form_bounds_refuse_an_overflow():
+    # finite coefficients whose row sums and tr A^2 overflow: refused, with no numpy warning
+    f = FourierExpansion.from_terms(3, [((0, 1), 1e308), ((1, 2), 1e308)])
+    with pytest.raises(ValueError, match="must be finite"):
+        closed_form_bounds(f)
 
 
 def test_curie_weiss_as_ising_width_bound():
     beta, n = 1.4, 8
     a = np.full((n, n), beta / n)
     np.fill_diagonal(a, 0.0)
-    p = ising_complexity_bounds(a, np.zeros(n))
+    p = closed_form_bounds(build_hamiltonian(IsingSpec(a, np.zeros(n))))
     expected = beta * math.sqrt(n) * math.sqrt(1.0 - 1.0 / n)
     assert p.d == pytest.approx(expected)
     assert p.d <= beta * math.sqrt(n)
@@ -289,7 +296,7 @@ def test_mc_width_within_closed_form_bound():
     np.fill_diagonal(a, 0.0)
     mu = rng.normal(size=n) * 0.2
     f = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(mu.tolist())))
-    bound = ising_complexity_bounds(a, mu)
+    bound = closed_form_bounds(f)
     width = gaussian_width_mc(GradientCloud(flip_differences(vertex_values(f)).T),
                               samples=20_000, seed=9)
     est, se = width.estimate, width.stderr

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st, target
 
-from mfgl import DEFAULT_TOL, meanfield
+from mfgl import DEFAULT_DAMPING, DEFAULT_TOL, meanfield
 from mfgl.boolfn import FourierExpansion, eval_extension, vertex_values
 from mfgl.hamiltonians import (
     ComplexityParams,
@@ -18,6 +18,7 @@ from mfgl.hamiltonians import (
     build_hamiltonian,
 )
 from mfgl.meanfield import (
+    DEFAULT_MAX_ITER,
     _iterate_rows,
     as_gradient_field,
     curie_weiss_roots,
@@ -59,7 +60,8 @@ def test_subcritical_curie_weiss_reaches_zero():
 
 def test_all_ones_field_hits_scalar_root():
     # the all-ones-coupling map reproduces the scalar equation x = tanh(2x)
-    sol = mf_iterate(curie_weiss_field(2.0, 12), np.full(12, 0.9), tol=1e-12)
+    (sol,) = _iterate_rows(curie_weiss_field(2.0, 12), np.full((1, 12), 0.9), ["start-0"],
+                           lam=1.0, damping=DEFAULT_DAMPING, tol=1e-12, max_iter=DEFAULT_MAX_ITER)
     assert sol.converged
     assert np.allclose(sol.point, sol.point[0])
     assert sol.point[0] == pytest.approx(0.9575, abs=1e-4)
@@ -91,7 +93,7 @@ def test_mf_iterate_validates_damping():
 def test_iteration_inputs_validated_at_every_entry_point(kwargs):
     f = build_hamiltonian(CurieWeissSpec(1.5, 4))
     calls = [lambda: mf_iterate(f, np.zeros(4), **kwargs),
-             lambda: solve_multistart(f, 4, **kwargs),
+             lambda: solve_multistart(f, **kwargs),
              lambda: lambda_scan(f, 0.5, 0.05, lambda_grid=np.array([1.0]),
                                  **{"tol": 1e-8, **kwargs})]
     for call in calls:
@@ -189,21 +191,28 @@ def test_iteration_matches_plain_iteration(spec, lam, damping, max_iter, seed):
     target(float(2 * plain_calls - calls[0]), label="field calls saved")
 
 
-def test_cycling_batteries_stop_early():
+def test_cycling_batteries_stop_early(monkeypatch):
     # the capped loop evaluates the field max_iter + 1 = 10,001 times on both
-    cutoff, calls = _counted(as_gradient_field(build_hamiltonian(CUTOFF6)))
-    solve_multistart(cutoff, 6, seed=501)
-    assert calls[0] <= 1_300
-    cw, calls = _counted(as_gradient_field(build_hamiltonian(CurieWeissSpec(1.5, 10))))
-    solve_multistart(cw, 10, lam=-5.0, seed=501)
-    assert calls[0] <= 100
+    calls = []
+
+    def counted(f, build=meanfield.as_gradient_field):
+        field, count = _counted(build(f))
+        calls.append(count)
+        return field
+
+    monkeypatch.setattr(meanfield, "as_gradient_field", counted)
+    solve_multistart(build_hamiltonian(CUTOFF6), seed=501)
+    solve_multistart(build_hamiltonian(CurieWeissSpec(1.5, 10)), lam=-5.0, seed=501)
+    (cutoff,), (cw,) = calls
+    assert cutoff <= 1_300
+    assert cw <= 100
 
 
 def test_iteration_logs_one_debug_line(caplog):
-    solve_multistart(build_hamiltonian(CurieWeissSpec(1.5, 10)), 10, lam=-5.0)
+    solve_multistart(build_hamiltonian(CurieWeissSpec(1.5, 10)), lam=-5.0)
     assert not [r for r in caplog.records if r.name == "mfgl.meanfield"]
     caplog.set_level(logging.DEBUG, logger="mfgl.meanfield")
-    solve_multistart(build_hamiltonian(CUTOFF6), 6, seed=501)
+    solve_multistart(build_hamiltonian(CUTOFF6), seed=501)
     (record,) = [r for r in caplog.records if r.name == "mfgl.meanfield"]
     assert record.levelno == logging.DEBUG
     assert record.getMessage() == ("17 rows in 1072 steps: 9 converged, 8 frozen in exact "
@@ -213,12 +222,12 @@ def test_iteration_logs_one_debug_line(caplog):
 def test_solutions_carry_status_and_period():
     # the periods of the DEBUG line in test_iteration_logs_one_debug_line
     f = build_hamiltonian(CUTOFF6)
-    sols = solve_multistart(f, 6, seed=501)
+    sols = solve_multistart(f, seed=501)
     assert Counter(s.status for s in sols) == {"converged": 7, "cycle": 8}
     assert Counter(s.period for s in sols if s.status == "cycle") == {8: 1, 32: 5, 128: 2}
     assert all(s.period == 0 for s in sols if s.status == "converged")
     # by step 300 no stuck start has repeated yet
-    capped = [s for s in solve_multistart(f, 6, seed=501, max_iter=300) if not s.converged]
+    capped = [s for s in solve_multistart(f, seed=501, max_iter=300) if not s.converged]
     assert {(s.status, s.period, s.iterations) for s in capped} == {("max_iter", 0, 300)}
 
 
@@ -240,7 +249,7 @@ def test_structural_set_subcritical_norm_bound():
     # threshold satisfies |X|_1 <= 5001 (1+beta)^2/(1-beta) n^(7/8)
     beta, n = 0.5, 8
     f = build_hamiltonian(CurieWeissSpec(beta, n))
-    sols = solve_multistart(f, n, seed=3)
+    sols = solve_multistart(f, seed=3)
     cap = 5001.0 * (1 + beta) ** 2 / (1 - beta) * n ** 0.875
     for sol in sols:
         if sol.converged:
@@ -268,7 +277,7 @@ def test_functional_gradient_matches_central_differences():
 
 def test_functional_gradient_vanishes_at_fixed_points():
     f = build_hamiltonian(CurieWeissSpec(2.0, 10))
-    sols = solve_multistart(f, 10, seed=5, tol=1e-13)
+    sols = solve_multistart(f, seed=5, tol=1e-13)
     checked = 0
     for sol in sols:
         if sol.converged and np.abs(sol.point).max() < 1.0:
@@ -308,8 +317,8 @@ def test_curie_weiss_field_contracts_below_critical():
 
 def test_multistart_deterministic_and_deduped():
     f = build_hamiltonian(CurieWeissSpec(2.0, 6))
-    a = solve_multistart(f, 6, seed=7)
-    b = solve_multistart(f, 6, seed=7)
+    a = solve_multistart(f, seed=7)
+    b = solve_multistart(f, seed=7)
     assert [s.start_id for s in a] == [s.start_id for s in b]
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.point, sb.point)
