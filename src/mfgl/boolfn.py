@@ -140,13 +140,14 @@ class FourierExpansion:
         appended to the points; terms keep the mask order.  Points enter as
         columns, so each product and sum runs over whole (terms x batch)
         slices.  ``eval_extension`` and ``gradient_extension`` walk the terms
-        in blocks of about ``_BLOCK_ENTRIES`` entries, the width being the
-        degree for the value and n + 1 for the gradient, whose shares are
-        spread over every coordinate.  A running sum carries across blocks,
-        adding the terms' shares one after another in mask order from 0.0.
-        So each point's bits do not depend on the batch around it, and they
-        match a per-term loop that adds ``coeff * prod`` (or, per coordinate,
-        ``coeff * prefix * suffix``) into a zero-initialised accumulator.
+        in blocks of ``_block_length`` terms, the width being the degree for
+        the value and n + 1 for the gradient, which gathers each coordinate's
+        shares of a block in mask order through a ``_gather_index``.  A
+        running sum carries across blocks, adding the terms' shares one after
+        another in mask order from 0.0.  So each point's bits do not depend on
+        the batch around it, and they match a per-term loop that adds
+        ``coeff * prod`` (or, per coordinate, ``coeff * prefix * suffix``)
+        into a zero-initialised accumulator.
         """
         masks = self.masks.astype(np.uint64)
         idx = np.full((max(self.degree(), 1), masks.size), self.n, dtype=np.intp)
@@ -156,6 +157,12 @@ class FourierExpansion:
             idx[below, has] = i
         idx.flags.writeable = False
         return idx
+
+    @cached_property
+    def _gathers(self) -> dict[int, list[np.ndarray]]:
+        """The gradient's gather indices, filled per block length as the kernel
+        meets it: the read-only ``_gather_index`` of each block, in mask order."""
+        return {}
 
     @cached_property
     def _pairwise(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -181,10 +188,39 @@ def _points(f: FourierExpansion, x) -> tuple[np.ndarray, np.ndarray]:
     return x, np.concatenate([pts, np.ones((1, pts.shape[1]))])
 
 
-def _term_blocks(f: FourierExpansion, batch: int, width: int):
-    size = max(1, _BLOCK_ENTRIES // max(batch * width, 1))
+def _block_length(f: FourierExpansion, batch: int, width: int) -> int:
+    """Terms per block of the extension kernels: about ``_BLOCK_ENTRIES / (B * width)``,
+    B the batch rounded up to a power of two so that a battery whose rows drop meets
+    few block lengths, and at most all the terms."""
+    batch = 1 << max(batch - 1, 0).bit_length()
+    return max(1, min(_BLOCK_ENTRIES // (batch * width), f.coeffs.size))
+
+
+def _term_blocks(f: FourierExpansion, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(index columns, coefficient column) of each block of ``size`` terms, in mask order."""
     for start in range(0, f.coeffs.size, size):
         yield f._terms[:, start:start + size], f.coeffs[start:start + size, None]
+
+
+def _gather_index(idx: np.ndarray, n: int) -> np.ndarray:
+    """Where each coordinate's shares of a term block sit, from its index ``idx``.
+
+    The block's shares are flattened to (degree * terms) rows, row k * terms + t
+    for the k-th coordinate of term t, with one row of +0.0 after them.  Column
+    i of the (layers x n) result lists the rows of coordinate i's shares in mask
+    order, padded with that zero row to the most shares any coordinate has.
+    """
+    depth, size = idx.shape
+    coord = idx.T.ravel()  # term-major, so each coordinate's entries keep the mask order
+    entry = np.flatnonzero(coord < n)
+    entry = entry[np.argsort(coord[entry], kind="stable")]
+    coord = coord[entry]
+    counts = np.bincount(coord, minlength=n)
+    layer = np.arange(entry.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.full((max(int(counts.max()), 1), n), depth * size, dtype=np.intp)
+    index[layer, coord] = entry % depth * size + entry // depth
+    index.flags.writeable = False
+    return index
 
 
 def eval_extension(f: FourierExpansion, x) -> float | np.ndarray:
@@ -195,7 +231,7 @@ def eval_extension(f: FourierExpansion, x) -> float | np.ndarray:
     """
     x, pts = _points(f, x)
     acc = np.zeros((1, pts.shape[1]))
-    for idx, coeffs in _term_blocks(f, pts.shape[1], f._terms.shape[0]):
+    for idx, coeffs in _term_blocks(f, _block_length(f, pts.shape[1], f._terms.shape[0])):
         terms = coeffs * np.multiply.accumulate(pts[idx], axis=0)[-1]
         acc = np.add.accumulate(np.concatenate([acc, terms]), axis=0)[-1:]
     out = acc.reshape(x.shape[:-1])
@@ -208,25 +244,40 @@ def gradient_extension(f: FourierExpansion, x) -> np.ndarray:
     At a vertex this is the vector of half-differences under single
     coordinate flips; on the solid cube it agrees with the real partial
     derivatives of the extension.  Division-free (safe at zero coordinates).
+
+    Each term block's shares are gathered per coordinate through its
+    ``_gather_index``, built once per expansion and block length.
     """
     x, pts = _points(f, x)
-    rows, batch = pts.shape
-    acc = np.zeros((rows, batch))
-    for idx, coeffs in _term_blocks(f, batch, rows):
+    batch = pts.shape[1]
+    acc = np.zeros((f.n, batch))
+    size = _block_length(f, batch, f.n + 1)
+    if size not in f._gathers:
+        f._gathers[size] = [_gather_index(idx, f.n) for idx, _ in _term_blocks(f, size)]
+    for (idx, coeffs), gather in zip(_term_blocks(f, size), f._gathers[size]):
         sub = pts[idx]
-        share = np.empty_like(sub)
+        flat = np.empty((sub.shape[0] * sub.shape[1] + 1, batch))
+        flat[-1] = 0.0
+        share = flat[:-1].reshape(sub.shape)
+        # Share k is coeff * prefix * suffix, the products of the coordinates
+        # before and after k, each taken from its end of the term toward k,
+        # as the per-term loop's cumprods take them (times 1.0 is exact).
         share[0] = coeffs
-        np.multiply(coeffs, np.multiply.accumulate(sub[:-1], axis=0), out=share[1:])
-        share[:-1] *= np.multiply.accumulate(sub[:0:-1], axis=0)[::-1]
-        # Term t's shares land in layer t + 1 at its coordinates' rows (pads
-        # on row n, dropped at the end) and +0.0 everywhere else.  Adding
-        # +0.0 leaves the running sum as it is: it starts at +0.0, so it
-        # is never -0.0.
-        spread = np.zeros((idx.shape[1] + 1, rows, batch))
-        spread[0] = acc
-        spread[np.arange(1, idx.shape[1] + 1), idx] = share
-        acc = np.add.accumulate(spread, axis=0, out=spread)[-1].copy()
-    return acc[:-1].T.reshape(x.shape)
+        prefix, suffix = np.ones((2,) + sub.shape[1:])
+        for k in range(1, sub.shape[0]):
+            prefix *= sub[k - 1]
+            np.multiply(coeffs, prefix, out=share[k])
+        for k in range(sub.shape[0] - 2, -1, -1):
+            suffix *= sub[k + 1]
+            share[k] *= suffix
+        # Layer j holds each coordinate's j-th share of the block, or +0.0
+        # past its last, and the running sum joins layer 0 (a + b is b + a
+        # bit for bit).  Adding +0.0 leaves the running sum as it is: it
+        # starts at +0.0, so it is never -0.0.
+        layers = flat[gather]
+        layers[0] += acc
+        acc = np.add.accumulate(layers, axis=0, out=layers)[-1].copy()
+    return acc.T.reshape(x.shape)
 
 
 def pairwise_form(f: FourierExpansion) -> tuple[np.ndarray, np.ndarray] | None:

@@ -24,7 +24,7 @@ every number must be a JSON number, not a string or a boolean.
 
 Each command takes the flags it reads, and no other:
 analyze       --spec --out --seed --samples --tol --damping --max-n --timings
-fixed-points  --spec --out --seed --tol --damping --max-n
+fixed-points  --spec --out --seed --tol --damping --max-n --timings
 ld-scan       --spec --out --seed --tol --damping --t --delta --max-n
               --lambda-grid --timings
 audit         --spec --out --seed --samples --epsilon --t --delta --max-n
@@ -529,7 +529,7 @@ class RunConfig:
     suite: str = _option("all", "--suite", "audit", choices=SUITES)
     lambda_grid: str = _option("1e-2:1e2:64", "--lambda-grid", "ld-scan",
                                help="LO:HI:COUNT geometric grid, mirrored, plus 0")
-    timings: bool = _option(False, "--timings", "analyze ld-scan audit", action="store_true",
+    timings: bool = _option(False, "--timings", _COMPUTE, action="store_true",
                             help="record wall-clock stage timings (breaks byte-identical reports)")
 
     def validate(self) -> None:

@@ -21,9 +21,9 @@ from .boolfn import FourierExpansion, eval_extension, gradient_extension, pairwi
 
 DEFAULT_MAX_ITER = 10_000
 DEDUP_SOLUTION_TOL = 1e-6
-# The most rows one ``lambda_scan`` battery holds: the seeded starts of 15
+# The most rows one ``lambda_scan`` battery holds: the seeded starts of 60
 # consecutive grid points, so its memory does not grow with the grid.
-_SCAN_BATTERY_ROWS = 256
+_SCAN_BATTERY_ROWS = 1024
 
 # A batched gradient: rows of the input are points, rows of the output their
 # gradients.  It must be deterministic and row-wise, so that an output row's
@@ -121,8 +121,13 @@ def _iterate_rows(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
     row never converges, and its state at ``max_iter`` is the one at the
     first later step in phase with the cap, so it ends there with
     ``iterations = max_iter`` and its period.  Repeats are found Brent
-    style, against one copy of the live rows saved at the steps that are
-    powers of two.
+    style, against one copy of the live rows.  The copy is re-saved at
+    every step that is a multiple of a quarter of the largest power of two
+    up to it (at every step below 8), so from step 8 on saves are more than
+    an eighth and at most a quarter of the step count apart.  A row in a
+    cycle of period p is found p steps after the first save inside the
+    cycle at which saves are p or more apart, as they are from step 8p on;
+    its first repeat is then its minimal period.
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError("damping must lie in (0, 1]")
@@ -155,6 +160,7 @@ def _iterate_rows(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
             raise ValueError("non-finite gradient during iteration")
         target = np.tanh(scale * g)
         r = np.abs(x - target).sum(axis=1)
+        del g  # so the next field call does not run beside this step's gradient
         hit = r <= tol
         if step == next_end or hit.any():
             stop = hit | (end == step)
@@ -180,7 +186,7 @@ def _iterate_rows(field: GradientField, x0: np.ndarray, ids: Sequence[str], *,
             cyc[repeat] = step - saved_step
             end[repeat] = step + (max_iter - step) % cyc[repeat]
             next_end = int(end.min())
-        if step & (step - 1) == 0:
+        if step % max(1, 1 << step.bit_length() >> 3) == 0:
             saved, saved_step = bits.copy(), step
     if (logger := _debug_logger(__name__)) is not None:
         cycles = np.unique(period[period > 0], return_counts=True)
@@ -318,4 +324,5 @@ def lambda_scan(f: FourierExpansion, t: float, delta: float, *, lambda_grid: np.
             found = dedupe_solutions([s for s, v in zip(conv, values) if lo_val <= v <= hi_val])
             kept.extend(found)
             warm = [s.point for s in found]
+        del seeded, sols  # so the next battery does not run beside these solutions
     return kept

@@ -113,6 +113,12 @@ def test_gradient_safe_at_zero_coordinates():
 # to 1.0000000000000002 in numpy's pairwise (8-accumulator) order.
 HUB = FourierExpansion(5, np.arange(1, 32, 2), np.array([1.0] + [1e-16] * 15))
 
+# The cutoff6 battery's expansion: 32 terms of degree up to 6, where each
+# coordinate has 16 gradient shares.  Its 17 rows count as 32 in a block, so
+# 32 * 7 * 11 entries split the terms into three blocks for both kernels:
+# 11 + 11 + 10 for the gradient (n + 1 = 7) and 12 + 12 + 8 for the value.
+CUTOFF6 = build_hamiltonian(SmoothedCutoffSpec(CurieWeissSpec(1.5, 6), 0.4, 0.05))
+
 
 @st.composite
 def kernel_cases(draw):
@@ -139,6 +145,7 @@ def _bits(a):
                np.array([0.0, -0.5, 0.25]), 1))
 @example(case=(HUB, np.ones(5), 1 << 18))
 @example(case=(HUB, np.ones((2, 5)), 7))
+@example(case=(CUTOFF6, np.random.default_rng(17).uniform(-1.0, 1.0, (17, 6)), 32 * 7 * 11))
 def test_extension_kernels_match_the_per_term_loops_bit_for_bit(case):
     f, x, block = case
     with mock.patch.object(boolfn, "_BLOCK_ENTRIES", block):
@@ -193,7 +200,7 @@ def test_vertex_table_is_built_once_and_read_only(monkeypatch):
 
 def test_term_index_and_pairwise_form_are_built_once_and_read_only(monkeypatch):
     builds = []
-    for name in ("_terms", "_pairwise"):
+    for name in ("_terms", "_pairwise", "_gathers"):
         cached = vars(FourierExpansion)[name]
         assert isinstance(cached, cached_property), f"{name} is not kept on the expansion"
         monkeypatch.setattr(cached, "func", lambda self, build=cached.func, name=name:
@@ -205,10 +212,15 @@ def test_term_index_and_pairwise_form_are_built_once_and_read_only(monkeypatch):
     as_gradient_field(f)(x)
     residual_l1(f, x[0])
     lambda_scan(f, 0.675, 0.05, lambda_grid=np.array([0.44, 0.5]), tol=1e-8)
-    assert sorted(builds) == ["_pairwise", "_terms"]
+    gradient_extension(f, x)
+    assert sorted(builds) == ["_gathers", "_pairwise", "_terms"]
+    (gathers,) = f._gathers.values()
+    gradient_extension(f, x)
+    (again,) = f._gathers.values()
+    assert again is gathers
     a, mu = pairwise_form(f)
     assert pairwise_form(f)[0] is a and a.flags.c_contiguous
-    for table in (f._terms, a, mu):
+    for table in (f._terms, a, mu, *gathers):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
 

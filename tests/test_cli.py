@@ -242,7 +242,7 @@ def test_flag_docs_match_the_option_table(capsys):
     # the README's per-command list, the module docstring's and each --help
     # list the flags that the command reads, in the table's order
     table = {c: [f.metadata["flag"] for f in cli._options(c)] for c in cli._COMMANDS}
-    assert sum(map(len, table.values())) == 38
+    assert sum(map(len, table.values())) == 39
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     listed = readme.split("Flags: ", 1)[1].split("\n\n", 2)[1]
     assert {c: re.findall(r"`(--[a-z-]+)`", flags)
@@ -993,6 +993,7 @@ def test_timings_off_by_default(tmp_path):
     out = tmp_path / "r.json"
     for argv, stages in [
             (["analyze", "--samples", "500"], ["complexity", "fixed_points"]),
+            (["fixed-points"], ["fixed_points"]),
             (["ld-scan", "--t", "0.675", "--delta", "0.05", "--lambda-grid", "0.5:1:2"],
              ["lambda_scan"]),
             (["audit", "--suite", "all", "--samples", "500"],

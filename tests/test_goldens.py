@@ -225,6 +225,14 @@ def test_analyze_and_fixed_points_write_the_same_solutions(spec, seed, tmp_path)
     assert blocks[0] == blocks[1]
 
 
+def test_fixed_points_timings_time_the_battery(tmp_path):
+    # --timings records the battery's stage; without it the bytes are the golden's
+    name = "fixed_points_cutoff6.json"
+    timings = json.loads(run_golden(name, tmp_path, [*GOLDENS[name], "--timings"]))["timings"]
+    assert list(timings) == ["fixed_points"] and timings["fixed_points"] > 0
+    assert run_golden(name, tmp_path) == (GOLDEN_DIR / name).read_bytes()
+
+
 def test_every_reported_number_has_a_provenance():
     # exact, certified or with its standard error beside it, in every golden report
     for kind in REPORT_KEY_KINDS.values():
