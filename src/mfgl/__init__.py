@@ -82,7 +82,6 @@ _EXPORTS = {
     "IsingSpec": "hamiltonians",
     "LinearSpec": "hamiltonians",
     "CubicQuinticShape": "hamiltonians",
-    "ScalarShape": "hamiltonians",
     "SmoothedCutoffSpec": "hamiltonians",
     "SparseFourierSpec": "hamiltonians",
     "TriangleCountSpec": "hamiltonians",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -406,16 +406,15 @@ def lipschitz(f: FourierExpansion) -> tuple[float, float]:
     return l1, l2
 
 
-def compose(f: FourierExpansion, h) -> FourierExpansion:
-    """Expansion of the vertex map v -> h(f(v)) via a full truth table.
+def compose(f: FourierExpansion, fn) -> FourierExpansion:
+    """Expansion of the vertex map v -> fn(f(v)) via a full truth table.
 
-    ``h`` is a scalar shape (anything with a vectorized ``value``) or a
-    plain callable.  Exact at every vertex up to the 1e-14 coefficient
-    pruning applied after the transform.
+    ``fn`` maps an array elementwise (a shape's ``value``, ``np.tanh``).
+    Exact at every vertex up to the 1e-14 coefficient pruning applied after
+    the transform.
     """
     values = vertex_values(f)
-    fn: Callable = h.value if hasattr(h, "value") else h
     hv = np.asarray(fn(values), dtype=np.float64)
     if hv.shape != values.shape:
-        raise ValueError("scalar shape did not evaluate elementwise")
+        raise ValueError("the scalar map did not act elementwise")
     return from_vertex_values(f.n, hv)

@@ -18,9 +18,11 @@ Hamiltonian spec JSON schema (one object, dispatch on "type"):
     {"type": "triangle_count", "beta": 1.0, "num_vertices": 5}
     {"type": "sparse_fourier", "n": 6, "terms": [{"subset": [0, 2], "coeff": 1.5}]}
     {"type": "smoothed_cutoff", "inner": {...}, "t": 0.5, "delta": 0.05}
+A spec object, an ``inner`` one and a sparse_fourier term each take exactly
+the keys shown, and a missing or unknown key is refused with exit code 1.
 Matrices are row-major nested arrays; subsets are sorted index lists;
 n, num_vertices and subset indices are integers (6.0 reads as 6, 6.9 is refused);
-every number must be a JSON number, not a string or a boolean.
+every number must be a finite JSON number, not a string or a boolean.
 
 Each command takes the flags it reads, and no other:
 analyze       --spec --out --seed --samples --tol --damping --max-n --timings
@@ -31,7 +33,8 @@ audit         --spec --out --seed --samples --epsilon --t --delta --max-n
               --transport-max-states --suite --timings
 report        --spec --out --format
 Every flag sets one ``RunConfig`` field, and no environment variable reaches
-a run, so a report depends on its argv and input files alone.
+a run, so a report depends on its argv and input files alone.  --t and
+--delta reach audit only with --suite ld or all.
 --max-n and --transport-max-states set the two size caps: ``run`` holds
 them in ``mfgl.size_caps`` around the command, and every table and
 transport the command builds reads them there.
@@ -65,7 +68,6 @@ import gc
 import io
 import json
 import math
-import numbers
 import os
 import sys
 import tempfile
@@ -118,7 +120,7 @@ def _emit_json(obj, out: list, indent: int) -> None:
         out.append(_number(obj) or "null")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, (dict, list, tuple)) or _is_ndarray(obj):
+    elif isinstance(obj, (dict, list, tuple)):
         keyed = isinstance(obj, dict)
         items = list(obj.items() if keyed else obj)
         brackets = "{}" if keyed else "[]"
@@ -136,19 +138,8 @@ def _emit_json(obj, out: list, indent: int) -> None:
             _emit_json(item, out, indent + 2)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + brackets[1])
-    # numpy integer and float scalars, checked last: the checks are slow
-    elif isinstance(obj, numbers.Integral):
-        _emit_json(int(obj), out, indent)
-    elif isinstance(obj, numbers.Real):
-        _emit_json(float(obj), out, indent)
-    else:
+    else:  # every layer hands the CLI JSON's Python types, numpy's converted
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _is_ndarray(obj) -> bool:
-    # Without numpy loaded nothing can be an array, so the check never imports it.
-    numpy = sys.modules.get("numpy")
-    return numpy is not None and isinstance(obj, numpy.ndarray)
 
 
 # The CSV columns in order, with the JSON types each takes in an audit row.
@@ -157,6 +148,15 @@ _CSV_TYPES = {"check_id": (str, "a string"), "measured": _NUMBER, "bound": _NUMB
               "ratio": _NUMBER, "pass": (bool, "a boolean"), "kind": (str, "a string"),
               "hypothesis_met": (bool, "a boolean"), "instance": (dict, "an object")}
 CSV_COLUMNS = tuple(_CSV_TYPES)
+
+
+def _csv_cell(value) -> str:
+    """One CSV cell of a checked audit row's value, by its JSON type."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    return value if isinstance(value, str) else _number(value)
 
 
 def serialize_report(report: dict, fmt: str) -> bytes:
@@ -173,16 +173,7 @@ def serialize_report(report: dict, fmt: str) -> bytes:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in report.get("audits", []):
-            writer.writerow([
-                row["check_id"],
-                _number(row["measured"]),
-                _number(row["bound"]),
-                _number(row["ratio"]),
-                str(bool(row["pass"])).lower(),
-                row["kind"],
-                str(bool(row["hypothesis_met"])).lower(),
-                json.dumps(row["instance"], sort_keys=True),
-            ])
+            writer.writerow([_csv_cell(row[key]) for key in CSV_COLUMNS])
         return buf.getvalue().encode()
     raise InputError(f"unsupported format {fmt!r}")
 
@@ -547,8 +538,9 @@ class RunConfig:
             raise InputError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if (self.t is None) != (self.delta is None):
             raise InputError("--t and --delta must be given together")
-        if (self.command == "audit" and self.suite in ("ld", "all") and self.t is not None
-                and not self.spec_path):
+        if self.command == "audit" and self.t is not None and self.suite not in ("ld", "all"):
+            raise InputError(f"--suite {self.suite} reads no --t or --delta")
+        if self.command == "audit" and self.t is not None and not self.spec_path:
             raise InputError("--t and --delta need --spec for the ld suite")
         if self.command == "ld-scan":
             if self.t is None:

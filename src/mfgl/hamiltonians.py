@@ -15,7 +15,6 @@ equation x = tanh(beta_eff x) that its constant fixed points solve.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -32,30 +31,10 @@ class InvalidSpec(ValueError):
 # Scalar shapes
 # ---------------------------------------------------------------------------
 
+# A shape h maps arrays elementwise through ``value``, ``deriv1`` and ``deriv2``; its sup
+# bounds ``d1_bound`` and ``d2_bound`` on |h'| and |h''| are None where h has none.
 
-class ScalarShape:
-    """A scalar map with analytic first and second derivatives.
-
-    ``d1_bound`` / ``d2_bound`` are global sup bounds on |h'| and |h''|
-    (``None`` when unbounded); the composition-parameter formulas consume
-    them directly, so shapes never fall back to numeric differentiation.
-    """
-
-    name = "shape"
-    d1_bound: Optional[float] = None
-    d2_bound: Optional[float] = None
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def deriv1(self, x):
-        raise NotImplementedError
-
-    def deriv2(self, x):
-        raise NotImplementedError
-
-
-class CutoffShape(ScalarShape):
+class CutoffShape:
     """psi(x) = n * h((x/n - t)/delta) for the monotone ramp h.
 
     h(u) is 2u+1 below -1, -u^2 on [-1,0] and 0 above 0, with |h'| <= 2 and
@@ -96,7 +75,7 @@ class CutoffShape(ScalarShape):
         return np.where(u <= -1.0, 0.0, np.where(u < 0.0, -2.0, 0.0)) / (self.n * self.delta**2)
 
 
-class CubicQuinticShape(ScalarShape):
+class CubicQuinticShape:
     """Cubic-quintic core with quadratic wings; h'(0) = 0, |h''| bounded.
 
     h(x) = 3/4 x^3 - 1/4 x^5 for |x| < 1, +-x^2/2 outside.  Continuously
@@ -211,17 +190,20 @@ def composition_params(b1: float, b2: float, base: ComplexityParams, n: int) -> 
 
 
 def _number(value) -> float:
-    """``value`` as a float; a bool, a string or any other non-number is refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """``value`` as a finite float; a bool, a string, a NaN or an infinity is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidSpec(f"expected a number, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
         raise InvalidSpec("expected a number in the float range") from None
+    if not math.isfinite(x):
+        raise InvalidSpec(f"expected a finite number, got {value!r}")
+    return x
 
 
 def _integer(value) -> int:
-    """``value`` as an int; a fractional or non-finite number is refused, not truncated."""
+    """``value`` as an int; a fractional number is refused, not truncated."""
     if not _number(value).is_integer():
         raise InvalidSpec(f"expected an integer, got {value!r}")
     return int(value)
@@ -237,11 +219,11 @@ class HamiltonianSpec:
     """Base of the spec types; ``SPEC_TYPES`` maps each ``type`` tag to its class.
 
     A spec's JSON object is its ``type`` tag followed by its dataclass fields,
-    in field order; each type's ``_validate`` coerces and validates those
-    fields, and ``__post_init__`` then refuses a dimension n below 1 or above
-    ``MAX_DIMENSION``, which the int64 subset masks cannot hold.  So every
-    route into a spec (JSON or Python) is checked the same way, before
-    anything is built.  Each type's ``build()`` returns its
+    in field order, and no other key; each type's ``_validate`` coerces and
+    validates those fields, and ``__post_init__`` then refuses a dimension n
+    below 1 or above ``MAX_DIMENSION``, which the int64 subset masks cannot
+    hold.  So every route into a spec (JSON or Python) is checked the same
+    way, before anything is built.  Each type's ``build()`` returns its
     ``FourierExpansion`` for ``build_hamiltonian``.
     """
 
@@ -274,8 +256,8 @@ class LinearSpec(HamiltonianSpec):
 
     def _validate(self):
         theta = _numbers(self.theta)
-        if theta.ndim != 1 or not np.all(np.isfinite(theta)):
-            raise InvalidSpec("linear field must be a finite vector")
+        if theta.ndim != 1:
+            raise InvalidSpec("linear field must be a vector")
         self._set(theta=tuple(theta.tolist()))
 
     @property
@@ -304,8 +286,6 @@ class IsingSpec(HamiltonianSpec):
             raise InvalidSpec("coupling must be a square matrix")
         if mu.shape != (a.shape[0],):
             raise InvalidSpec("field length must match the coupling size")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(mu))):
-            raise InvalidSpec("non-finite entries")
         if not np.allclose(a, a.T, rtol=0, atol=0):
             raise InvalidSpec("coupling must be symmetric")
         if np.any(np.diag(a) != 0.0):
@@ -333,8 +313,8 @@ class CurieWeissSpec(HamiltonianSpec):
 
     def _validate(self):
         self._set(beta=_number(self.beta), n=_integer(self.n))
-        if not 0.0 < self.beta < math.inf:
-            raise InvalidSpec(f"beta must be positive and finite, got {self.beta}")
+        if not self.beta > 0.0:
+            raise InvalidSpec(f"beta must be positive, got {self.beta}")
         if self.n < 2:
             raise InvalidSpec("need at least two sites")
 
@@ -361,8 +341,6 @@ class TriangleCountSpec(HamiltonianSpec):
 
     def _validate(self):
         self._set(beta=_number(self.beta), num_vertices=_integer(self.num_vertices))
-        if not math.isfinite(self.beta):
-            raise InvalidSpec(f"beta must be finite, got {self.beta}")
         if self.num_vertices < 3:
             raise InvalidSpec("need at least three graph vertices")
 
@@ -401,9 +379,7 @@ class SparseFourierSpec(HamiltonianSpec):
                 raise InvalidSpec("repeated index in subset")
             if subset and (subset[0] < 0 or subset[-1] >= n):
                 raise InvalidSpec("subset index out of range")
-            if not math.isfinite(coeff := _number(coeff)):
-                raise InvalidSpec(f"coefficient must be finite, got {coeff}")
-            norm.append((subset, coeff))
+            norm.append((subset, _number(coeff)))
         self._set(n=n, terms=tuple(norm))
 
     def to_dict(self) -> dict:
@@ -412,7 +388,8 @@ class SparseFourierSpec(HamiltonianSpec):
 
     @classmethod
     def from_dict(cls, data: dict) -> "SparseFourierSpec":
-        return cls(data["n"], tuple((t["subset"], t["coeff"]) for t in data["terms"]))
+        terms = tuple(_values("a term", t, ("subset", "coeff")) for t in data["terms"])
+        return cls(data["n"], terms)
 
     def build(self):
         return FourierExpansion.from_terms(self.n, self.terms)
@@ -446,11 +423,19 @@ class SmoothedCutoffSpec(HamiltonianSpec):
 
     def build(self):
         inner = build_hamiltonian(self.inner)
-        return compose(inner, CutoffShape(inner.n, self.t, self.delta))
+        return compose(inner, CutoffShape(inner.n, self.t, self.delta).value)
 
 
 SPEC_TYPES = {cls.type: cls for cls in (LinearSpec, IsingSpec, CurieWeissSpec, TriangleCountSpec,
                                         SparseFourierSpec, SmoothedCutoffSpec)}
+
+
+def _values(what: str, data, keys: tuple) -> tuple:
+    """The values of ``keys`` in the object ``data``, which must have no other key."""
+    if not isinstance(data, dict) or set(data) != set(keys):
+        given = list(data) if isinstance(data, dict) else data
+        raise InvalidSpec(f"{what} takes exactly the keys {list(keys)}, got {given!r}")
+    return tuple(data[k] for k in keys)
 
 
 def spec_from_dict(data) -> HamiltonianSpec:
@@ -460,9 +445,11 @@ def spec_from_dict(data) -> HamiltonianSpec:
     kind = data["type"]
     if not isinstance(kind, str) or kind not in SPEC_TYPES:
         raise InvalidSpec(f"unknown Hamiltonian type {kind!r}")
+    cls = SPEC_TYPES[kind]
+    _values(f"a {kind!r} spec", data, ("type", *(f.name for f in fields(cls))))
     try:
-        return SPEC_TYPES[kind].from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+        return cls.from_dict(data)
+    except (TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed {kind!r} spec: {exc}") from exc
 
 

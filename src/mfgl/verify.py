@@ -40,7 +40,7 @@ from .gibbs import (
     tv,
     w1_result,
 )
-from .hamiltonians import ComplexityParams, CubicQuinticShape, ScalarShape, SmoothedCutoff
+from .hamiltonians import ComplexityParams, CubicQuinticShape, CutoffShape, SmoothedCutoff
 
 PASS_SLACK = 1e-9
 MAX_TILT_TRIES = 100_000
@@ -198,6 +198,8 @@ def audit_main_residuals(f: FourierExpansion, theta_list: Sequence[np.ndarray],
         raise ValueError(f"eps must lie in (0, {limit:.6g}) for D = {params.d:.6g}")
     base_instance = dict(instance or {}, eps=eps, d=params.d, d_stderr=params.d_stderr,
                          l1=params.l1, l2=params.l2)
+    # The copy makes each vertex's gradient a C-contiguous row, which numpy sums pairwise;
+    # ``spread``'s sum(axis=1) over strided rows adds in another order and changes its bits.
     nu, grad = gibbs_measure(f), flip_differences(vertex_values(f)).T.copy()
     tanh_grad = np.tanh(grad)
     trace_cap = 256.0 * n ** (1.0 / 3.0) * params.d ** (2.0 / 3.0) / eps ** (2.0 / 3.0)
@@ -264,7 +266,8 @@ def audit_tanh_mean_swap(trials: int, l_range: tuple[float, float] = (1.0, 5.0),
     return [make_row("tanh_mean_swap", inst, worst, 1.0)]
 
 
-def audit_chain_rule_and_moments(f: FourierExpansion, h: ScalarShape,
+def audit_chain_rule_and_moments(f: FourierExpansion,
+                                 h: CutoffShape | CubicQuinticShape,
                                  product_means: Sequence[np.ndarray],
                                  seed: int | None = None, *,
                                  instance: dict | None = None) -> list[AuditRow]:

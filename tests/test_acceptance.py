@@ -199,7 +199,7 @@ def test_criterion_09_chain_rule_defects():
     for _ in range(20):
         f = random_expansion(rng, n, degree=3)
         lip = lipschitz(f)[0]
-        hf = compose(f, h)
+        hf = compose(f, h.value)
         fvals = vertex_values(f)
         defect = (flip_differences(vertex_values(hf))
                   - np.asarray(h.deriv1(fvals)) * flip_differences(fvals))

@@ -73,6 +73,18 @@ def test_config_validation_errors():
         cli.run(cli.RunConfig(command="fixed-points", fmt="csv"))
 
 
+@pytest.mark.parametrize("suite", ["appendix", "proximity", "main", "tightness"])
+def test_a_level_for_a_suite_that_never_reads_it_is_one_error_line(tmp_path, capsys, suite):
+    # --t and --delta reach only the ld suite, run alone or in all
+    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 6})
+    out = tmp_path / "audit.json"
+    assert cli.main(["audit", "--suite", suite, "--spec", spec, "--t", "0.5", "--delta", "0.1",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"--suite {suite}" in err
+    assert not out.exists()
+
+
 # Per flag: a value other than its default, and a second value.
 OPTION_VALUES = {
     "--spec": ("a.json", "b.json"), "--out": ("a.out", "b.out"), "--format": ("csv", "json"),
@@ -173,6 +185,68 @@ def test_spec_from_dict_rejects_malformed(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def _key_cases():
+    """Per spec example, its ``to_dict()`` with an unknown key added and with each key
+    dropped in turn; then an unknown key inside ``inner`` and inside a term."""
+    for kind, spec in SPEC_EXAMPLES.items():
+        data = spec.to_dict()
+        yield f"{kind}+extra", {**data, "extra": 1}
+        for key in data:
+            yield f"{kind}-{key}", {k: v for k, v in data.items() if k != key}
+    cutoff = SPEC_EXAMPLES["smoothed_cutoff"].to_dict()
+    yield "inner+n", {**cutoff, "inner": {**cutoff["inner"], "num_vertices": 5}}
+    yield "inner-beta", {**cutoff, "inner": {"type": "curie_weiss", "n": 5}}
+    sparse = SPEC_EXAMPLES["sparse_fourier"].to_dict()
+    yield "term+weight", {**sparse, "terms": [{"subset": [0], "coeff": 1.0, "weight": 2.0}]}
+    yield "term-coeff", {**sparse, "terms": [{"subset": [0]}]}
+
+
+KEY_CASES = dict(_key_cases())
+
+
+@pytest.mark.parametrize("case", KEY_CASES)
+def test_a_missing_or_unknown_spec_key_is_one_error_line(tmp_path, capsys, case):
+    data = KEY_CASES[case]
+    with pytest.raises(InvalidSpec):
+        spec_from_dict(data)
+    spec = _write_spec(tmp_path, data)
+    out = tmp_path / "fp.json"
+    assert cli.main(["fixed-points", "--spec", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_a_typo_key_names_the_expected_and_the_given_keys():
+    with pytest.raises(InvalidSpec) as exc:
+        spec_from_dict({"type": "smoothed_cutoff", "inner": {"type": "curie_weiss",
+                        "beta": 1.5, "n": 4}, "t": 0.4, "detla": 9})
+    assert str(exc.value) == ("a 'smoothed_cutoff' spec takes exactly the keys "
+                              "['type', 'inner', 't', 'delta'], got "
+                              "['type', 'inner', 't', 'detla']")
+
+
+def test_every_spec_the_project_writes_has_exactly_its_keys(monkeypatch):
+    # the goldens' specs, the README's spec block and the benchmark's spec files
+    from test_goldens import SPECS
+
+    root = Path(__file__).parents[1]
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    workloads = importlib.import_module("workloads")
+    readme = (root / "README.md").read_text()
+    block = readme.split('dispatched on `"type"`:\n\n```json\n', 1)[1].split("```", 1)[0]
+    decoder, rest, found = json.JSONDecoder(), block.strip(), list(SPECS.values())
+    while rest:
+        data, end = decoder.raw_decode(rest)
+        found.append(data)
+        rest = rest[end:].strip()
+    for name in ("analyze", "ld-scan", "audit"):
+        found += workloads.specs(name, 7).values()
+    assert len(found) == len(SPECS) + 6 + 10
+    for data in found:
+        assert spec_from_dict(data).to_dict().keys() == data.keys(), data
+
+
 @pytest.mark.parametrize("data", [
     {"type": "curie_weiss", "beta": 1.0, "n": 70},
     {"type": "sparse_fourier", "n": 70, "terms": [{"subset": [65], "coeff": 1.0}]},
@@ -203,7 +277,7 @@ def test_a_dimension_above_the_masks_is_one_error_line(tmp_path, capsys, data):
     ({"type": "ising", "coupling": [[0, 1], [1, 0]], "field": ["0", 0]},
      "expected a number, got '0'"),
     ({"type": "ising", "coupling": [[0, float("nan")], [1, 0]], "field": [0, 0]},
-     "non-finite entries"),
+     "expected a finite number, got nan"),
     ({"type": "smoothed_cutoff", "inner": {"type": "curie_weiss", "beta": 1.5, "n": 4},
       "t": "0.5", "delta": 0.05}, "expected a number, got '0.5'"),
 ])
@@ -410,14 +484,15 @@ def test_audit_row_keys_are_the_csv_columns():
     assert [k for k in keys if k != "instance"] + ["instance"] == list(cli.CSV_COLUMNS)
 
 
-def test_emit_json_takes_numpy_numbers_and_arrays():
-    plain = {"i": 3, "x": 0.5, "nan": None, "v": [1.0, None], "m": [[0, 1]], "e": []}
-    arrays = {"i": np.int64(3), "x": np.float32(0.5), "nan": np.float64("nan"),
-              "v": np.array([1.0, np.inf]), "m": np.arange(2).reshape(1, 2), "e": np.zeros(0)}
-    assert cli.serialize_report(arrays, "json") == cli.serialize_report(plain, "json")
-    for unknown in (object(), 1j, np.bool_(True), np.complex128(1.0), {1, 2}):
-        with pytest.raises(TypeError, match="cannot serialize"):
-            cli.serialize_report({"x": unknown}, "json")
+def test_emit_json_takes_json_types_only():
+    # every layer hands reports Python's JSON types; a numpy value is a defect, not coerced
+    plain = {"i": 3, "x": 0.5, "nan": None, "inf": float("inf"), "v": [1.0, None], "e": []}
+    assert json.loads(cli.serialize_report(plain, "json")) == {**plain, "inf": None}
+    for value, name in [(np.float32(1), "float32"), (np.int64(1), "int64"),
+                        (np.zeros(2), "ndarray"), (np.bool_(True), "bool"), (object(), "object"),
+                        (1j, "complex"), ({1, 2}, "set")]:
+        with pytest.raises(TypeError, match=f"cannot serialize {name}"):
+            cli.serialize_report({"x": value}, "json")
 
 
 def test_atomic_write(tmp_path):

@@ -442,7 +442,7 @@ def test_composition_lipschitz_bounds_hold_empirically():
         n = int(rng.integers(5, 9))
         f = random_expansion(rng, n, degree=2)
         params = ComplexityParams.from_raw(0.0, *lipschitz(f))
-        l1, l2 = lipschitz(compose(f, h))
+        l1, l2 = lipschitz(compose(f, h.value))
         assert l1 <= h.d1_bound * params.l1 + 1e-9
         assert l2 <= h.d1_bound * params.l2 + 3.0 * h.d2_bound * params.l1**2 * n + 1e-9
 

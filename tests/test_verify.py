@@ -265,7 +265,7 @@ def test_counting_composition_matches_bruteforce_gradient():
     n = 8
     f = FourierExpansion.from_terms(n, [((i,), 1.0) for i in range(n)])
     shape = CubicQuinticShape()
-    hf = compose(f, shape)
+    hf = compose(f, shape.value)
     g0 = grad(hf, np.zeros(n))
     assert np.allclose(g0, g0[0])  # permutation symmetry
     assert n * abs(g0[0]) == pytest.approx(counting_composition_gradient_norm(n), abs=1e-9)
