@@ -33,8 +33,9 @@ audit         --spec --out --seed --samples --epsilon --t --delta --max-n
               --transport-max-states --suite --timings
 report        --spec --out --format
 Every flag sets one ``RunConfig`` field, and no environment variable reaches
-a run, so a report depends on its argv and input files alone.  --t and
---delta reach audit only with --suite ld or all.
+a run, so a report depends on its argv and input files alone.  audit refuses
+any of --spec, --samples, --epsilon, --t, --delta and --transport-max-states
+set off its default when no selected suite reads it.
 --max-n and --transport-max-states set the two size caps: ``run`` holds
 them in ``mfgl.size_caps`` around the command, and every table and
 transport the command builds reads them there.
@@ -214,12 +215,6 @@ def _solution_dict(sol: FixedPointSolution) -> dict:
     }
 
 
-def _params_dict(p) -> dict:
-    se = {} if p.d_stderr is None else {"d_stderr": p.d_stderr}
-    levels = {} if p.d_levels is None else {"d_levels": p.d_levels}
-    return {"d": p.d, **se, **levels, "l1": p.l1, "l2": p.l2}
-
-
 def _exit_status(rows: Sequence[AuditRow]) -> int:
     """1, with one ``error:`` line per error row, else 2 if a proven bound fails, else 0."""
     from . import verify
@@ -282,10 +277,10 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
     report = _new_report(config, spec.to_dict())
     with _timed(config, report, "complexity"):
         params = complexity.complexity_params(f, samples=config.samples, seed=config.seed)
-    report["params"] = {**_params_dict(params),
+    keys = ("d", "d_stderr", "d_levels", "d_lower", "d_upper", "l1", "l2")
+    report["params"] = {**{key: value for key in keys
+                           if (value := getattr(params, key)) is not None},
                         "structural_threshold": params.structural_threshold(f.n)}
-    if (bounds := complexity.closed_form_bounds(f)) is not None:
-        report["closed_form_bounds"] = _params_dict(bounds)
     if isinstance(spec, hamiltonians.CurieWeissSpec):
         report["scalar_roots"] = [float(r) for r in meanfield.curie_weiss_roots(
             spec.scalar_slope)]
@@ -410,16 +405,21 @@ def _suite_tightness(config: RunConfig, built: FourierExpansion | None) -> list[
     return verify.tightness_demo([16, 64, 256, 1024])
 
 
-# Each suite maps (config, the --spec expansion or None) to its rows; ``all``
-# runs them in this order.
+# Each suite maps (config, the --spec expansion or None) to its rows, beside the
+# suite inputs (``RunConfig`` fields) it reads; ``validate`` refuses an input set off
+# its default that no selected suite reads.  ``all`` runs them in this order.
 _SUITES = {
-    "appendix": _suite_appendix,
-    "proximity": _suite_proximity,
-    "main": _suite_main,
-    "ld": _suite_ld,
-    "tightness": _suite_tightness,
+    "appendix": (_suite_appendix, ()),
+    "proximity": (_suite_proximity, ("spec_path", "epsilon", "transport_max_states")),
+    "main": (_suite_main, ("spec_path", "samples", "epsilon")),
+    "ld": (_suite_ld, ("spec_path", "t", "delta")),
+    "tightness": (_suite_tightness, ()),
 }
 SUITES = (*_SUITES, "all")
+
+
+def _selected(suite: str) -> tuple[str, ...]:
+    return tuple(_SUITES) if suite == "all" else (suite,)
 
 
 def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
@@ -428,9 +428,9 @@ def _cmd_audit(config: RunConfig) -> tuple[int, dict]:
     spec, built = _require_spec(config) if config.spec_path else (None, None)
     report = _new_report(config, spec.to_dict() if spec else None)
     rows: list[AuditRow] = []
-    for name in _SUITES if config.suite == "all" else (config.suite,):
+    for name in _selected(config.suite):
         with _timed(config, report, name):
-            rows.extend(_SUITES[name](config, built))
+            rows.extend(_SUITES[name][0](config, built))
     report["audits"] = [r.as_dict() for r in rows]
     report["summary"] = {
         "rows": len(rows),
@@ -538,8 +538,12 @@ class RunConfig:
             raise InputError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if (self.t is None) != (self.delta is None):
             raise InputError("--t and --delta must be given together")
-        if self.command == "audit" and self.t is not None and self.suite not in ("ld", "all"):
-            raise InputError(f"--suite {self.suite} reads no --t or --delta")
+        if self.command == "audit":
+            read = {name for suite in _selected(self.suite) for name in _SUITES[suite][1]}
+            unread = {name for _, reads in _SUITES.values() for name in reads} - read
+            for f in fields(self):
+                if f.name in unread and getattr(self, f.name) != f.default:
+                    raise InputError(f"--suite {self.suite} reads no {f.metadata['flag']}")
         if self.command == "audit" and self.t is not None and not self.spec_path:
             raise InputError("--t and --delta need --spec for the ld suite")
         if self.command == "ld-scan":

@@ -1,46 +1,45 @@
-"""Gradient complexity: the Monte-Carlo Gaussian width of the vertex gradients.
+"""Gradient complexity: the Gaussian width of the vertex gradients.
 
 The gradient complexity of a Hamiltonian is the width
 D = E[sup_{x in K u {0}} <x, G>] over standard Gaussian vectors G, where the
 cloud K is its vertex gradient image.  The origin is never stored: every
 supremum here starts at 0, so each width is over K u {0} by construction.
 
-``gaussian_width_mc`` estimates D in two levels, a control variate in the
-sense of multilevel Monte Carlo (Giles, Acta Numerica 2015):
+Above degree 2, ``gaussian_width_mc`` estimates D in two levels, a control
+variate in the sense of multilevel Monte Carlo (Giles, Acta Numerica 2015):
 
     D = E sup_A <x, G> + E[sup_K <x, G> - sup_A <x, G>],
 
 where the winner set A, a subset of K, holds the rows that attain the
 supremum on a seeded pilot of ``PILOT_DRAWS`` draws over K.
 Level 0 is ``width_samples(A, samples, seed)``: every requested draw, on
-A alone.  Level 1 takes independent draws on all of K; its samples are
+A alone.  Level 1 takes independent draws on all of K, as many as a probe
+sizes by Giles' rule (``gaussian_width_mc``); its samples are
 max(sup_K - sup_A, 0), zero unless a draw's maximiser lies outside A.  The
 clamp is exact, since sup_K >= sup_A before rounding.  The two sups take
 the same row's product in differently shaped blocks, which may round apart
 either way: the clamp zeroes a draw that rounds below zero, but
 ``level1_nonzero`` can still count a draw that rounds above zero though its
-maximiser lies in A.
-Level 1 first takes a probe of ``LEVEL1_FLOOR`` draws, whose variance V1
-sizes it by Giles' rule against level 0's variance V0 and the cost of a
-draw, |A| + 1 rows at level 0 and |K| + |A| at level 1; its mean then
-comes from that many fresh draws.  The pilot, the probe and level 1
-together take at most ``PLAIN_DRAWS`` draws over K.  The pilot draws from
-the first of the two children spawned by ``SeedSequence(seed)``, the probe
-and level 1 in turn from the second.  Few rows of a gradient cloud ever
-attain a supremum, so level 0 is cheap and level 1 is mostly zeros.  At
-most ``PLAIN_DRAWS`` requested draws take A = K, and the estimate is plain
-Monte Carlo over ``width_samples``.
+maximiser lies in A.  The pilot draws from the first of the two children
+spawned by ``SeedSequence(seed)``, the probe and level 1 in turn from the
+second.  Few rows of a gradient cloud ever attain a supremum, so level 0
+is cheap and level 1 is mostly zeros.  At most ``PLAIN_DRAWS`` requested
+draws take A = K, and the estimate is plain Monte Carlo over ``width_samples``.
 
-A cloud is a ``GradientCloud`` of explicit rows, the ``VertexCloud`` of a
-vertex table F, whose row v is the gradient at vertex v, or the
-``PairwiseCloud`` of a degree <= 2 expansion.  A sup over the first two
-walks the cloud in row blocks; a ``VertexCloud`` builds them from F as it
-goes, in slabs that are the flip blocks of ``boolfn.flip_blocks``, so
+A cloud is a ``GradientCloud`` of explicit rows or the ``VertexCloud`` of a
+vertex table F, whose row v is the gradient at vertex v.  A sup walks the
+cloud in row blocks; a ``VertexCloud`` builds them from F as it goes, in
+slabs that are the flip blocks of ``boolfn.flip_blocks``, so
 ``complexity_params`` never holds the (n, 2^n) gradient tables.  Duplicate
-rows never change a supremum, so K is not deduplicated.  A pairwise
-gradient field x @ A + mu has a coordinate i that does not depend on x_i,
-so sup_x <x @ A + mu, g> = ||A g||_1 + <mu, g> exactly: a ``PairwiseCloud``
-stores no row, and its width always takes the plain path.
+rows never change a supremum, so K is not deduplicated.
+
+A degree <= 2 expansion takes none of this: its ``PairwiseCloud`` gives D in
+closed form.  Its gradient field x @ A + mu has a coordinate i that does not
+depend on x_i, so a draw's sup over K is X = ||A G||_1 + <mu, G>.  Each
+(A G)_i is N(0, ||A_i||_2^2) and E<mu, G> = 0, so E X = m =
+sqrt(2/pi) sum_i ||A_i||_2, and D = E max(X, 0) = m + E[X^-].  With mu = 0,
+X >= 0 and D = m exactly; otherwise only the small term E[X^-] is sampled,
+between the certified ends m and m + tau (``PairwiseCloud.width``).
 """
 
 from __future__ import annotations
@@ -135,39 +134,7 @@ class VertexCloud:
         return flip_rows(self.values, index)
 
 
-@dataclass(frozen=True, eq=False)
-class PairwiseCloud:
-    """The 2^n vertex gradients x @ A + mu of a pairwise form (A symmetric, zero
-    diagonal), as ``boolfn.pairwise_form`` returns it; no row is ever built."""
-
-    a: np.ndarray  # (n, n)
-    mu: np.ndarray  # (n,)
-
-    @property
-    def size(self) -> int:
-        return 1 << self.n
-
-    @property
-    def n(self) -> int:
-        return self.mu.size
-
-    def lipschitz(self) -> tuple[float, float]:
-        """(L1, L2), both exact: with row_i = sum_j |A_ij|, L1 = max_i(row_i + |mu_i|) and
-        L2 = max_i row_i, the one-norm of the gradient change under flipping x_i,
-        halved (A is symmetric, so row sums are column sums)."""
-        row = np.abs(self.a).sum(axis=1)
-        return float((row + np.abs(self.mu)).max()), float(row.max())
-
-    def width_bound(self) -> float:
-        """sqrt(n tr A^2) + sqrt(n) max|mu|, at least the width: a draw's sup is at most
-        ||A g||_1 + |<mu, g>|, and by Cauchy-Schwarz and Jensen E||A g||_1 <= sqrt(n tr A^2) and
-        E|<mu, g>| <= ||mu||_2 <= sqrt(n) max|mu|."""
-        n = self.n
-        return math.sqrt(n * float((self.a * self.a).sum())) + math.sqrt(n) * float(
-            np.abs(self.mu).max())
-
-
-Cloud = GradientCloud | VertexCloud | PairwiseCloud
+Cloud = GradientCloud | VertexCloud
 
 
 def _sups(cloud: Cloud, draws: np.ndarray,
@@ -177,12 +144,8 @@ def _sups(cloud: Cloud, draws: np.ndarray,
     The running maximum starts at the origin's 0 and carries the sup across
     blocks, each of about ``boolfn._BLOCK_ENTRIES`` products.  With ``winners``
     also return, per draw, the first row that beats the origin's 0 and
-    attains the sup, or -1 where none does.  A ``PairwiseCloud`` takes its
-    sup in closed form, max(||g @ A||_1 + <g, mu>, 0), and names no winner.
+    attains the sup, or -1 where none does.
     """
-    if isinstance(cloud, PairwiseCloud):
-        sups = np.abs(draws @ cloud.a).sum(axis=1) + draws @ cloud.mu
-        return np.maximum(sups, 0.0, out=sups), None
     m = draws.shape[0]
     best = np.zeros(m)
     where = np.full(m, -1, dtype=np.intp) if winners else None
@@ -201,40 +164,37 @@ def _sups(cloud: Cloud, draws: np.ndarray,
 
 
 def width_samples(cloud: Cloud, samples: int, seed: int | None = 0) -> np.ndarray:
-    """Per-draw suprema sup_{x in cloud u {0}} <x, G_k> for seeded Gaussian draws G_k.
-
-    Draws come from ``numpy.random.default_rng(seed)`` (PCG64) in a fixed
-    row-major order, so the k-th draw is the same vector for every cloud of
-    the same dimension; per-draw sups are therefore directly comparable
-    across clouds (monotone under cloud inclusion, exactly scaled under
-    positive scaling).
-    """
+    """Per-draw suprema sup_{x in cloud u {0}} <x, G_k> for the Gaussian draws G_k of
+    ``_draws``: the k-th draw is the same vector for every cloud of the same
+    dimension, so per-draw sups are comparable across clouds (monotone under
+    inclusion, exactly scaled under positive scaling)."""
     if samples < 1:
         raise ValueError("need at least one sample")
+    return np.concatenate([_sups(cloud, g)[0] for g in _draws(cloud.n, samples, seed)])
+
+
+def _draws(n: int, samples: int, seed: int | None) -> Iterator[np.ndarray]:
+    """``samples`` Gaussian draws in R^n from ``numpy.random.default_rng(seed)`` (PCG64),
+    row-major, in blocks of about ``boolfn._BLOCK_ENTRIES`` entries."""
     rng = np.random.default_rng(seed)
-    chunk = max(1, boolfn._BLOCK_ENTRIES // max(cloud.n, 1))
-    sups = np.empty(samples)
+    chunk = max(1, boolfn._BLOCK_ENTRIES // max(n, 1))
     for done in range(0, samples, chunk):
-        g = rng.standard_normal((min(chunk, samples - done), cloud.n))
-        sups[done:done + g.shape[0]] = _sups(cloud, g)[0]
-    return sups
+        yield rng.standard_normal((min(chunk, samples - done), n))
 
 
 @dataclass(frozen=True)
 class WidthEstimate:
     """A Monte-Carlo width, its standard error, and the draws behind it.
 
-    ``winners`` is |A| + 1, counting the origin, or None when that count
-    exceeds 2^63 - 1, the largest int64, as the 2^63 + 1 of a plain path at
-    n = 63 does.  ``pilot_draws`` counts the pilot and level 1's probe.  On
-    the plain path A = K, no pilot or level-1 draw is taken, and level 0 is
-    the whole estimate.
+    ``winners`` is |A| + 1, counting the origin.  ``pilot_draws`` counts the
+    pilot and level 1's probe.  On the plain path A = K, no pilot or level-1
+    draw is taken, and level 0 is the whole estimate.
     """
 
     estimate: float
     stderr: float
     pilot_draws: int
-    winners: int | None
+    winners: int
     level0_draws: int
     level0_stderr: float
     level1_draws: int
@@ -270,21 +230,18 @@ def gaussian_width_mc(cloud: Cloud, samples: int = DEFAULT_SAMPLES,
     the draws that chose N1 never enter it and the estimate stays unbiased.
     ``pilot_draws`` counts the pilot and the probe.
 
-    When ``samples`` is at most ``PLAIN_DRAWS``, or the cloud is a
-    ``PairwiseCloud``, whose draw costs O(n^2) on any number of rows, the
-    estimate is plain Monte Carlo: the mean and ddof=1 standard error of
+    When ``samples`` is at most ``PLAIN_DRAWS``, the estimate is plain
+    Monte Carlo: the mean and ddof=1 standard error of
     ``width_samples(cloud, samples, seed)``.  Bit-identical for identical
     (cloud, samples, seed).
     """
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
-    if isinstance(cloud, PairwiseCloud) or samples <= PLAIN_DRAWS:
+    if samples <= PLAIN_DRAWS:
         sups = width_samples(cloud, samples, seed)
         stderr = float(sups.std(ddof=1) / np.sqrt(samples))
-        winners = cloud.size + 1
         width = WidthEstimate(estimate=float(sups.mean()), stderr=stderr, pilot_draws=0,
-                              winners=winners if winners <= np.iinfo(np.int64).max else None,
-                              level0_draws=samples, level0_stderr=stderr,
+                              winners=cloud.size + 1, level0_draws=samples, level0_stderr=stderr,
                               level1_draws=0, level1_stderr=0.0, level1_nonzero=0)
     else:
         pilot_rng, level1_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
@@ -323,11 +280,58 @@ def gaussian_width_mc(cloud: Cloud, samples: int = DEFAULT_SAMPLES,
                               level1_draws=draws, level1_stderr=float(np.sqrt(sq1)),
                               level1_nonzero=int(np.count_nonzero(level1)))
     if (logger := _debug_logger(__name__)) is not None:
-        logger.debug("width over %d points: %s winners from %d pilot draws; level 0 %d draws, "
+        logger.debug("width over %d points: %d winners from %d pilot draws; level 0 %d draws, "
                      "level 1 %d draws with %d nonzero", cloud.size + 1, width.winners,
                      width.pilot_draws, width.level0_draws, width.level1_draws,
                      width.level1_nonzero)
     return width
+
+
+@dataclass(frozen=True, eq=False)
+class PairwiseCloud:
+    """The 2^n vertex gradients x @ A + mu of a pairwise form (A symmetric, zero
+    diagonal), as ``boolfn.pairwise_form`` returns it; no row is ever built."""
+
+    a: np.ndarray  # (n, n)
+    mu: np.ndarray  # (n,)
+
+    def lipschitz(self) -> tuple[float, float]:
+        """(L1, L2), both exact: with row_i = sum_j |A_ij|, L1 = max_i(row_i + |mu_i|) and
+        L2 = max_i row_i, the one-norm of the gradient change under flipping x_i,
+        halved (A is symmetric, so row sums are column sums)."""
+        row = np.abs(self.a).sum(axis=1)
+        return float((row + np.abs(self.mu)).max()), float(row.max())
+
+    def sups(self, draws: np.ndarray) -> np.ndarray:
+        """X = ||A g||_1 + <mu, g> per draw g, the sup of <x @ A + mu, g> over the vertices
+        x alone: x_i = sign((A g)_i) attains it.  Without the origin, X may be negative."""
+        return np.abs(draws @ self.a).sum(axis=1) + draws @ self.mu
+
+    def width(self, samples: int, seed: int | None = 0) -> tuple[float, float, float, float]:
+        """(D, its standard error, D-, D+): the width over K u {0} and its certified ends.
+
+        D = m + E[X^-] (the module docstring), and with mu = 0, D = m: no draw is
+        taken.  Else the ends are m and m + tau, tau = min(||mu||_2 / sqrt(2 pi),
+        R sqrt(pi/2) erfc(m / (sqrt(2) R))): X^- <= <mu, G>^-, and X is R-Lipschitz in G,
+        R = ||(sum_j |A_ij| + |mu_i|)_i||_2, so Gaussian concentration bounds E[X^-] by
+        the second term.  D is m plus the mean of X^- over the ``samples`` draws of
+        ``_draws``, at most m + tau, with that mean's standard error.  A row norm of A
+        whose sum of squares overflows makes m infinite; one that underflows, below
+        about 1e-154, makes it fall short.
+        """
+        if samples < 2:
+            raise ValueError("need at least two samples for a standard error")
+        m = math.sqrt(2.0 / math.pi) * float(np.linalg.norm(self.a, axis=1).sum())
+        if not self.mu.any():
+            return m, 0.0, m, m
+        # hypot neither overflows nor underflows on the way, so R > 0 here
+        r = math.hypot(*(np.abs(self.a).sum(axis=1) + np.abs(self.mu)))
+        tau = min(math.hypot(*self.mu) / math.sqrt(2.0 * math.pi),
+                  r * math.sqrt(math.pi / 2.0) * math.erfc(m / (math.sqrt(2.0) * r)))
+        negative = np.concatenate([np.maximum(-self.sups(g), 0.0)
+                                   for g in _draws(self.mu.size, samples, seed)])
+        return (min(m + float(negative.mean()), m + tau),
+                float(negative.std(ddof=1) / math.sqrt(samples)), m, m + tau)
 
 
 def _coefficient_mass(f: FourierExpansion) -> float:
@@ -340,39 +344,26 @@ def _coefficient_mass(f: FourierExpansion) -> float:
 
 def complexity_params(f: FourierExpansion, samples: int = DEFAULT_SAMPLES,
                       seed: int | None = 0) -> ComplexityParams:
-    """Monte-Carlo D plus exact floored Lipschitz parameters for f.
+    """The width D with its standard error, and exact floored Lipschitz parameters, of f.
 
     A degree <= 2 expansion whose coefficients sum to at most
     ``_MAX_VERTEX_VALUE`` in absolute value, a bound on every |F(v)|, needs
-    no vertex table and no cap: its width and L1 and L2 come in closed form
-    from the ``PairwiseCloud`` of ``boolfn.pairwise_form(f)``.  Any other f
-    goes through its one vertex table F: the width walks the undeduplicated
-    ``VertexCloud`` of F, and L1 and L2 come from one walk over F's flip
-    blocks, so no (n, 2^n) array is built.  A width or standard error that
-    overflows is refused (``ComplexityParams`` takes finite values only).
+    no vertex table and no cap: D with its certified ends ``d_lower`` and
+    ``d_upper``, and L1 and L2, come from the ``PairwiseCloud`` of
+    ``boolfn.pairwise_form(f)``.  Any other f goes through its one vertex
+    table F: D and its ``d_levels`` from ``gaussian_width_mc`` over the
+    ``VertexCloud`` of F, L1 and L2 from one walk over F's flip blocks.  A
+    value that overflows is refused (``ComplexityParams`` takes finite ones only).
     """
     form = boolfn.pairwise_form(f)
     if form is not None and _coefficient_mass(f) <= _MAX_VERTEX_VALUE:
         cloud = PairwiseCloud(*form)
-        lips = cloud.lipschitz()
-    else:
-        cloud, lips = VertexCloud(vertex_values(f)), lipschitz(f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d, d_stderr, d_lower, d_upper = cloud.width(samples, seed)
+        return ComplexityParams.from_raw(d, *cloud.lipschitz(), d_stderr=d_stderr,
+                                         d_lower=d_lower, d_upper=d_upper)
+    cloud, lips = VertexCloud(vertex_values(f)), lipschitz(f)
     with np.errstate(over="ignore", invalid="ignore"):
         width = gaussian_width_mc(cloud, samples=samples, seed=seed)
     return ComplexityParams.from_raw(width.estimate, *lips, d_stderr=width.stderr,
                                      d_levels=width.levels())
-
-
-def closed_form_bounds(f: FourierExpansion) -> ComplexityParams | None:
-    """Floored closed-form (D, L1, L2) of a degree <= 2 expansion, else None.
-
-    They come from the ``PairwiseCloud`` of ``boolfn.pairwise_form(f)``: D
-    is its ``width_bound``, and L1 and L2 its exact ``lipschitz``.  A bound
-    that overflows is refused (``ComplexityParams`` takes finite values only).
-    """
-    form = boolfn.pairwise_form(f)
-    if form is None:
-        return None
-    cloud = PairwiseCloud(*form)
-    with np.errstate(over="ignore"):
-        return ComplexityParams.from_raw(cloud.width_bound(), *cloud.lipschitz())

@@ -120,8 +120,8 @@ class ComplexityParams:
 
     L1 = max(1, sup |partial_i f|) and L2 = max(1, gradient one-norm
     Lipschitz ratio); D is the Gaussian width of the gradient cloud.  A
-    Monte-Carlo D carries its standard error and how its draws were split
-    between the estimator's levels (``d_levels``, see
+    sampled D carries its standard error, and its certified ends ``d_lower``
+    and ``d_upper`` or its estimator's levels (``d_levels``, see
     ``complexity.WidthEstimate``); a D without ``d_stderr`` is not an estimate.
     """
 
@@ -130,11 +130,13 @@ class ComplexityParams:
     l2: float
     d_stderr: Optional[float] = None
     d_levels: Optional[dict] = field(default=None, hash=False)
+    d_lower: Optional[float] = None
+    d_upper: Optional[float] = None
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.d, self.d_stderr or 0.0, self.l1, self.l2))):
-            raise ValueError(f"complexity parameters must be finite, got D = {self.d} with "
-                             f"standard error {self.d_stderr}, L1 = {self.l1}, L2 = {self.l2}")
+        numbers = (self.d, self.l1, self.l2, self.d_stderr, self.d_lower, self.d_upper)
+        if not all(math.isfinite(x) for x in numbers if x is not None):
+            raise ValueError(f"complexity parameters must be finite, got {self}")
         if self.d < 0:
             raise ValueError("gradient complexity must be nonnegative")
         if self.l1 < 1.0 or self.l2 < 1.0:

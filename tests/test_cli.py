@@ -3,6 +3,7 @@
 import gc
 import importlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import mfgl
-from mfgl import cli, complexity, meanfield, verify
+from mfgl import boolfn, cli, complexity, meanfield, verify
 from mfgl.boolfn import eval_extension
 from mfgl.hamiltonians import (
     SPEC_TYPES,
@@ -73,16 +74,45 @@ def test_config_validation_errors():
         cli.run(cli.RunConfig(command="fixed-points", fmt="csv"))
 
 
-@pytest.mark.parametrize("suite", ["appendix", "proximity", "main", "tightness"])
-def test_a_level_for_a_suite_that_never_reads_it_is_one_error_line(tmp_path, capsys, suite):
+LEVEL = ["--spec", "cw6.json", "--t", "0.5", "--delta", "0.1"]
+
+
+@pytest.mark.parametrize("suite, extra, flag", [
     # --t and --delta reach only the ld suite, run alone or in all
-    spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 6})
+    *(pytest.param(suite, LEVEL, flag, id=suite) for suite, flag in (
+        ("appendix", "--spec"), ("proximity", "--t"), ("main", "--t"), ("tightness", "--spec"))),
+    # nor does any other suite input reach a suite that does not declare it; a
+    # spec that no suite reads is never opened
+    pytest.param("tightness", ["--spec", "bad.json"], "--spec", id="tightness-spec"),
+    pytest.param("appendix", ["--spec", "cw6.json"], "--spec", id="appendix-spec"),
+    pytest.param("tightness", ["--samples", "7", "--epsilon", "0.3"], "--samples",
+                 id="tightness-samples-epsilon"),
+    pytest.param("ld", ["--transport-max-states", "64"], "--transport-max-states",
+                 id="ld-transport-max-states"),
+])
+def test_a_level_for_a_suite_that_never_reads_it_is_one_error_line(tmp_path, capsys, suite,
+                                                                   extra, flag):
+    _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 6}, "cw6.json")
+    (tmp_path / "bad.json").write_text("{not json")
     out = tmp_path / "audit.json"
-    assert cli.main(["audit", "--suite", suite, "--spec", spec, "--t", "0.5", "--delta", "0.1",
-                     "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and f"--suite {suite}" in err
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in extra]
+    assert cli.main(["audit", "--suite", suite, *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --suite {suite} reads no {flag}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("suite, extra", [
+    ("proximity", ["--spec", "s.json", "--epsilon", "0.3", "--transport-max-states", "64"]),
+    ("main", ["--spec", "s.json", "--samples", "7", "--epsilon", "0.3"]),
+    ("ld", ["--spec", "s.json", "--t", "0.5", "--delta", "0.1"]),
+    ("all", ["--spec", "s.json", "--samples", "7", "--epsilon", "0.3", "--t", "0.5",
+             "--delta", "0.1", "--transport-max-states", "64"]),
+    # --seed, --max-n and --timings reach every suite, and so does a suite input at its default
+    ("tightness", ["--seed", "3", "--max-n", "12", "--timings", "--samples", "100000"]),
+])
+def test_a_suite_takes_the_inputs_it_declares(suite, extra):
+    config = cli.build_config(["audit", "--suite", suite, *extra])
+    assert config.suite == suite
 
 
 # Per flag: a value other than its default, and a second value.
@@ -553,17 +583,19 @@ def test_analyze_reports_width_levels(tmp_path):
 
 
 def test_analyze_takes_the_plain_width_on_a_linear_spec(tmp_path):
-    # degree <= 2: no pilot and no level 1, whatever the draws; A = K, all 8 rows
-    spec = _write_spec(tmp_path, {"type": "linear", "theta": [0.5, 0.25, -0.75]})
+    # A = 0, so m = 0 and D = E[X^-] = E max(<theta, G>, 0) is sampled whole, within
+    # its certified ends [0, ||theta||_2 / sqrt(2 pi)], the upper one exact
+    theta = [0.5, 0.25, -0.75]
+    spec = _write_spec(tmp_path, {"type": "linear", "theta": theta})
     out = tmp_path / "report.json"
     assert cli.main(["analyze", "--spec", spec, "--out", str(out), "--samples", "10000"]) == 0
     params = json.loads(out.read_text())["params"]
-    assert params["d_levels"] == {
-        "pilot_draws": 0, "winners": 9, "level0_draws": 10000,
-        "level0_stderr": params["d_stderr"], "level1_draws": 0, "level1_stderr": 0.0,
-        "level1_nonzero": 0}
-    assert params["d"] == pytest.approx(np.linalg.norm([0.5, 0.25, -0.75]) / np.sqrt(2 * np.pi),
-                                        abs=4 * params["d_stderr"])
+    assert list(params) == ["d", "d_stderr", "d_lower", "d_upper", "l1", "l2",
+                            "structural_threshold"]
+    exact = np.linalg.norm(theta) / np.sqrt(2 * np.pi)
+    assert params["d_lower"] == 0.0 and params["d_upper"] == pytest.approx(exact, rel=1e-15)
+    assert params["d"] <= params["d_upper"]
+    assert params["d"] == pytest.approx(exact, abs=4 * params["d_stderr"])
 
 
 def _random_ising(rng, n):
@@ -572,35 +604,51 @@ def _random_ising(rng, n):
             "field": rng.normal(0.0, 0.1, n).tolist()}
 
 
+def _closed_form(spec: dict) -> tuple[float, float, float]:
+    """(m, L1, L2) of a degree <= 2 spec, read off its pairwise form."""
+    a, mu = boolfn.pairwise_form(build_hamiltonian(spec_from_dict(spec)))
+    row = np.abs(a).sum(axis=1)
+    return (np.sqrt(2 / np.pi) * np.linalg.norm(a, axis=1).sum(),
+            max(1.0, float((row + np.abs(mu)).max())), max(1.0, float(row.max())))
+
+
 @pytest.mark.parametrize("spec", [
     *(_random_ising(np.random.default_rng(seed), n) for seed, n in ((0, 3), (1, 12), (2, 40))),
     {"type": "curie_weiss", "beta": 1.5, "n": 18}, {"type": "curie_weiss", "beta": 0.75, "n": 63}])
 def test_analyze_closed_form_lipschitz_bounds_hold_exactly(tmp_path, spec):
     # L1 = max_i(sum_j |A_ij| + |mu_i|) and L2 = max_i sum_j |A_ij| are exact, so the
-    # closed forms are the reported values bit for bit
+    # closed forms are the reported values bit for bit; the width lies in its certified ends
     out = tmp_path / "report.json"
     assert cli.main(["analyze", "--spec", _write_spec(tmp_path, spec), "--out", str(out),
                      "--samples", "200"]) == 0
-    report = json.loads(out.read_text())
-    params, bounds = report["params"], report["closed_form_bounds"]
-    assert params["l2"] == bounds["l2"]
-    assert params["l1"] == bounds["l1"]
-    assert params["d_levels"]["pilot_draws"] == 0
+    params = json.loads(out.read_text())["params"]
+    m, l1, l2 = _closed_form(spec)
+    assert (params["l1"], params["l2"]) == (l1, l2)
+    assert params["d_lower"] == pytest.approx(m, rel=1e-12)
+    assert params["d_lower"] <= params["d"] <= params["d_upper"]
+    assert "d_levels" not in params
 
 
 def test_analyze_ising_reports_closed_form_bounds(tmp_path):
     a = [[0.0, 0.3, 0.0], [0.3, 0.0, -0.2], [0.0, -0.2, 0.0]]
-    spec = _write_spec(tmp_path, {"type": "ising", "coupling": a, "field": [0.1, 0.0, -0.1]})
+    mu = [0.1, 0.0, -0.1]
+    spec = {"type": "ising", "coupling": a, "field": mu}
     out = tmp_path / "ising.json"
-    code = cli.main(["analyze", "--spec", spec, "--out", str(out),
+    code = cli.main(["analyze", "--spec", _write_spec(tmp_path, spec), "--out", str(out),
                      "--seed", "2", "--samples", "5000"])
     assert code == 0
     report = json.loads(out.read_text())
-    bounds = report["closed_form_bounds"]
-    # the Monte-Carlo width sits below the closed form (allowing 3 sigma)
-    assert report["params"]["d"] <= bounds["d"] + 3 * report["params"]["d_stderr"]
-    assert report["params"]["l1"] <= bounds["l1"] + 1e-12
-    assert report["params"]["l2"] <= bounds["l2"] + 1e-12
+    params = report["params"]
+    # m <= D <= m + tau, tau = min(||mu|| / sqrt(2 pi), R sqrt(pi/2) erfc(m / (sqrt 2 R)))
+    m = np.sqrt(2 / np.pi) * np.linalg.norm(a, axis=1).sum()
+    r = np.linalg.norm(np.abs(a).sum(axis=1) + np.abs(mu))
+    tau = min(np.linalg.norm(mu) / np.sqrt(2 * np.pi),
+              r * np.sqrt(np.pi / 2) * math.erfc(m / (np.sqrt(2) * r)))
+    assert params["d_lower"] == pytest.approx(m, rel=1e-12)
+    assert params["d_upper"] == pytest.approx(m + tau, rel=1e-12)
+    assert params["d_lower"] <= params["d"] <= params["d_upper"]
+    assert (params["l1"], params["l2"]) == _closed_form(spec)[1:]
+    assert "closed_form_bounds" not in report
 
 
 @pytest.mark.parametrize("payload", [
@@ -612,11 +660,14 @@ def test_analyze_reports_closed_form_bounds_for_every_pairwise_expansion(tmp_pat
     spec = _write_spec(tmp_path, payload)
     out = tmp_path / "report.json"
     assert cli.main(["analyze", "--spec", spec, "--out", str(out), "--samples", "2000"]) == 0
-    bounds = json.loads(out.read_text())["closed_form_bounds"]
+    params = json.loads(out.read_text())["params"]
+    assert params["d_lower"] <= params["d"] <= params["d_upper"]
     if payload["type"] == "linear":
-        # A = 0, so D <= sqrt(n) max |mu|, and L1, L2 sit at their unit floors
-        assert bounds["d"] == np.sqrt(3) * 0.5
-        assert (bounds["l1"], bounds["l2"]) == (1.0, 1.0)
+        # A = 0, so the exact width is the upper end, and L1, L2 sit at their unit floors
+        assert params["d_lower"] == 0.0
+        assert params["d_upper"] == pytest.approx(np.linalg.norm([0.3, -0.2, 0.5])
+                                                  / np.sqrt(2 * np.pi), rel=1e-15)
+        assert (params["l1"], params["l2"]) == (1.0, 1.0)
 
 
 def test_fixed_points_command(tmp_path):
@@ -770,7 +821,7 @@ def test_an_overflowing_vertex_table_is_one_error_line(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("spec", [
-    # degree 2, no vertex table: the width's standard error and the closed-form D overflow
+    # degree 2, no vertex table: a row norm of A, and with it the closed-form D, overflows
     {"type": "sparse_fourier", "n": 3, "terms": [{"subset": [0, 1], "coeff": 1e154},
                                                  {"subset": [1, 2], "coeff": 1e154}]},
     # degree 3, the vertex-table path: the width's standard error overflows
@@ -796,13 +847,17 @@ def test_ld_scan_far_below_the_level_runs_with_no_warning(tmp_path):
     assert tail["pass"] and 0.0 <= tail["measured"] < 1e-11
 
 
-def test_analyze_at_n63_reports_the_winner_count_as_null(tmp_path):
-    # the plain path's |K| + 1 = 2^63 + 1 does not fit an int64
+def test_analyze_at_n63_takes_the_width_in_closed_form(tmp_path):
+    # mu = 0: D = sqrt(2/pi) 2 beta sqrt(n - 1) exactly, with no draw and no levels
     spec = _write_spec(tmp_path, {"type": "curie_weiss", "beta": 1.5, "n": 63})
     out = tmp_path / "cw63.json"
     assert cli.main(["analyze", "--spec", spec, "--out", str(out), "--samples", "2000"]) == 0
-    levels = json.loads(out.read_text())["params"]["d_levels"]
-    assert levels["winners"] is None and levels["pilot_draws"] == 0
+    report = json.loads(out.read_text())
+    params = report["params"]
+    assert params["d"] == params["d_lower"] == params["d_upper"] == pytest.approx(
+        np.sqrt(2 / np.pi) * 3.0 * np.sqrt(62), rel=1e-12)
+    assert params["d_stderr"] == 0.0 and "d_levels" not in params
+    assert "closed_form_bounds" not in report
 
 
 @pytest.mark.parametrize("flag", [["--t", "nan", "--delta", "0.05"],

@@ -196,11 +196,11 @@ def test_width_input_validation():
 
 
 def test_complexity_params_zero_function():
-    # degree 0 <= 2: plain Monte Carlo over all 16 rows and the origin, at any draws
-    for samples, winners in ((100, 17), (10_000, 17)):
+    # degree 0 <= 2: A = 0 and mu = 0, so D = 0 in closed form at any draws, with no levels
+    for samples in (100, 10_000):
         p = complexity_params(FourierExpansion(4), samples=samples, seed=0)
-        assert (p.d, p.d_stderr, p.l1, p.l2) == (0.0, 0.0, 1.0, 1.0)
-        assert p.d_levels["winners"] == winners
+        assert (p.d, p.d_stderr, p.d_lower, p.d_upper, p.l1, p.l2) == (0.0, 0.0, 0.0, 0.0, 1.0, 1.0)
+        assert p.d_levels is None
 
 
 def test_complexity_params_random_instance():
@@ -312,26 +312,60 @@ def test_pairwise_cloud_matches_the_vertex_table(spec, draws):
     f = build_hamiltonian(spec)
     values = vertex_values(f)
     cloud = PairwiseCloud(*boolfn.pairwise_form(f))
-    assert (cloud.n, cloud.size) == (f.n, values.size)
+    assert cloud.a.shape == (f.n, f.n)
     # relative to the coefficient mass sum |c_S|, the scale of every F value
     # and flip difference: both sides round at that scale
     mass = math.fsum(np.abs(f.coeffs))
     g = np.random.default_rng(draws).standard_normal((draws, f.n))
-    sups = complexity._sups(cloud, g)[0]
+    sups = np.maximum(cloud.sups(g), 0.0)  # the origin's 0 joins the vertices
     want = complexity._sups(VertexCloud(values), g)[0]
     assert np.all(np.abs(sups - want) <= 1e-12 * mass * np.abs(g).sum(axis=1))
     for got, exact in zip(cloud.lipschitz(), lipschitz(f)):
         assert abs(got - exact) <= 1e-12 * mass
 
 
-def test_pairwise_width_is_plain_monte_carlo_over_the_width_draws():
-    f = build_hamiltonian(CurieWeissSpec(1.5, 63))
-    cloud = PairwiseCloud(*boolfn.pairwise_form(f))
-    width = gaussian_width_mc(cloud, samples=20_000, seed=3)
-    sups = width_samples(cloud, 20_000, seed=3)
-    assert (width.estimate, width.stderr) == (float(sups.mean()),
-                                              float(sups.std(ddof=1) / np.sqrt(sups.size)))
-    assert (width.pilot_draws, width.winners, width.level1_draws) == (0, None, 0)
+def _row_norm_width(spec: IsingSpec) -> float:
+    """m = sqrt(2/pi) sum_i ||A_i||_2, from the spec's coupling rows."""
+    return math.sqrt(2 / math.pi) * sum(math.hypot(*row) for row in spec.coupling)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(spec=ising_specs(max_n=8), zero_field=st.booleans())
+def test_pairwise_width_interval_holds_the_vertex_cloud_width(spec, zero_field):
+    if zero_field:
+        spec = IsingSpec(spec.coupling, (0.0,) * spec.n)
+    f = build_hamiltonian(spec)
+    p = complexity_params(f, samples=2000, seed=1)
+    assert p.d_lower <= p.d <= p.d_upper
+    m = _row_norm_width(spec)
+    assert p.d_lower == pytest.approx(m, rel=1e-12, abs=1e-150)  # row norms may underflow
+    if not any(spec.field):  # X >= 0, so D = m with no draw
+        assert (p.d, p.d_stderr, p.d_upper) == (p.d_lower, 0.0, p.d_lower)
+    # the two-level width over every vertex gradient, sampled in full
+    width = gaussian_width_mc(VertexCloud(vertex_values(f)), samples=4000, seed=2)
+    assert p.d_lower - 4 * width.stderr <= width.estimate <= p.d_upper + 4 * width.stderr
+
+
+def test_pairwise_width_samples_only_the_negative_part_over_the_width_draws():
+    # with a field, D is m plus the mean of X^- over the draws width_samples takes
+    rng = np.random.default_rng(3)
+    upper = np.triu(rng.normal(0.0, 0.3, (12, 12)), 1)
+    spec = IsingSpec(tuple(map(tuple, (upper + upper.T).tolist())),
+                     tuple(rng.normal(0.0, 1.0, 12).tolist()))
+    cloud = PairwiseCloud(*boolfn.pairwise_form(build_hamiltonian(spec)))
+    d, d_stderr, d_lower, d_upper = cloud.width(20_000, seed=3)
+    negative = np.maximum(-cloud.sups(np.random.default_rng(3).standard_normal((20_000, 12))), 0)
+    assert d_lower == pytest.approx(_row_norm_width(spec), rel=1e-12)
+    assert d == min(d_lower + float(negative.mean()), d_upper)
+    assert d_stderr == float(negative.std(ddof=1) / np.sqrt(negative.size)) > 0
+    # without one, D = m exactly, and no draw is taken
+    cw = PairwiseCloud(*boolfn.pairwise_form(build_hamiltonian(CurieWeissSpec(1.5, 63))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexity, "_draws", None)
+        d, d_stderr, d_lower, d_upper = cw.width(20_000, seed=3)
+    assert d == d_lower == d_upper == pytest.approx(math.sqrt(2 / math.pi) * 3 * math.sqrt(62),
+                                                    rel=1e-12)
+    assert d_stderr == 0.0
 
 
 def test_vertex_cloud_refuses_tables_whose_flips_overflow():

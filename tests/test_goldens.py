@@ -102,6 +102,8 @@ REPORT_KEY_KINDS = {
     "config": "config",
     "params.d": ("monte_carlo", "d_stderr"),
     "params.d_stderr": "rounded",
+    "params.d_lower": "certified",
+    "params.d_upper": "certified",
     "params.d_levels.pilot_draws": "count",
     "params.d_levels.winners": "count",
     "params.d_levels.level0_draws": "count",
@@ -112,9 +114,6 @@ REPORT_KEY_KINDS = {
     "params.l1": "rounded",
     "params.l2": "rounded",
     "params.structural_threshold": ("monte_carlo", "d_stderr"),
-    "closed_form_bounds.d": "certified",
-    "closed_form_bounds.l1": "certified",
-    "closed_form_bounds.l2": "certified",
     "scalar_roots.*": "rounded",
     "solutions.*.lambda": "config",
     "solutions.*.point.*": "rounded",

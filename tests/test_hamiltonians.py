@@ -18,7 +18,7 @@ from mfgl.boolfn import (
     pairwise_form,
     vertex_values,
 )
-from mfgl.complexity import GradientCloud, closed_form_bounds, gaussian_width_mc
+from mfgl.complexity import GradientCloud, complexity_params, gaussian_width_mc
 from mfgl.hamiltonians import (
     SPEC_TYPES,
     ComplexityParams,
@@ -265,27 +265,32 @@ def test_curie_weiss_matrices_match_literal_pair_coefficient():
 
 
 def test_ising_bounds_trivial_instance():
-    p = closed_form_bounds(FourierExpansion(4))
-    assert (p.d, p.l1, p.l2) == (0.0, 1.0, 1.0)
-    assert p.d_stderr is None
-    assert closed_form_bounds(FourierExpansion.from_terms(3, [((0, 1, 2), 1.0)])) is None
+    p = complexity_params(FourierExpansion(4))
+    assert (p.d, p.d_stderr, p.d_lower, p.d_upper, p.l1, p.l2) == (0.0, 0.0, 0.0, 0.0, 1.0, 1.0)
+    # above degree 2 the width is sampled over the vertex table, with no certified ends
+    p = complexity_params(FourierExpansion.from_terms(3, [((0, 1, 2), 1.0)]), samples=100)
+    assert (p.d_lower, p.d_upper) == (None, None)
 
 
-def test_closed_form_bounds_refuse_an_overflow():
-    # finite coefficients whose row sums and tr A^2 overflow: refused, with no numpy warning
-    f = FourierExpansion.from_terms(3, [((0, 1), 1e308), ((1, 2), 1e308)])
+def test_pairwise_params_refuse_an_overflow():
+    # couplings of 1e160 give a row norm of A whose sum of squares overflows, so D is
+    # infinite: refused, with no numpy warning.  1e150 runs.  Both coefficient masses
+    # stay under the vertex-table limit, so neither takes the table way
+    a = np.ones((3, 3)) - np.eye(3)
+    p = complexity_params(build_hamiltonian(IsingSpec(1e150 * a, np.zeros(3))))
+    assert p.d == pytest.approx(math.sqrt(2 / math.pi) * 3e150 * math.sqrt(2))
     with pytest.raises(ValueError, match="must be finite"):
-        closed_form_bounds(f)
+        complexity_params(build_hamiltonian(IsingSpec(1e160 * a, np.zeros(3))))
 
 
 def test_curie_weiss_as_ising_width_bound():
+    # mu = 0: D = sqrt(2/pi) sum_i ||A_i||_2 = sqrt(2/pi) beta sqrt(n - 1) exactly, no draw
     beta, n = 1.4, 8
     a = np.full((n, n), beta / n)
     np.fill_diagonal(a, 0.0)
-    p = closed_form_bounds(build_hamiltonian(IsingSpec(a, np.zeros(n))))
-    expected = beta * math.sqrt(n) * math.sqrt(1.0 - 1.0 / n)
-    assert p.d == pytest.approx(expected)
-    assert p.d <= beta * math.sqrt(n)
+    p = complexity_params(build_hamiltonian(IsingSpec(a, np.zeros(n))))
+    assert p.d == pytest.approx(math.sqrt(2 / math.pi) * beta * math.sqrt(n - 1), rel=1e-12)
+    assert (p.d_stderr, p.d_lower, p.d_upper) == (0.0, p.d, p.d)
 
 
 def test_mc_width_within_closed_form_bound():
@@ -296,11 +301,11 @@ def test_mc_width_within_closed_form_bound():
     np.fill_diagonal(a, 0.0)
     mu = rng.normal(size=n) * 0.2
     f = build_hamiltonian(IsingSpec(tuple(map(tuple, a.tolist())), tuple(mu.tolist())))
-    bound = closed_form_bounds(f)
+    p = complexity_params(f)
     width = gaussian_width_mc(GradientCloud(flip_differences(vertex_values(f)).T),
                               samples=20_000, seed=9)
     est, se = width.estimate, width.stderr
-    assert est <= bound.d + 3.0 * se
+    assert p.d_lower - 3.0 * se <= est <= p.d_upper + 3.0 * se
 
 
 # ---------------------------------------------------------------------------
