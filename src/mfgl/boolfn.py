@@ -121,13 +121,12 @@ class FourierExpansion:
 
     @cached_property
     def _vertex_table(self) -> np.ndarray:
-        """F on all 2^n vertices: built once, read-only, refused unless finite."""
+        """F on all 2^n vertices: built once, read-only, refused by ``_check_vertex_table``."""
         tab = np.zeros(1 << self.n)
         tab[self.masks] = self.coeffs * (1.0 - 2.0 * (np.bitwise_count(self.masks) & 1))
         with np.errstate(over="ignore", invalid="ignore"):
             tab = walsh_hadamard(tab)
-        if not np.all(np.isfinite(tab)):
-            raise ValueError("Hamiltonian evaluates to non-finite values")
+        _check_vertex_table(tab)
         tab.flags.writeable = False
         return tab
 
@@ -278,6 +277,13 @@ def gradient_extension(f: FourierExpansion, x) -> np.ndarray:
         layers[0] += acc
         acc = np.add.accumulate(layers, axis=0, out=layers)[-1].copy()
     return acc.T.reshape(x.shape)
+
+
+def _check_vertex_table(values: np.ndarray) -> None:
+    """Refuse a vertex table unless every |F(v)| <= max float / 2, the one rule for dense
+    tables: it keeps every flip difference (F[hi] - F[lo]) / 2, and so every gradient, finite."""
+    if not max(values.max(), -values.min()) <= np.finfo(np.float64).max / 2:
+        raise ValueError("vertex table must hold |F| <= max float / 2 (finite flip differences)")
 
 
 def pairwise_form(f: FourierExpansion) -> tuple[np.ndarray, np.ndarray] | None:

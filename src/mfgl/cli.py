@@ -380,8 +380,7 @@ def _suite_main(config: RunConfig, built: FourierExpansion | None) -> list[Audit
 
     f = built if built is not None else hamiltonians.build_hamiltonian(
         hamiltonians.CurieWeissSpec(2.0, 8))
-    params = complexity.complexity_params(f, samples=min(config.samples, 20_000),
-                                          seed=config.seed)
+    params = complexity.complexity_params(f, samples=config.samples, seed=config.seed)
     thetas = verify.sample_tilts(f.n, config.epsilon, 8, seed=config.seed + 20)
     return verify.audit_main_residuals(f, thetas, config.epsilon, params,
                                        instance={"spec": config.spec_path})

@@ -27,16 +27,17 @@ is cheap and level 1 is mostly zeros.  At most ``PLAIN_DRAWS`` requested
 draws take A = K, and the estimate is plain Monte Carlo over ``width_samples``.
 
 A cloud is a ``GradientCloud`` of explicit rows or the ``VertexCloud`` of a
-vertex table F, whose row v is the gradient at vertex v.  A sup walks the
-cloud in row blocks; a ``VertexCloud`` builds them from F as it goes, in
-slabs that are the flip blocks of ``boolfn.flip_blocks``, so
-``complexity_params`` never holds the (n, 2^n) gradient tables.  Duplicate
-rows never change a supremum, so K is not deduplicated.
+vertex table F, held to ``boolfn``'s |F| <= max float / 2, whose row v is the
+gradient at vertex v.  A sup walks the cloud in row blocks; a ``VertexCloud``
+builds them from F as it goes, in slabs that are the flip blocks of
+``boolfn.flip_blocks``, so ``complexity_params`` never holds the (n, 2^n)
+gradient tables.  Duplicate rows never change a supremum, so K is not
+deduplicated.
 
 A degree <= 2 expansion takes none of this: its ``PairwiseCloud`` gives D in
-closed form.  Its gradient field x @ A + mu has a coordinate i that does not
-depend on x_i, so a draw's sup over K is X = ||A G||_1 + <mu, G>.  Each
-(A G)_i is N(0, ||A_i||_2^2) and E<mu, G> = 0, so E X = m =
+closed form, at any scale.  Its gradient field x @ A + mu has a coordinate i
+that does not depend on x_i, so a draw's sup over K is X = ||A G||_1 + <mu, G>.
+Each (A G)_i is N(0, ||A_i||_2^2) and E<mu, G> = 0, so E X = m =
 sqrt(2/pi) sum_i ||A_i||_2, and D = E max(X, 0) = m + E[X^-].  With mu = 0,
 X >= 0 and D = m exactly; otherwise only the small term E[X^-] is sampled,
 between the certified ends m and m + tau (``PairwiseCloud.width``).
@@ -92,9 +93,6 @@ class GradientCloud:
         return self.points[index]
 
 
-_MAX_VERTEX_VALUE = np.finfo(np.float64).max / 2  # keeps every flip difference finite
-
-
 @dataclass(frozen=True, eq=False)
 class VertexCloud:
     """The gradient cloud of a vertex table F: row v is the gradient at vertex v.
@@ -113,9 +111,7 @@ class VertexCloud:
         values = self.values
         if values.ndim != 1 or values.size < 2 or values.size & (values.size - 1):
             raise ValueError("vertex table must have 2^n entries, n >= 1")
-        if not max(values.max(), -values.min()) <= _MAX_VERTEX_VALUE:
-            raise ValueError("vertex table must be finite, with |F| <= max float / 2 "
-                             "so that every flip difference is finite")
+        boolfn._check_vertex_table(values)
 
     @property
     def size(self) -> int:
@@ -315,16 +311,16 @@ class PairwiseCloud:
         R sqrt(pi/2) erfc(m / (sqrt(2) R))): X^- <= <mu, G>^-, and X is R-Lipschitz in G,
         R = ||(sum_j |A_ij| + |mu_i|)_i||_2, so Gaussian concentration bounds E[X^-] by
         the second term.  D is m plus the mean of X^- over the ``samples`` draws of
-        ``_draws``, at most m + tau, with that mean's standard error.  A row norm of A
-        whose sum of squares overflows makes m infinite; one that underflows, below
-        about 1e-154, makes it fall short.
+        ``_draws``, at most m + tau, with that mean's standard error.  ``math.hypot``
+        takes ||A_i||_2, ||mu||_2 and R with no overflow or underflow on the way, so m
+        and tau scale exactly with A and mu, and R > 0 here.
         """
         if samples < 2:
             raise ValueError("need at least two samples for a standard error")
-        m = math.sqrt(2.0 / math.pi) * float(np.linalg.norm(self.a, axis=1).sum())
+        rows = np.fromiter((math.hypot(*row) for row in self.a), float, self.mu.size)
+        m = math.sqrt(2.0 / math.pi) * float(rows.sum())
         if not self.mu.any():
             return m, 0.0, m, m
-        # hypot neither overflows nor underflows on the way, so R > 0 here
         r = math.hypot(*(np.abs(self.a).sum(axis=1) + np.abs(self.mu)))
         tau = min(math.hypot(*self.mu) / math.sqrt(2.0 * math.pi),
                   r * math.sqrt(math.pi / 2.0) * math.erfc(m / (math.sqrt(2.0) * r)))
@@ -334,33 +330,25 @@ class PairwiseCloud:
                 float(negative.std(ddof=1) / math.sqrt(samples)), m, m + tau)
 
 
-def _coefficient_mass(f: FourierExpansion) -> float:
-    """sum_S |c_S|, a bound on every |F(v)|, exactly rounded; inf when it overflows."""
-    try:
-        return math.fsum(np.abs(f.coeffs))
-    except OverflowError:
-        return math.inf
-
-
 def complexity_params(f: FourierExpansion, samples: int = DEFAULT_SAMPLES,
                       seed: int | None = 0) -> ComplexityParams:
     """The width D with its standard error, and exact floored Lipschitz parameters, of f.
 
-    A degree <= 2 expansion whose coefficients sum to at most
-    ``_MAX_VERTEX_VALUE`` in absolute value, a bound on every |F(v)|, needs
-    no vertex table and no cap: D with its certified ends ``d_lower`` and
-    ``d_upper``, and L1 and L2, come from the ``PairwiseCloud`` of
-    ``boolfn.pairwise_form(f)``.  Any other f goes through its one vertex
-    table F: D and its ``d_levels`` from ``gaussian_width_mc`` over the
-    ``VertexCloud`` of F, L1 and L2 from one walk over F's flip blocks.  A
-    value that overflows is refused (``ComplexityParams`` takes finite ones only).
+    A degree <= 2 expansion needs no vertex table and no cap, at any scale: D
+    with its certified ends ``d_lower`` and ``d_upper``, and L1 and L2, come
+    from the ``PairwiseCloud`` of ``boolfn.pairwise_form(f)``.  Any other f
+    goes through its one vertex table F, held to |F| <= max float / 2: D and
+    its ``d_levels`` from ``gaussian_width_mc`` over the ``VertexCloud`` of F,
+    L1 and L2 from one walk over F's flip blocks.  A value that overflows is
+    refused (``ComplexityParams`` takes finite ones only).
     """
     form = boolfn.pairwise_form(f)
-    if form is not None and _coefficient_mass(f) <= _MAX_VERTEX_VALUE:
+    if form is not None:
         cloud = PairwiseCloud(*form)
         with np.errstate(over="ignore", invalid="ignore"):
             d, d_stderr, d_lower, d_upper = cloud.width(samples, seed)
-        return ComplexityParams.from_raw(d, *cloud.lipschitz(), d_stderr=d_stderr,
+            lips = cloud.lipschitz()
+        return ComplexityParams.from_raw(d, *lips, d_stderr=d_stderr,
                                          d_lower=d_lower, d_upper=d_upper)
     cloud, lips = VertexCloud(vertex_values(f)), lipschitz(f)
     with np.errstate(over="ignore", invalid="ignore"):

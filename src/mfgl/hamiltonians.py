@@ -147,9 +147,12 @@ class ComplexityParams:
 
         A point X is in the structural set when ||X - tanh(grad f(X))||_1 is at
         most this.  At desk scale it usually exceeds 2n, the largest such
-        residual on [-1, 1]^n, so membership is vacuous there.
+        residual on [-1, 1]^n, so membership is vacuous there.  One that overflows is refused.
         """
-        return 5000.0 * self.l1 * self.l2**0.75 * self.d**0.25 * n**0.75
+        threshold = 5000.0 * self.l1 * self.l2**0.75 * self.d**0.25 * n**0.75
+        if not math.isfinite(threshold):
+            raise ValueError(f"the structural threshold overflows at n = {n} for {self}")
+        return threshold
 
     @staticmethod
     def from_raw(d: float, lip: float, grad_ratio: float, **kw) -> "ComplexityParams":

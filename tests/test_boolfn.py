@@ -418,6 +418,22 @@ def test_compose_identity_preserves_truth_table():
     assert vertex_values(g) == pytest.approx(vertex_values(f), abs=1e-12)
 
 
+def test_vertex_tables_hold_every_value_to_half_the_max_float():
+    # the one rule for dense tables, checked where each is built: |F| <= max float / 2,
+    # so every flip difference (F[hi] - F[lo]) / 2 is finite
+    half = np.finfo(np.float64).max / 2
+    assert np.array_equal(vertex_values(FourierExpansion.from_terms(1, [((0,), -half)])),
+                          [half, -half])
+    for terms in ([((0,), np.nextafter(half, np.inf))],   # finite, past the bound
+                  [((0,), 1e308), ((1,), 1e308)],         # finite terms, F = inf
+                  [((0,), 1e308), ((0, 1, 2), 1e300)]):   # finite F, near the max
+        f = FourierExpansion.from_terms(3, terms)
+        with pytest.raises(ValueError, match=r"\|F\| <= max float / 2"):
+            vertex_values(f)
+        with pytest.raises(ValueError, match=r"\|F\| <= max float / 2"):
+            lipschitz(f)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_vertex_values_are_refused(bad):
     # a NaN coefficient fails the pruning test, so the table would become the zero function

@@ -809,19 +809,32 @@ def _assert_refused(capsys, out):
 
 
 @pytest.mark.parametrize("argv", [["ld-scan", "--t", "0.5", "--delta", "0.1"], ["analyze"],
-                                  ["audit", "--suite", "proximity"]])
+                                  ["audit", "--suite", "proximity"],
+                                  ["audit", "--suite", "main"],
+                                  ["audit", "--suite", "ld", "--t", "0.5", "--delta", "0.1"]])
 def test_an_overflowing_vertex_table_is_one_error_line(tmp_path, capsys, argv):
-    # finite coefficients whose table is [-inf, 0, 0, inf, ...]
+    # Every command that builds a table refuses one with |F| > max float / 2, and any
+    # numpy warning fails the test.  Finite coefficients whose table is
+    # [-inf, 0, 0, inf, ...], and a finite table of +-(1e308 - 1e300) whose flip
+    # differences would overflow:
+    for terms in ([{"subset": [0], "coeff": 1e308}, {"subset": [1], "coeff": 1e308}],
+                  [{"subset": [0], "coeff": 1e308}, {"subset": [0, 1, 2], "coeff": 1e300}]):
+        spec = _write_spec(tmp_path, {"type": "sparse_fourier", "n": 3, "terms": terms})
+        out = tmp_path / "out.json"
+        assert cli.main([*argv, "--spec", spec, "--out", str(out)]) == 1
+        _assert_refused(capsys, out)
+
+
+def test_fixed_points_builds_no_table_of_a_near_max_spec(tmp_path):
     spec = _write_spec(tmp_path, {"type": "sparse_fourier", "n": 3,
                                   "terms": [{"subset": [0], "coeff": 1e308},
-                                            {"subset": [1], "coeff": 1e308}]})
-    out = tmp_path / "out.json"
-    assert cli.main([*argv, "--spec", spec, "--out", str(out)]) == 1
-    _assert_refused(capsys, out)
+                                            {"subset": [0, 1, 2], "coeff": 1e300}]})
+    assert cli.main(["fixed-points", "--spec", spec, "--out", str(tmp_path / "fp.json")]) == 0
 
 
 @pytest.mark.parametrize("spec", [
-    # degree 2, no vertex table: a row norm of A, and with it the closed-form D, overflows
+    # degree 2, no vertex table: D, L1 and L2 are finite in closed form, but the
+    # structural threshold 5000 L1 L2^(3/4) D^(1/4) n^(3/4) overflows
     {"type": "sparse_fourier", "n": 3, "terms": [{"subset": [0, 1], "coeff": 1e154},
                                                  {"subset": [1, 2], "coeff": 1e154}]},
     # degree 3, the vertex-table path: the width's standard error overflows
@@ -831,6 +844,37 @@ def test_an_overflowing_width_is_one_error_line(tmp_path, capsys, spec):
     out = tmp_path / "out.json"
     assert cli.main(["analyze", "--spec", _write_spec(tmp_path, spec), "--out", str(out)]) == 1
     _assert_refused(capsys, out)
+
+
+def test_an_overflowing_structural_threshold_is_one_error_line(tmp_path, capsys):
+    # D, L1 and L2 are finite, near 1e152; 5000 L1 L2^(3/4) D^(1/4) n^(3/4) is not
+    spec = _write_spec(tmp_path, {"type": "sparse_fourier", "n": 4,
+                                  "terms": [{"subset": [0, 1, 2], "coeff": 1e152},
+                                            {"subset": [1, 2, 3], "coeff": 1e152}]})
+    out = tmp_path / "out.json"
+    assert cli.main(["analyze", "--spec", spec, "--samples", "2000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the structural threshold overflows") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_the_main_suite_takes_every_requested_draw(tmp_path):
+    # the goldens' sparse_fourier spec has degree 3, so D is sampled over its vertex
+    # table; more draws than 20,000 give a smaller standard error
+    spec = _write_spec(tmp_path, {"type": "sparse_fourier", "n": 5,
+                                  "terms": [{"subset": [0, 2], "coeff": 0.8},
+                                            {"subset": [1], "coeff": -0.3},
+                                            {"subset": [1, 3, 4], "coeff": 0.6},
+                                            {"subset": [2, 4], "coeff": -0.4}]})
+    stderr = []
+    for samples in ("20000", "50000"):
+        out = tmp_path / f"main{samples}.json"
+        assert cli.main(["audit", "--suite", "main", "--spec", spec, "--samples", samples,
+                         "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["samples"] == int(samples)
+        stderr.append({row["instance"]["d_stderr"] for row in report["audits"]})
+    assert len(stderr[0]) == len(stderr[1]) == 1 and stderr[1] != stderr[0]
 
 
 def test_ld_scan_far_below_the_level_runs_with_no_warning(tmp_path):

@@ -346,6 +346,37 @@ def test_pairwise_width_interval_holds_the_vertex_cloud_width(spec, zero_field):
     assert p.d_lower - 4 * width.stderr <= width.estimate <= p.d_upper + 4 * width.stderr
 
 
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(spec=ising_specs(max_n=8), zero_field=st.booleans(), k=st.integers(-900, 900))
+def test_pairwise_closed_forms_scale_exactly(spec, zero_field, k):
+    # Scaling A and mu by 2^k scales every float step of the closed forms exactly, as
+    # long as no value leaves the normal range: d_lower, d_upper, L1 and L2 scale by
+    # exactly 2^k, and so do d and its d_stderr = 0 when mu = 0, with no refusal.
+    # Entries below 2^-60 are set to 0 first: at 2^-900 they would go subnormal, where
+    # no float step scales exactly.  With a field, d_stderr's variance under- or
+    # overflows beyond |k| = 400, so d and d_stderr are compared up to there.
+    def flushed(values):
+        return tuple(0.0 if abs(x) < 2.0 ** -60 else x for x in values)
+
+    coupling = tuple(map(flushed, spec.coupling))
+    field = (0.0,) * spec.n if zero_field else flushed(spec.field)
+    scale = math.ldexp(1.0, k)
+    got = []
+    for s in (1.0, scale):
+        f = build_hamiltonian(IsingSpec(tuple(tuple(s * x for x in row) for row in coupling),
+                                        tuple(s * x for x in field)))
+        cloud = PairwiseCloud(*boolfn.pairwise_form(f))
+        with np.errstate(over="ignore"):  # d_stderr's variance, beyond |k| = 400
+            got.append(np.array([*cloud.width(500, seed=1), *cloud.lipschitz()]))
+    assert np.array_equal(got[1][2:], scale * got[0][2:])  # d_lower, d_upper, L1, L2
+    if not any(field) or abs(k) <= 400:
+        assert np.array_equal(got[1][:2], scale * got[0][:2])  # d, d_stderr
+        p = complexity_params(f, samples=500, seed=1)  # the scaled spec, not refused
+        assert (p.d, p.d_stderr, p.d_lower, p.d_upper) == tuple(got[1][:4])
+    if not any(field):
+        assert got[1][1] == 0.0
+
+
 def test_pairwise_width_samples_only_the_negative_part_over_the_width_draws():
     # with a field, D is m plus the mean of X^- over the draws width_samples takes
     rng = np.random.default_rng(3)
@@ -369,10 +400,10 @@ def test_pairwise_width_samples_only_the_negative_part_over_the_width_draws():
 
 
 def test_vertex_cloud_refuses_tables_whose_flips_overflow():
-    with pytest.raises(ValueError, match="finite"):
-        VertexCloud(np.array([1.0, np.inf]))
-    with pytest.raises(ValueError, match="finite"):
-        VertexCloud(np.array([1e308, -1e308]))
+    # the magnitude rule is boolfn's one rule for dense tables (test_boolfn), read here
+    for values in ([1.0, np.inf], [1e308, -1e308], [np.nan, 0.0]):
+        with pytest.raises(ValueError, match=r"\|F\| <= max float / 2"):
+            VertexCloud(np.array(values))
     with pytest.raises(ValueError, match="2\\^n"):
         VertexCloud(np.zeros(3))
     assert VertexCloud(np.zeros(8)).size == 8 and VertexCloud(np.zeros(8)).n == 3

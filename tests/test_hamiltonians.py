@@ -273,14 +273,15 @@ def test_ising_bounds_trivial_instance():
 
 
 def test_pairwise_params_refuse_an_overflow():
-    # couplings of 1e160 give a row norm of A whose sum of squares overflows, so D is
-    # infinite: refused, with no numpy warning.  1e150 runs.  Both coefficient masses
-    # stay under the vertex-table limit, so neither takes the table way
+    # the row norms of A are taken scale-safely, so couplings of 1e160, whose squares
+    # overflow, give the finite D = sqrt(2/pi) 3 sqrt(2) 1e160.  At 1e308 the row sums
+    # of |A|, and with them L1, overflow: refused, with no numpy warning
     a = np.ones((3, 3)) - np.eye(3)
-    p = complexity_params(build_hamiltonian(IsingSpec(1e150 * a, np.zeros(3))))
-    assert p.d == pytest.approx(math.sqrt(2 / math.pi) * 3e150 * math.sqrt(2))
+    p = complexity_params(build_hamiltonian(IsingSpec(1e160 * a, np.zeros(3))))
+    assert p.d == pytest.approx(math.sqrt(2 / math.pi) * 3e160 * math.sqrt(2), rel=1e-15)
+    assert p.l1 == p.l2 == 2e160
     with pytest.raises(ValueError, match="must be finite"):
-        complexity_params(build_hamiltonian(IsingSpec(1e160 * a, np.zeros(3))))
+        complexity_params(build_hamiltonian(IsingSpec(1e308 * a, np.zeros(3))))
 
 
 def test_curie_weiss_as_ising_width_bound():
